@@ -8,12 +8,18 @@ the same run, the same model, and the same statistics.
 ``solve`` accepts an optional conflict budget; exceeding it aborts the search
 with status ``UNKNOWN`` and the statistics gathered so far, which is how
 callers meter attack effort.
+
+Clauses come in and models go out in DIMACS form (nonzero ints, ``-v`` for
+"not v").  Inside the solver, as in MiniSat (Een & Sorensson, SAT 2003),
+variable v is the literal index ``2v`` when true and ``2v + 1`` when false,
+so negation is ``lit ^ 1`` and the variable is ``lit >> 1``; values and watch
+lists are plain lists indexed by literal.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -22,6 +28,10 @@ UNKNOWN = "UNKNOWN"
 _RESTART_BASE = 128
 _ACT_DECAY = 0.95
 _ACT_LIMIT = 1e100
+
+# values of ``Solver.val[lit]``; only FALSE is falsy, which the propagation
+# loop's replacement-watch scan relies on
+_FALSE, _TRUE, _FREE = 0, 1, 2
 
 
 @dataclass
@@ -53,22 +63,37 @@ def _luby(i: int) -> int:
 
 
 class Solver:
-    """One-shot CDCL search over a fixed clause set."""
+    """One-shot CDCL search over a fixed clause set.
+
+    Decisions take the free variable of highest activity, ties going to the
+    smaller variable.  They come from a lazy ``heapq`` of ``(-activity, v)``
+    entries: a popped entry of an assigned variable is dropped, and one above
+    a free variable's activity (left by a rescale) is re-keyed.  Activity
+    only rises while a variable is assigned, and unassigning a variable
+    pushes its current activity, so a free variable's best entry always holds
+    its current activity.  ``heap_act[v]`` keeps the activity of v's newest
+    entry (None once popped), and a push is skipped when it would equal that
+    live entry: identical tuples are indistinguishable, so the skip leaves
+    every decision unchanged while the heap stays near one entry per
+    variable.
+    """
 
     def __init__(self, n_vars: int, clauses) -> None:
         self.n_vars = n_vars
-        self.assign: list[int] = [-1] * (n_vars + 1)  # -1 free, else 0/1
+        self.val: list[int] = [_FREE] * (2 * n_vars + 2)
         self.level: list[int] = [0] * (n_vars + 1)
         self.reason: list[list[int] | None] = [None] * (n_vars + 1)
-        self.watches: dict[int, list[list[int]]] = {}
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * n_vars + 2)]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.activity: list[float] = [0.0] * (n_vars + 1)
         self.var_inc = 1.0
-        self.phase: list[int] = [0] * (n_vars + 1)
+        # saved phase as a literal; a fresh variable is first tried false
+        self.phase: list[int] = [2 * v + 1 for v in range(n_vars + 1)]
+        # sorted, so already a heap
         self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n_vars + 1)]
-        heapq.heapify(self.heap)
+        self.heap_act: list[float | None] = [0.0] * (n_vars + 1)
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
@@ -76,125 +101,136 @@ class Solver:
         self.learned = 0
         self.unsat = False
         self._units: list[int] = []
-        for cl in clauses:
-            self._add_clause(list(cl))
-
-    # -- construction -------------------------------------------------------
-
-    def _add_clause(self, lits: list[int]) -> None:
-        seen = set()
-        cl = []
-        for lit in lits:
-            if lit == 0 or abs(lit) > self.n_vars:
-                raise ValueError(f"bad literal {lit}")
-            if -lit in seen:
-                return  # tautology
-            if lit not in seen:
-                seen.add(lit)
-                cl.append(lit)
-        if not cl:
-            self.unsat = True
-            return
-        if len(cl) == 1:
-            self._units.append(cl[0])
-            return
-        self._watch(cl)
-
-    def _watch(self, cl: list[int]) -> None:
-        self.watches.setdefault(cl[0], []).append(cl)
-        self.watches.setdefault(cl[1], []).append(cl)
+        watches = self.watches
+        for lits in clauses:
+            seen = set()
+            cl = []
+            for lit in lits:
+                if lit == 0 or abs(lit) > n_vars:
+                    raise ValueError(f"bad literal {lit}")
+                if -lit in seen:
+                    break  # tautology
+                if lit not in seen:
+                    seen.add(lit)
+                    cl.append(2 * lit if lit > 0 else 1 - 2 * lit)
+            else:
+                if len(cl) > 1:
+                    watches[cl[0]].append(cl)
+                    watches[cl[1]].append(cl)
+                elif cl:
+                    self._units.append(cl[0])
+                else:
+                    self.unsat = True
 
     # -- assignment ---------------------------------------------------------
 
-    def _value(self, lit: int) -> int:
-        a = self.assign[abs(lit)]
-        if a < 0:
-            return -1
-        return a if lit > 0 else a ^ 1
-
     def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
-        v = abs(lit)
-        val = 1 if lit > 0 else 0
-        if self.assign[v] >= 0:
-            return self.assign[v] == val
-        self.assign[v] = val
-        self.level[v] = len(self.trail_lim)
-        self.reason[v] = reason
+        val = self.val
+        if val[lit] != _FREE:
+            return val[lit] == _TRUE
+        val[lit] = _TRUE
+        val[lit ^ 1] = _FALSE
+        self.level[lit >> 1] = len(self.trail_lim)
+        self.reason[lit >> 1] = reason
         self.trail.append(lit)
         return True
 
     def _propagate(self) -> list[int] | None:
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            falsified = -lit
-            wl = self.watches.get(falsified)
+        trail = self.trail
+        val = self.val
+        watches = self.watches
+        level = self.level
+        reason = self.reason
+        push = trail.append
+        dl = len(self.trail_lim)
+        qhead = self.qhead
+        start = qhead
+        confl = None
+        while qhead < len(trail):
+            falsified = trail[qhead] ^ 1
+            qhead += 1
+            wl = watches[falsified]
             if not wl:
                 continue
             keep: list[list[int]] = []
-            for idx, cl in enumerate(wl):
-                if cl[0] == falsified:
-                    cl[0], cl[1] = cl[1], cl[0]
+            it = iter(wl)
+            for cl in it:
+                # keep the falsified watch in cl[1]
                 first = cl[0]
-                if self._value(first) == 1:
+                if first == falsified:
+                    first = cl[1]
+                    cl[0] = first
+                    cl[1] = falsified
+                vf = val[first]
+                if vf == _TRUE:
                     keep.append(cl)
                     continue
-                moved = False
                 for k in range(2, len(cl)):
-                    if self._value(cl[k]) != 0:
-                        cl[1], cl[k] = cl[k], cl[1]
-                        self.watches.setdefault(cl[1], []).append(cl)
-                        moved = True
+                    lk = cl[k]
+                    if val[lk]:
+                        cl[1] = lk
+                        cl[k] = falsified
+                        watches[lk].append(cl)
                         break
-                if moved:
-                    continue
-                keep.append(cl)
-                if self._value(first) == 0:
-                    keep.extend(wl[idx + 1 :])
-                    self.watches[falsified] = keep
-                    return cl
-                self._enqueue(first, cl)
-            self.watches[falsified] = keep
-        return None
+                else:
+                    keep.append(cl)
+                    if vf == _FALSE:
+                        keep.extend(it)
+                        confl = cl
+                        break
+                    val[first] = _TRUE
+                    val[first ^ 1] = _FALSE
+                    level[first >> 1] = dl
+                    reason[first >> 1] = cl
+                    push(first)
+            watches[falsified] = keep
+            if confl is not None:
+                break
+        self.propagations += qhead - start
+        self.qhead = qhead
+        return confl
 
     # -- learning -----------------------------------------------------------
 
-    def _bump(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > _ACT_LIMIT:
-            scale = 1.0 / _ACT_LIMIT
-            for u in range(1, self.n_vars + 1):
-                self.activity[u] *= scale
-            self.var_inc *= scale
+    def _rescale(self) -> None:
+        scale = 1.0 / _ACT_LIMIT
+        activity = self.activity
+        for u in range(1, self.n_vars + 1):
+            activity[u] *= scale
+        self.var_inc *= scale
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
+        level = self.level
+        activity = self.activity
+        trail = self.trail
         learnt = [0]
         seen = [False] * (self.n_vars + 1)
         counter = 0
         lit = None
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         cur_level = len(self.trail_lim)
         reason = confl
         while True:
             for q in reason if lit is None else reason[1:]:
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+                v = q >> 1
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    self._bump(v)
-                    if self.level[v] >= cur_level:
+                    activity[v] += self.var_inc
+                    if activity[v] > _ACT_LIMIT:
+                        self._rescale()
+                    if level[v] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self.trail[idx])]:
+            while not seen[trail[idx] >> 1]:
                 idx -= 1
-            lit = self.trail[idx]
-            v = abs(lit)
+            lit = trail[idx]
+            v = lit >> 1
             seen[v] = False
             counter -= 1
             idx -= 1
             if counter == 0:
-                learnt[0] = -lit
+                learnt[0] = lit ^ 1
                 break
             reason = self.reason[v]
             # reason clauses store the implied literal first
@@ -202,37 +238,56 @@ class Solver:
                 reason = [lit] + [q for q in reason if q != lit]
         if len(learnt) == 1:
             return learnt, 0
-        back = max(self.level[abs(q)] for q in learnt[1:])
+        back = max(level[q >> 1] for q in learnt[1:])
         # move one literal of the backtrack level into watch position
         for k in range(1, len(learnt)):
-            if self.level[abs(learnt[k])] == back:
+            if level[learnt[k] >> 1] == back:
                 learnt[1], learnt[k] = learnt[k], learnt[1]
                 break
         return learnt, back
 
     def _cancel_until(self, lvl: int) -> None:
-        while len(self.trail_lim) > lvl:
-            mark = self.trail_lim.pop()
-            for lit in reversed(self.trail[mark:]):
-                v = abs(lit)
-                self.phase[v] = self.assign[v]
-                self.assign[v] = -1
-                self.reason[v] = None
-                heapq.heappush(self.heap, (-self.activity[v], v))
-            del self.trail[mark:]
-        self.qhead = min(self.qhead, len(self.trail))
+        if len(self.trail_lim) <= lvl:
+            return
+        mark = self.trail_lim[lvl]
+        del self.trail_lim[lvl:]
+        val = self.val
+        phase = self.phase
+        activity = self.activity
+        heap = self.heap
+        heap_act = self.heap_act
+        for lit in reversed(self.trail[mark:]):
+            v = lit >> 1
+            phase[v] = lit
+            val[lit] = val[lit ^ 1] = _FREE
+            if heap_act[v] != activity[v]:
+                heap_act[v] = activity[v]
+                heapq.heappush(heap, (-activity[v], v))
+        del self.trail[mark:]
+        self.qhead = min(self.qhead, mark)
 
     def _decide(self) -> int:
-        while self.heap:
-            act, v = heapq.heappop(self.heap)
-            if self.assign[v] < 0 and -act <= self.activity[v]:
-                return v if self.phase[v] else -v
-            if self.assign[v] < 0:
-                heapq.heappush(self.heap, (-self.activity[v], v))
+        val = self.val
+        activity = self.activity
+        heap = self.heap
+        heap_act = self.heap_act
+        while heap:
+            neg, v = heapq.heappop(heap)
+            if heap_act[v] == -neg:
+                heap_act[v] = None
+            if val[2 * v] != _FREE:
+                continue
+            act = activity[v]
+            if -neg <= act:
+                return self.phase[v]
+            # pushed before a rescale: re-key at the current activity
+            if heap_act[v] != act:
+                heap_act[v] = act
+                heapq.heappush(heap, (-act, v))
         for v in range(1, self.n_vars + 1):
-            if self.assign[v] < 0:
-                return v if self.phase[v] else -v
-        return 0
+            if val[2 * v] == _FREE:
+                return self.phase[v]
+        return 0  # no variable is free
 
     # -- search -------------------------------------------------------------
 
@@ -262,7 +317,8 @@ class Solver:
                         return self._result(UNSAT)
                 else:
                     self.learned += 1
-                    self._watch(learnt)
+                    self.watches[learnt[0]].append(learnt)
+                    self.watches[learnt[1]].append(learnt)
                     self._enqueue(learnt[0], learnt)
                 self.var_inc /= _ACT_DECAY
                 continue
@@ -273,7 +329,7 @@ class Solver:
                 self._cancel_until(0)
                 continue
             lit = self._decide()
-            if lit == 0:
+            if not lit:
                 return self._result(SAT)
             self.decisions += 1
             self.trail_lim.append(len(self.trail))
@@ -282,7 +338,8 @@ class Solver:
     def _result(self, status: str) -> SolveResult:
         model = None
         if status == SAT:
-            model = {v: bool(self.assign[v]) for v in range(1, self.n_vars + 1)}
+            val = self.val
+            model = {v: val[2 * v] == _TRUE for v in range(1, self.n_vars + 1)}
         elif status == UNSAT and self.conflicts == 0:
             # deriving the empty clause at the root still counts as one
             self.conflicts = 1

@@ -42,7 +42,8 @@ def authentication_schedule(sched: KeySchedule, cycles: int) -> tuple[AuthWindow
 
     Window q occupies cycles [start, start + key_len); the design is then
     functional for t_func cycles and the next window begins at
-    start + key_len + t_func.  The last window may extend past the horizon.
+    start + key_len + t_func.  The last window may extend past the horizon;
+    the PRNG is stepped at most ``cycles + key_len`` times.
     """
     if cycles < 0:
         raise ValueError("cycles must be nonnegative")
@@ -64,7 +65,8 @@ def authentication_schedule(sched: KeySchedule, cycles: int) -> tuple[AuthWindow
         t_func = max(state_at(start + c), 1)
         windows.append(AuthWindow(start=start, chain=chain, t_func=t_func))
         nxt = start + c + t_func
-        chain = derive_sbj(state_at(nxt), sched.sbj_bits)
+        if nxt < cycles:  # the window past the horizon needs no chain
+            chain = derive_sbj(state_at(nxt), sched.sbj_bits)
         start = nxt
     return tuple(windows)
 

@@ -291,6 +291,25 @@ def test_criterion_08_solver_conflicts_strictly_increase_over_windows(toy_attack
     assert all(a < b for a, b in zip(conflicts, conflicts[1:])), conflicts
 
 
+# per-window (iterations, solver_calls, conflicts, decisions, propagations) of
+# the toy attack, recorded with the solver whose search tests/test_sat.py pins;
+# criterion 08's rising conflicts rest on these exact numbers
+TOY_WINDOW_EFFORT = (
+    (1, 3, 35, 76, 2427),
+    (1, 3, 191, 305, 16684),
+    (1, 3, 280, 499, 29321),
+)
+
+
+def test_criterion_08_per_window_effort_is_pinned(toy_attack):
+    _, _, _, res, _ = toy_attack
+    effort = tuple(
+        (w.iterations, w.solver_calls, w.conflicts, w.decisions, w.propagations)
+        for w in res.windows
+    )
+    assert effort == TOY_WINDOW_EFFORT
+
+
 # criterion 9 -- byte-identical reruns
 
 def test_criterion_09_encrypt_and_eval_hd_are_byte_deterministic(capsys, tmp_path):

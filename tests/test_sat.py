@@ -1,11 +1,23 @@
 """CDCL solver: correctness against brute force, budgets, determinism."""
 
+import importlib.util
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+import relock.sat
 from relock import SAT, UNKNOWN, UNSAT, SolveResult, solve
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "record_sat_trajectories", ROOT / "tools" / "record_sat_trajectories.py"
+)
+trajectories = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(trajectories)
+pigeonhole = trajectories.pigeonhole
 
 
 def brute_force(n_vars, clauses):
@@ -109,18 +121,6 @@ def test_larger_random_sat_instances_have_valid_models():
         assert check_model(clauses, res.model)
 
 
-def pigeonhole(holes):
-    """holes+1 pigeons into holes; classically UNSAT."""
-    n = holes + 1
-    var = lambda p, h: p * holes + h + 1
-    clauses = [tuple(var(p, h) for h in range(holes)) for p in range(n)]
-    for h in range(holes):
-        for p1 in range(n):
-            for p2 in range(p1 + 1, n):
-                clauses.append((-var(p1, h), -var(p2, h)))
-    return n * holes, clauses
-
-
 def test_pigeonhole_unsat():
     n_vars, clauses = pigeonhole(6)
     res = solve(clauses, n_vars=n_vars)
@@ -177,3 +177,28 @@ def test_solve_accepts_cnf_objects(s27):
     res = solve(cnf)
     assert res.status == SAT
     assert len(res.model) == cnf.n_vars
+
+
+# -- pinned search trajectories ---------------------------------------------------
+
+RECORDED = json.loads((ROOT / "tests" / "data" / "sat_trajectories.json").read_text())
+CASES = trajectories.cases()
+
+
+def test_trajectory_cases_match_the_record():
+    assert sorted(CASES) == sorted(RECORDED)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_search_trajectory_is_unchanged(name):
+    """Counts and model digest equal those recorded by
+    tools/record_sat_trajectories.py, so the solver explores the same path."""
+    assert trajectories.trajectory(*CASES[name]) == RECORDED[name]
+
+
+def test_rescale_case_passes_the_activity_limit():
+    # var_inc grows by 1/_ACT_DECAY per conflict from 1.0, so this many
+    # conflicts push it past the lowered limit: the rescale branch ran
+    act_limit = CASES["pigeonhole-6-rescale"][3]
+    conflicts = RECORDED["pigeonhole-6-rescale"]["conflicts"]
+    assert relock.sat._ACT_DECAY ** -conflicts > act_limit

@@ -137,6 +137,33 @@ def test_schedule_windows_tile_the_horizon(toy):
     assert t >= cycles
 
 
+def test_schedule_replay_stops_at_the_horizon(toy, monkeypatch):
+    """A wide PRNG's first functional span runs far past a short horizon;
+    the replay must not step the PRNG out to the window beyond it."""
+    import dataclasses
+
+    import relock.sim
+
+    sched = dataclasses.replace(toy.schedule, lfsr_width=40, lfsr_taps=(40, 1))
+    cycles = 200
+    limit = cycles + sched.key_len
+    steps = 0
+    real_step = relock.sim.step
+
+    def counting_step(g):
+        nonlocal steps
+        steps += 1
+        assert steps <= limit, f"replay stepped the PRNG more than {limit} times"
+        return real_step(g)
+
+    monkeypatch.setattr(relock.sim, "step", counting_step)
+    windows = authentication_schedule(sched, cycles)
+    assert steps <= limit
+    assert windows[0].start == 0
+    assert windows[-1].start < cycles
+    assert windows[-1].start + sched.key_len + windows[-1].t_func >= cycles
+
+
 def test_workload_mask_is_the_window_complement(toy):
     sched = toy.schedule
     cycles = 90
