@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .bench import Netlist
 from .sat import UNKNOWN, UNSAT, solve
-from .sim import Stimulus, simulate, workload_stimulus
+from .sim import key_plan, plan_stimulus, simulate, workload_stimulus
 from .unroll import CnfBuilder
 
 STATUS_RECOVERED = "recovered"
@@ -171,29 +171,6 @@ class AttackResult:
         return "\n".join(lines) + "\n"
 
 
-class _CycleMap:
-    """Classify the attack horizon into window cycles and workload ranks."""
-
-    def __init__(self, starts: list[int], key_len: int, horizon: int):
-        self.horizon = horizon
-        self.window_of: dict[int, tuple[int, int]] = {}
-        for q, s in enumerate(starts):
-            for u in range(key_len):
-                t = s + u
-                if t < horizon:
-                    self.window_of[t] = (q, u)
-        self.rank_of: dict[int, int] = {}
-        rank = 0
-        for t in range(horizon):
-            if t not in self.window_of:
-                self.rank_of[t] = rank
-                rank += 1
-        self.n_workload = rank
-
-    def gap_cycles(self, lo: int, hi: int) -> list[int]:
-        return [t for t in range(lo, hi) if t not in self.window_of]
-
-
 def recover_key_sequences(
     enc: Netlist,
     oracle: SequenceOracle,
@@ -248,17 +225,9 @@ def recover_key_sequences(
 
     n_in = len(enc.inputs)
     core = _comb_core(enc)
-    horizon = starts[max_seq]
-    cmap = _CycleMap(starts[:max_seq], key_len, horizon)
     rng = random.Random(f"{seed}/attack/probes")
-    probes = [rng.getrandbits(n_in) for _ in range(cmap.n_workload)]
-
-    def committed_input(t: int, keys: list[tuple[int, ...]]) -> int:
-        loc = cmap.window_of.get(t)
-        if loc is None:
-            return probes[cmap.rank_of[t]]
-        q, u = loc
-        return keys[q][u]
+    # one probe per non-window cycle before the last probed gap ends
+    probes = [rng.getrandbits(n_in) for _ in range(starts[max_seq] - max_seq * key_len)]
 
     windows: list[WindowRecovery] = []
     keys: list[tuple[int, ...]] = []
@@ -267,8 +236,7 @@ def recover_key_sequences(
     for q in range(max_seq):
         w_t0 = time.perf_counter()
         start = starts[q]
-        gap_ts = cmap.gap_cycles(start + key_len, starts[q + 1])
-        gap = len(gap_ts)
+        gap = starts[q + 1] - start - key_len
         frames = starts[q + 1]
         conflicts = decisions = propagations = 0
         queries_before = oracle.queries
@@ -278,10 +246,14 @@ def recover_key_sequences(
         k_b = [[b.new_var() for _ in range(n_in)] for _ in range(key_len)]
         x_vars = [[b.new_var() for _ in range(n_in)] for _ in range(gap)]
 
+        # committed keys in their windows, probes on every other cycle
+        committed = plan_stimulus(key_plan(zip(starts, keys), start), probes, n_in)
+        prefix_probe = probes[: committed.n_workload]
+
         # the committed prefix folds to a constant state, shared by all copies
         prefix = _SymbolicRun(b, enc, core)
-        for t in range(start):
-            prefix.step(_const_pins(enc, committed_input(t, keys)))
+        for word in committed.vectors:
+            prefix.step(_const_pins(enc, word))
         base_state = prefix.state
         if any(not isinstance(v, bool) for v in base_state.values()):
             raise AssertionError("committed prefix did not fold to constants")
@@ -326,7 +298,6 @@ def recover_key_sequences(
         solver_calls = 0
         win_status = STATUS_RECOVERED
         learned: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        prefix_probe = [probes[cmap.rank_of[t]] for t in range(start) if t in cmap.rank_of]
 
         if diffs:
             while True:
@@ -356,8 +327,8 @@ def recover_key_sequences(
             e = CnfBuilder()
             k_e = [[e.new_var() for _ in range(n_in)] for _ in range(key_len)]
             e_prefix = _SymbolicRun(e, enc, core)
-            for t in range(start):
-                e_prefix.step(_const_pins(enc, committed_input(t, keys)))
+            for word in committed.vectors:
+                e_prefix.step(_const_pins(enc, word))
             key_pins_e = [_var_pins(enc, row) for row in k_e]
             for probe_words, oracle_out in learned:
                 run = _SymbolicRun(e, enc, core, state=e_prefix.state)
@@ -407,9 +378,7 @@ def recover_key_sequences(
     verified = False
     comparisons = 0
     if keys:
-        verified, comparisons = _replay_verify(
-            enc, oracle, cmap, starts[: len(keys) + 1], key_len, keys, seed, verify_vectors
-        )
+        verified, comparisons = _replay_verify(enc, oracle, starts, keys, seed, verify_vectors)
         if status == STATUS_RECOVERED and not verified:
             status = STATUS_VERIFY_FAILED
 
@@ -426,40 +395,27 @@ def recover_key_sequences(
     )
 
 
-def _replay_verify(enc, oracle, cmap, starts, key_len, keys, seed, verify_vectors):
+def _replay_verify(enc, oracle, starts, keys, seed, verify_vectors):
     """Replay committed keys against fresh probes until enough comparisons.
 
     Each pass draws a fresh workload, runs the locked design with the
     committed keys in their windows, and checks every workload-cycle output
     against the unlocked design rank for rank.
     """
-    horizon = starts[len(keys)]
-    gap_ts = cmap.gap_cycles(0, horizon)
-    if not gap_ts:
+    plan = key_plan(zip(starts, keys), starts[len(keys)])
+    free = [t for t, key in enumerate(plan) if key is None]
+    if not free:
         return True, 0
     n_in = len(enc.inputs)
     rng = random.Random(f"{seed}/attack/verify")
-    passes = max(1, math.ceil(verify_vectors / len(gap_ts)))
+    passes = max(1, math.ceil(verify_vectors / len(free)))
     comparisons = 0
     ok = True
     for _ in range(passes):
-        workload = [rng.getrandbits(n_in) for _ in gap_ts]
+        workload = [rng.getrandbits(n_in) for _ in free]
         answer = oracle.query(workload)
-        vectors = []
-        tags: list[int | None] = []
-        rank = 0
-        for t in range(horizon):
-            loc = cmap.window_of.get(t)
-            if loc is None:
-                vectors.append(workload[rank])
-                tags.append(rank)
-                rank += 1
-            else:
-                q, u = loc
-                vectors.append(keys[q][u])
-                tags.append(None)
-        trace = simulate(enc, Stimulus(tuple(vectors), tuple(tags)))
-        for rank, t in enumerate(gap_ts):
+        trace = simulate(enc, plan_stimulus(plan, workload, n_in))
+        for rank, t in enumerate(free):
             comparisons += 1
             if trace.outputs[t] != answer[rank]:
                 ok = False

@@ -35,14 +35,7 @@ from .evaluate import (
     run_case,
     write_hd_csv,
 )
-from .sim import (
-    Stimulus,
-    simulate,
-    trusted_user_stimulus,
-    workload_stimulus,
-    write_columnar,
-    write_vcd,
-)
+from .sim import case_plan, plan_stimulus, simulate, write_columnar, write_vcd
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,6 +69,14 @@ def _load_schedule(path: str) -> KeySchedule:
         raise _fail(f"cannot read '{path}': {e.strerror or e}") from e
     except (ValueError, KeyError, json.JSONDecodeError) as e:
         raise _fail(f"{path}: bad key schedule: {e}") from e
+
+
+def _check_schedule(sched: KeySchedule, nl, path: str) -> None:
+    """The schedule must be for this (unlocked) netlist."""
+    if sched.circuit != nl.name:
+        raise _fail(f"{path}: schedule is for circuit '{sched.circuit}', netlist is '{nl.name}'")
+    if sched.n_inputs != len(nl.inputs):
+        raise _fail(f"{path}: schedule is for {sched.n_inputs} inputs, netlist has {len(nl.inputs)}")
 
 
 def sci(value: int, digits: int = 3) -> str:
@@ -118,36 +119,23 @@ def _cmd_encrypt(args) -> int:
     return EXIT_OK
 
 
-def _case_stimulus(sched: KeySchedule, case: Case, cycles: int, rng: random.Random):
-    n_in = sched.n_inputs
-    if case is Case.TRUSTED:
-        workload = [rng.getrandbits(n_in) for _ in range(cycles)]
-        return trusted_user_stimulus(sched, workload, cycles)
-    if case is Case.UNKEYED:
-        return workload_stimulus(rng.getrandbits(n_in) for _ in range(cycles))
-    first = sched.key_table[0]
-    vectors = list(first[: min(sched.key_len, cycles)])
-    vectors += [rng.getrandbits(n_in) for _ in range(cycles - len(vectors))]
-    tags: list[int | None] = [None] * min(sched.key_len, cycles)
-    tags += range(cycles - len(tags))
-    return Stimulus(tuple(vectors), tuple(tags))
-
-
 def _cmd_simulate(args) -> int:
     nl = _load_bench(args.bench)
     if (args.keys is None) != (args.case is None):
         raise _fail("--keys and --case must be given together")
-    rng = random.Random(f"{args.seed}/cli/simulate")
+    if args.cycles < 0:
+        raise _fail(f"--cycles must be >= 0, got {args.cycles}")
+    n_in = len(nl.inputs)
     if args.keys is not None:
         sched = _load_schedule(args.keys)
-        if sched.n_inputs != len(nl.inputs):
-            raise _fail(
-                f"schedule is for {sched.n_inputs} inputs, netlist has {len(nl.inputs)}"
-            )
-        stim = _case_stimulus(sched, Case(args.case), args.cycles, rng)
+        if sched.n_inputs != n_in:
+            raise _fail(f"schedule is for {sched.n_inputs} inputs, netlist has {n_in}")
+        plan = case_plan(sched, args.case, args.cycles)
     else:
-        stim = workload_stimulus(rng.getrandbits(len(nl.inputs)) for _ in range(args.cycles))
-    trace = simulate(nl, stim, cycles=args.cycles)
+        plan = (None,) * args.cycles
+    rng = random.Random(f"{args.seed}/cli/simulate")
+    workload = [rng.getrandbits(n_in) for _ in range(args.cycles)]
+    trace = simulate(nl, plan_stimulus(plan, workload, n_in))
     write_columnar(trace, sys.stdout)
     if args.vcd is not None:
         with open(args.vcd, "w", newline="\n") as fh:
@@ -159,6 +147,7 @@ def _cmd_eval_hd(args) -> int:
     orig = _load_bench(args.orig)
     enc = _load_bench(args.enc)
     sched = _load_schedule(args.keys)
+    _check_schedule(sched, orig, args.keys)
     try:
         cases = [Case(int(tok)) for tok in args.cases.split(",") if tok]
     except ValueError as e:
@@ -179,14 +168,19 @@ def _cmd_eval_hd(args) -> int:
     return EXIT_OK
 
 
-def _load_timing(args, key_len_hint: int | None):
+def _schedule_timing(path: str, max_seq: int, oracle_nl):
+    sched = _load_schedule(path)
+    _check_schedule(sched, oracle_nl, path)
+    return derive_window_starts(sched, max_seq), sched.key_len
+
+
+def _load_timing(args, key_len_hint: int | None, oracle_nl):
     """Window starts and key length from --keys-timing / --keys flags."""
     spec = args.keys_timing
     if spec == "derive":
         if args.keys is None:
             raise _fail("--keys-timing derive needs --keys <schedule file>")
-        sched = _load_schedule(args.keys)
-        return derive_window_starts(sched, args.max_seq), sched.key_len, sched
+        return _schedule_timing(args.keys, args.max_seq, oracle_nl)
     path = Path(spec)
     try:
         doc = json.loads(path.read_text())
@@ -195,21 +189,20 @@ def _load_timing(args, key_len_hint: int | None):
     except json.JSONDecodeError as e:
         raise _fail(f"{spec}: bad JSON: {e}") from e
     if isinstance(doc, dict) and "key_table" in doc:
-        sched = _load_schedule(spec)
-        return derive_window_starts(sched, args.max_seq), sched.key_len, sched
+        return _schedule_timing(spec, args.max_seq, oracle_nl)
     if isinstance(doc, dict) and "starts" in doc:
         starts = doc["starts"]
         c = doc.get("c", key_len_hint)
         if c is None:
             raise _fail(f"{spec}: timing file needs a 'c' entry (patterns per window)")
-        return tuple(int(s) for s in starts), int(c), None
+        return tuple(int(s) for s in starts), int(c)
     raise _fail(f"{spec}: expected a key schedule or an object with 'starts'")
 
 
 def _cmd_attack(args) -> int:
     enc = _load_bench(args.enc)
     orig = _load_bench(args.oracle)
-    starts, key_len, _sched = _load_timing(args, None)
+    starts, key_len = _load_timing(args, None, orig)
     oracle = SequenceOracle(orig)
     try:
         result = recover_key_sequences(

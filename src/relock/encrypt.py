@@ -41,6 +41,22 @@ SCHEDULE_FORMAT_VERSION = 1
 _MAX_FSM_STATES = 4096
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _hex_word(value, what: str) -> int:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a hex string, got {value!r}")
+    return int(value, 16)
+
+
 @dataclass(frozen=True)
 class EncryptConfig:
     """Encryption parameters.
@@ -108,10 +124,12 @@ class EncryptConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncryptConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {d!r}")
         kwargs = dict(d)
         taps = kwargs.get("lfsr_taps")
         if taps is not None:
-            kwargs["lfsr_taps"] = tuple(taps)
+            kwargs["lfsr_taps"] = tuple(_json_list(taps, "lfsr_taps"))
         unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -279,24 +297,68 @@ class KeySchedule:
         }
         return json.dumps(doc, indent=2) + "\n"
 
+    def validate(self) -> None:
+        """Raise ValueError unless the schedule can drive a design.
+
+        Checks the field types, ``2**sbj_bits`` key table rows of
+        ``key_len`` patterns each, every pattern in ``[0, 2**n_inputs)``, and
+        the PRNG width, taps and reset seed (through ``new_lfsr``).
+        """
+        if not isinstance(self.circuit, str):
+            raise ValueError(f"circuit must be a string, got {self.circuit!r}")
+        fields = {
+            "n": self.lfsr_width, "seed": self.reset_seed, "c": self.key_len,
+            "l": self.sbj_bits, "i": self.n_inputs, "master_seed": self.master_seed,
+        }
+        for name, value in fields.items():
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not all(_is_int(t) for t in self.lfsr_taps):
+            raise ValueError(f"taps must be integers, got {list(self.lfsr_taps)}")
+        new_lfsr(self.lfsr_width, self.lfsr_taps, self.reset_seed)  # raises on bad width, taps or seed
+        if self.key_len < 1:
+            raise ValueError(f"c must be >= 1, got {self.key_len}")
+        if self.n_inputs < 1:
+            raise ValueError(f"i must be >= 1, got {self.n_inputs}")
+        if not 1 <= self.sbj_bits <= self.lfsr_width:
+            raise ValueError(f"l must be in 1..n ({self.lfsr_width}), got {self.sbj_bits}")
+        if len(self.key_table) != 1 << self.sbj_bits:
+            raise ValueError(f"key_table has {len(self.key_table)} rows, l = {self.sbj_bits} needs {1 << self.sbj_bits}")
+        limit = 1 << self.n_inputs
+        for s, row in enumerate(self.key_table):
+            if len(row) != self.key_len:
+                raise ValueError(f"key_table row {s} has {len(row)} patterns, c = {self.key_len}")
+            for w in row:
+                if not 0 <= w < limit:
+                    raise ValueError(f"key_table row {s}: pattern {w:#x} does not fit i = {self.n_inputs} inputs")
+
     @classmethod
     def from_json(cls, text: str) -> "KeySchedule":
+        """Parse and validate a schedule; raises ValueError on a malformed one
+        (KeyError for a missing field)."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("a key schedule must be a JSON object")
         version = doc.get("version")
         if version != SCHEDULE_FORMAT_VERSION:
             raise ValueError(f"unsupported key schedule version: {version!r}")
-        return cls(
+        sched = cls(
             circuit=doc["circuit"],
             lfsr_width=doc["n"],
-            lfsr_taps=tuple(doc["taps"]),
-            reset_seed=int(doc["seed"], 16),
+            lfsr_taps=tuple(_json_list(doc["taps"], "taps")),
+            reset_seed=_hex_word(doc["seed"], "seed"),
             key_len=doc["c"],
             sbj_bits=doc["l"],
             n_inputs=doc["i"],
-            key_table=tuple(tuple(int(w, 16) for w in row) for row in doc["key_table"]),
+            key_table=tuple(
+                tuple(_hex_word(w, "key_table pattern") for w in _json_list(row, "key_table row"))
+                for row in _json_list(doc["key_table"], "key_table")
+            ),
             master_seed=doc["master_seed"],
             config=EncryptConfig.from_dict(doc["config"]),
         )
+        sched.validate()
+        return sched
 
 
 def load_schedule(path: str | Path) -> KeySchedule:

@@ -24,20 +24,16 @@ int and ``cycle_delay_overhead`` a Fraction.
 from __future__ import annotations
 
 import csv
-import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bench import Netlist
 from .encrypt import EncryptedDesign
-from .sim import authentication_schedule, workload_cycle_mask
+from .sim import Case, case_plan, run_from_reset, workload_cycle_mask
 
-
-class Case(enum.IntEnum):
-    TRUSTED = 1
-    UNKEYED = 2
-    SINGLE_AUTH = 3
+# perfbench/tracing.py wraps this module attribute by name
+from .sim import authentication_schedule  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -66,21 +62,6 @@ class HdReport:
             "coverage": self.coverage,
             "config": self.config,
         }
-
-
-def _packed_outputs(nl: Netlist, vectors: list[list[int]], width: int) -> list[tuple[int, ...]]:
-    """Run ``nl`` from reset over per-cycle per-input lane words."""
-    cc = nl.compiled
-    state = (0,) * len(nl.dffs)
-    outs: list[tuple[int, ...]] = []
-    for words in vectors:
-        o, state = cc.eval(words, state, width=width)
-        outs.append(o)
-    return outs
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 def run_case(
@@ -114,7 +95,6 @@ def run_case(
     if n_vectors < 1:
         raise ValueError("n_vectors must be >= 1")
     n_in = len(orig.inputs)
-    c = sched.key_len
     mask = workload_cycle_mask(sched, cycles)
     if not mask:
         raise ValueError(f"no workload cycles in a {cycles}-cycle horizon")
@@ -124,46 +104,24 @@ def run_case(
     # wl[j][b]: lane word for workload vector j, input bit b
     wl = [[rng.getrandbits(n_vectors) for _b in range(n_in)] for _j in range(cycles)]
 
-    # the golden run always consumes exactly the workload history the device
-    # saw, so the distance isolates corruption from stream misalignment;
-    # pairs maps each sampled device cycle to its golden cycle
+    # the device takes the workload in order on its plan's free cycles and
+    # the golden run takes exactly that history, so the distance isolates
+    # corruption from stream misalignment: trusted workload cycle t is
+    # compared with golden cycle rank[t], its rank among the free cycles
+    plan = case_plan(sched, case, cycles)
     full = (1 << n_vectors) - 1
-    if case is Case.TRUSTED:
-        windows = authentication_schedule(sched, cycles)
-        key_at = {}
-        for w in windows:
-            for k in range(c):
-                key_at[w.start + k] = sched.key_table[w.chain][k]
-        enc_in: list[list[int]] = []
-        j = 0
-        for t in range(cycles):
-            if t in key_at:
-                kw = key_at[t]
-                enc_in.append([full if (kw >> b) & 1 else 0 for b in range(n_in)])
-            else:
-                enc_in.append(wl[j])
-                j += 1
-        gold_in = [wl[j] for j in range(n_workload)]
-        pairs = list(enumerate(mask))  # golden rank j <-> device cycle t
-    elif case is Case.UNKEYED:
-        enc_in = [wl[t] for t in range(cycles)]
-        gold_in = enc_in
-        pairs = [(t, t) for t in mask]
-    else:  # SINGLE_AUTH: first chain, then pure workload
-        first = sched.key_table[0]
-        enc_in = [[full if (first[k] >> b) & 1 else 0 for b in range(n_in)] for k in range(c)]
-        enc_in += [wl[t] for t in range(cycles - c)]
-        gold_in = [wl[t] for t in range(cycles - c)]
-        pairs = [(t - c, t) for t in mask]  # window 0 covers [0, c)
-
-    enc_out = _packed_outputs(enc_nl, enc_in, n_vectors)
-    gold_out = _packed_outputs(orig, gold_in, n_vectors)
+    lanes = iter(wl)
+    enc_in = [next(lanes) if key is None else [full if (key >> b) & 1 else 0 for b in range(n_in)] for key in plan]
+    free = [t for t, key in enumerate(plan) if key is None]
+    rank = {t: j for j, t in enumerate(free)}
+    enc_out = [outs for outs, _ in run_from_reset(enc_nl, enc_in, n_vectors)]
+    gold_out = [outs for outs, _ in run_from_reset(orig, wl[: len(free)], n_vectors)]
 
     width = len(orig.outputs)
     counts = [0] * n_vectors
-    for j, t in pairs:
+    for t in mask:
         eo = enc_out[t]
-        go = gold_out[j]
+        go = gold_out[rank[t]]
         for o in range(width):
             d = eo[o] ^ go[o]
             while d:

@@ -5,17 +5,21 @@ outputs, and state are packed ints with bit ``k`` holding net ``k`` of the
 corresponding name list (LSB first).  Outputs are sampled combinationally in
 the same cycle as the inputs that produce them.
 
-The trusted-user stimulus interleaves authentication chains from a
-:class:`~relock.encrypt.KeySchedule` with workload vectors: the design starts
+Every access level is a *key plan*: the tuple of the key pattern each cycle
+applies, with None on workload cycles.  The trusted user plays every chain
+a :class:`~relock.encrypt.KeySchedule` schedules: the design starts
 encrypted, so the user first plays chain 0, then feeds workload vectors while
 the design is functional, re-authenticating with the scheduled chain each
-time the design jumps back to encrypted mode.  The workload is paused during
-authentication, never dropped, which is what makes the functional-mode output
-stream match an uninterrupted run of the original design index for index.
+time the design jumps back to encrypted mode.  The keyless attacker plays no
+chain, and the one-time authenticator plays chain 0 at cycle 0 and stops.
+The workload is paused during authentication, never dropped, which is what
+makes the trusted user's functional-mode output stream match an
+uninterrupted run of the original design index for index.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 from .bench import Netlist
@@ -49,14 +53,15 @@ def authentication_schedule(sched: KeySchedule, cycles: int) -> tuple[AuthWindow
         raise ValueError("cycles must be nonnegative")
     c = sched.key_len
     g = new_lfsr(sched.lfsr_width, sched.lfsr_taps, sched.reset_seed)
-    states = [g.state]
+    now = 0  # the cycle whose PRNG state g holds
 
     def state_at(t: int) -> int:
-        nonlocal g
-        while len(states) <= t:
+        # asked for nondecreasing t only, so no earlier state is kept
+        nonlocal g, now
+        while now < t:
             g, _ = step(g)
-            states.append(g.state)
-        return states[t]
+            now += 1
+        return g.state
 
     windows: list[AuthWindow] = []
     start = 0
@@ -69,17 +74,6 @@ def authentication_schedule(sched: KeySchedule, cycles: int) -> tuple[AuthWindow
             chain = derive_sbj(state_at(nxt), sched.sbj_bits)
         start = nxt
     return tuple(windows)
-
-
-def workload_cycle_mask(sched: KeySchedule, cycles: int) -> tuple[int, ...]:
-    """Cycles in [0, cycles) that carry workload, i.e. lie in no auth window."""
-    mask = []
-    t = 0
-    for w in authentication_schedule(sched, cycles):
-        mask.extend(range(t, min(w.start, cycles)))
-        t = w.start + sched.key_len
-    mask.extend(range(t, cycles))
-    return tuple(m for m in mask if m < cycles)
 
 
 @dataclass(frozen=True)
@@ -109,6 +103,76 @@ class Stimulus:
         return sum(1 for t in self.tags if t is not None)
 
 
+class Case(enum.IntEnum):
+    """Access levels: which chains a user plays."""
+
+    TRUSTED = 1
+    UNKEYED = 2
+    SINGLE_AUTH = 3
+
+
+def key_plan(chains, cycles: int) -> tuple[int | None, ...]:
+    """Per-cycle key patterns over [0, cycles), None on workload cycles.
+
+    ``chains`` holds ``(start, patterns)`` pairs: pattern ``k`` is applied
+    on cycle ``start + k``.  Patterns past the horizon are dropped.
+    """
+    if cycles < 0:
+        raise ValueError("cycles must be nonnegative")
+    plan: list[int | None] = [None] * cycles
+    for start, patterns in chains:
+        for t, pattern in zip(range(start, cycles), patterns):
+            plan[t] = pattern
+    return tuple(plan)
+
+
+def case_plan(sched: KeySchedule, case: Case | int, cycles: int) -> tuple[int | None, ...]:
+    """The key plan of one access level over ``cycles`` cycles.
+
+    TRUSTED plays every scheduled window's chain, UNKEYED plays none, and
+    SINGLE_AUTH plays chain 0 at cycle 0 only.
+    """
+    case = Case(case)
+    if case is Case.TRUSTED:
+        chains = [(w.start, sched.key_table[w.chain]) for w in authentication_schedule(sched, cycles)]
+    elif case is Case.UNKEYED:
+        chains = []
+    else:
+        chains = [(0, sched.key_table[0])]
+    return key_plan(chains, cycles)
+
+
+def plan_stimulus(plan, workload, n_inputs: int) -> Stimulus:
+    """Fill the None cycles of a key plan with ``workload`` vectors, in order.
+
+    Raises ValueError if the workload is too short or a vector does not fit
+    ``n_inputs`` inputs.
+    """
+    limit = 1 << n_inputs
+    vectors: list[int] = []
+    tags: list[int | None] = []
+    wi = 0
+    for key in plan:
+        if key is not None:
+            vectors.append(key)
+            tags.append(None)
+            continue
+        if wi >= len(workload):
+            raise ValueError(f"workload has {len(workload)} vectors but the horizon needs {wi + 1} or more")
+        v = workload[wi]
+        if not 0 <= v < limit:
+            raise ValueError(f"workload vector {v:#x} does not fit {n_inputs} inputs")
+        vectors.append(v)
+        tags.append(wi)
+        wi += 1
+    return Stimulus(tuple(vectors), tuple(tags))
+
+
+def workload_cycle_mask(sched: KeySchedule, cycles: int) -> tuple[int, ...]:
+    """Cycles in [0, cycles) that carry workload, i.e. lie in no auth window."""
+    return tuple(t for t, key in enumerate(case_plan(sched, Case.TRUSTED, cycles)) if key is None)
+
+
 def trusted_user_stimulus(sched: KeySchedule, workload, cycles: int) -> Stimulus:
     """Interleave scheduled authentication chains with workload vectors.
 
@@ -116,33 +180,7 @@ def trusted_user_stimulus(sched: KeySchedule, workload, cycles: int) -> Stimulus
     non-window cycle of the horizon.  Raises ValueError if the workload is
     too short or a vector does not fit the design's input width.
     """
-    if cycles < 0:
-        raise ValueError("cycles must be nonnegative")
-    limit = 1 << sched.n_inputs
-    windows = authentication_schedule(sched, cycles)
-    in_window = {}
-    for w in windows:
-        for k in range(sched.key_len):
-            in_window[w.start + k] = sched.key_table[w.chain][k]
-    vectors: list[int] = []
-    tags: list[int | None] = []
-    wi = 0
-    for t in range(cycles):
-        if t in in_window:
-            vectors.append(in_window[t])
-            tags.append(None)
-        else:
-            if wi >= len(workload):
-                raise ValueError(
-                    f"workload has {len(workload)} vectors but the horizon needs {wi + 1} or more"
-                )
-            v = workload[wi]
-            if not 0 <= v < limit:
-                raise ValueError(f"workload vector {v:#x} does not fit {sched.n_inputs} inputs")
-            vectors.append(v)
-            tags.append(wi)
-            wi += 1
-    return Stimulus(tuple(vectors), tuple(tags))
+    return plan_stimulus(case_plan(sched, Case.TRUSTED, cycles), workload, sched.n_inputs)
 
 
 def workload_stimulus(vectors) -> Stimulus:
@@ -176,33 +214,44 @@ class Trace:
         return (self.states[t] >> self.state_names.index(name)) & 1
 
 
+def run_from_reset(nl: Netlist, inputs, width: int = 1):
+    """Run ``nl`` from reset, one ``CompiledCircuit.eval`` per cycle.
+
+    ``inputs`` yields one word per primary input for each cycle, each word
+    ``width`` lanes wide.  Yields ``(outputs, state)`` per cycle, where
+    ``state`` is the flip-flop state during that cycle.
+    """
+    cc = nl.compiled
+    state = (0,) * len(nl.dffs)
+    for words in inputs:
+        outs, nxt = cc.eval(words, state, width=width)
+        yield outs, state
+        state = nxt
+
+
 def simulate(nl: Netlist, stim: Stimulus, cycles: int | None = None) -> Trace:
     """Run ``nl`` from reset for ``cycles`` cycles (default: whole stimulus)."""
     if cycles is None:
         cycles = len(stim.vectors)
+    if cycles < 0:
+        raise ValueError("cycles must be nonnegative")
     if cycles > len(stim.vectors):
         raise ValueError(f"stimulus has {len(stim.vectors)} cycles, asked for {cycles}")
-    cc = nl.compiled
     n_in = len(nl.inputs)
-    state = (0,) * len(nl.dffs)
-    inputs: list[int] = []
-    outputs: list[int] = []
-    states: list[int] = []
-    for t in range(cycles):
-        word = stim.vectors[t]
+    inputs = stim.vectors[:cycles]
+    for t, word in enumerate(inputs):
         if not 0 <= word < (1 << n_in):
             raise ValueError(f"cycle {t}: input vector {word:#x} does not fit {n_in} inputs")
-        in_bits = [(word >> b) & 1 for b in range(n_in)]
-        outs, nxt = cc.eval(in_bits, state)
-        inputs.append(word)
+    outputs: list[int] = []
+    states: list[int] = []
+    for outs, state in run_from_reset(nl, ([(word >> b) & 1 for b in range(n_in)] for word in inputs)):
         outputs.append(_pack(outs))
         states.append(_pack(state))
-        state = nxt
     return Trace(
         input_names=nl.inputs,
         output_names=nl.outputs,
         state_names=tuple(q for q, _ in nl.dffs),
-        inputs=tuple(inputs),
+        inputs=inputs,
         outputs=tuple(outputs),
         states=tuple(states),
     )

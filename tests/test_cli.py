@@ -149,6 +149,15 @@ def test_simulate_schedule_width_check(capsys, workdir):
     assert "inputs" in err
 
 
+@pytest.mark.parametrize("case", [None, "1", "2", "3"])
+def test_simulate_rejects_negative_cycles_in_every_mode(capsys, workdir, case):
+    keys = [] if case is None else ["--keys", str(workdir / "s27_keys.json"), "--case", case]
+    rc, out, err = run(capsys, "simulate", str(workdir / "s27_enc.bench"), *keys, "--cycles", "-3")
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert "--cycles" in err
+
+
 def test_simulate_writes_vcd(capsys, tmp_path):
     vcd = tmp_path / "t.vcd"
     rc, _, _ = run(
@@ -285,6 +294,63 @@ def test_attack_starts_file_without_c(capsys, workdir, tmp_path):
     rc, _, err = run(capsys, *attack_argv(workdir, str(timing)))
     assert rc == EXIT_INPUT
     assert "'c'" in err
+
+
+# -- malformed key schedules --------------------------------------------------
+
+def edited_schedule(workdir, tmp_path, edit):
+    doc = json.loads((workdir / "s27_keys.json").read_text())
+    edit(doc)
+    path = tmp_path / "edited_keys.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# the toy schedule has l=1 (two rows), c=2 and i=4
+SCHEDULE_DEFECTS = {
+    "too-few-rows": lambda d: d.update(key_table=d["key_table"][:1]),
+    "c-beyond-row-length": lambda d: d.update(c=3),
+    "integer-patterns": lambda d: d.update(key_table=[[int(w, 16) for w in row] for row in d["key_table"]]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SCHEDULE_DEFECTS))
+@pytest.mark.parametrize("command", ["simulate", "eval-hd"])
+def test_malformed_schedule_exits_2(capsys, workdir, tmp_path, defect, command):
+    keys = edited_schedule(workdir, tmp_path, SCHEDULE_DEFECTS[defect])
+    enc = str(workdir / "s27_enc.bench")
+    if command == "simulate":
+        argv = ["simulate", enc, "--keys", keys, "--case", "1"]
+    else:
+        argv = ["eval-hd", str(bench_path("s27")), enc, "--keys", keys, "--vectors", "10", "--cycles", "60"]
+    rc, out, err = run(capsys, *argv)
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert "bad key schedule" in err
+
+
+def test_eval_hd_checks_schedule_inputs(capsys, workdir, tmp_path):
+    keys = edited_schedule(workdir, tmp_path, lambda d: d.update(i=5))
+    rc, _, err = run(
+        capsys, "eval-hd", str(bench_path("s27")), str(workdir / "s27_enc.bench"),
+        "--keys", keys, "--vectors", "10", "--cycles", "60",
+    )
+    assert rc == EXIT_INPUT
+    assert "5 inputs, netlist has 4" in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("circuit", "s28", "circuit 's28'"),
+    ("i", 5, "5 inputs, netlist has 4"),
+])
+@pytest.mark.parametrize("timing", ["derive", "schedule"])
+def test_attack_checks_schedule_against_oracle(capsys, workdir, tmp_path, field, value, message, timing):
+    keys = edited_schedule(workdir, tmp_path, lambda d: d.update({field: value}))
+    extra = ("derive", "--keys", keys) if timing == "derive" else (keys,)
+    rc, out, err = run(capsys, *attack_argv(workdir, *extra))
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert message in err
 
 
 # -- model -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Encryption transform: key tables, XOR taps, and the full lowering."""
 
+import json
 import math
 import random
 
@@ -236,6 +237,43 @@ def test_schedule_json_rejects_other_versions(s27):
     text = sched.to_json().replace('"version": 1', '"version": 99')
     with pytest.raises(ValueError, match="version"):
         KeySchedule.from_json(text)
+
+
+# each edit leaves valid JSON that is not a valid schedule of the toy lock
+# (n=3, taps 3,2, c=2, l=1, i=4)
+MALFORMED_SCHEDULES = {
+    "too-few-rows": lambda d: d.update(key_table=d["key_table"][:1]),
+    "too-many-rows": lambda d: d.update(key_table=d["key_table"] * 2),
+    "short-row": lambda d: d.update(c=3),
+    "wide-pattern": lambda d: d["key_table"][0].__setitem__(0, "0x10"),
+    "negative-pattern": lambda d: d["key_table"][0].__setitem__(0, "-0x1"),
+    "integer-patterns": lambda d: d.update(key_table=[[int(w, 16) for w in row] for row in d["key_table"]]),
+    "row-as-string": lambda d: d.update(key_table=["".join(w[2:] for w in row) for row in d["key_table"]]),
+    "table-as-object": lambda d: d.update(key_table={str(s): row for s, row in enumerate(d["key_table"])}),
+    "integer-seed": lambda d: d.update(seed=0),
+    "all-ones-seed": lambda d: d.update(seed="0x7"),
+    "taps-not-a-list": lambda d: d.update(taps=3),
+    "taps-beyond-width": lambda d: d.update(taps=[4, 2]),
+    "string-c": lambda d: d.update(c="2"),
+    "boolean-l": lambda d: d.update(l=True),
+    "l-above-n": lambda d: d.update(l=4),
+    "zero-inputs": lambda d: d.update(i=0),
+    "config-not-an-object": lambda d: d.update(config=[]),
+    "config-taps-not-a-list": lambda d: d["config"].update(lfsr_taps=3),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED_SCHEDULES))
+def test_schedule_json_rejects_malformed_schedules(s27, defect):
+    doc = json.loads(encrypt(s27, TOY_CFG).schedule.to_json())
+    MALFORMED_SCHEDULES[defect](doc)
+    with pytest.raises(ValueError):
+        KeySchedule.from_json(json.dumps(doc))
+
+
+def test_schedule_json_must_be_an_object():
+    with pytest.raises(ValueError, match="object"):
+        KeySchedule.from_json("[1, 2]")
 
 
 def test_corrupted_after_reset_without_keys(s27):

@@ -22,6 +22,7 @@ from relock import (
     write_columnar,
     write_vcd,
 )
+from relock.sim import Case, case_plan, key_plan, plan_stimulus
 
 TOGGLE_TEXT = "OUTPUT(y)\nq = DFF(y)\ny = NOT(q)"
 
@@ -164,6 +165,25 @@ def test_schedule_replay_stops_at_the_horizon(toy, monkeypatch):
     assert windows[-1].start + sched.key_len + windows[-1].t_func >= cycles
 
 
+def test_schedule_replay_memory_does_not_grow_with_the_horizon(toy):
+    """The replay keeps the current PRNG state only: deriving the window
+    starts of a width-14 lock walks a ~41k-cycle horizon in bounded memory."""
+    import dataclasses
+    import tracemalloc
+
+    from relock import MAXIMAL_TAPS, derive_window_starts
+
+    sched = dataclasses.replace(toy.schedule, lfsr_width=14, lfsr_taps=MAXIMAL_TAPS[14])
+    tracemalloc.start()
+    try:
+        starts = derive_window_starts(sched, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(starts) == 4
+    assert peak < 64 * 1024, f"replay peaked at {peak} bytes"
+
+
 def test_workload_mask_is_the_window_complement(toy):
     sched = toy.schedule
     cycles = 90
@@ -172,6 +192,32 @@ def test_workload_mask_is_the_window_complement(toy):
     for w in authentication_schedule(sched, cycles):
         in_window.update(range(w.start, w.start + sched.key_len))
     assert mask == set(range(cycles)) - in_window
+
+
+def test_key_plan_places_chains_and_drops_what_runs_past_the_horizon():
+    assert key_plan([(1, (7, 8)), (4, (5, 6, 9))], 6) == (None, 7, 8, None, 5, 6)
+    assert key_plan([], 3) == (None,) * 3
+    with pytest.raises(ValueError, match="nonnegative"):
+        key_plan([], -1)
+
+
+def test_case_plans_of_the_three_access_levels(toy):
+    sched = toy.schedule
+    c = sched.key_len
+    expect = [None] * 60
+    for w in authentication_schedule(sched, 60):
+        for k in range(min(c, 60 - w.start)):
+            expect[w.start + k] = sched.key_table[w.chain][k]
+    assert case_plan(sched, Case.TRUSTED, 60) == tuple(expect)
+    assert case_plan(sched, Case.UNKEYED, 60) == (None,) * 60
+    assert case_plan(sched, Case.SINGLE_AUTH, 60) == sched.key_table[0] + (None,) * (60 - c)
+    assert case_plan(sched, Case.SINGLE_AUTH, 1) == sched.key_table[0][:1]
+
+
+def test_plan_stimulus_fills_workload_cycles_in_order():
+    stim = plan_stimulus((3, None, None, 2), [9, 10, 11], 4)
+    assert stim.vectors == (3, 9, 10, 2)
+    assert stim.tags == (None, 0, 1, None)
 
 
 def test_trusted_stimulus_opens_with_first_chain(toy):
