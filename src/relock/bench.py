@@ -17,6 +17,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, groupby
 from pathlib import Path
 
 GATE_KINDS = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUFF")
@@ -43,7 +44,7 @@ class DanglingNetWarning(UserWarning):
     """A gate output that no gate, flip-flop, or primary output consumes."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One primitive gate: ``out = kind(ins...)``."""
 
@@ -189,6 +190,7 @@ class Netlist:
 _NAME = r"[^\s(),=#]+"
 _IO_RE = re.compile(rf"^(INPUT|OUTPUT)\s*\(\s*({_NAME})\s*\)$", re.IGNORECASE)
 _ASSIGN_RE = re.compile(rf"^({_NAME})\s*=\s*([A-Za-z]+)\s*\(([^()=#]*)\)$")
+_NAME_RE = re.compile(_NAME)
 
 
 def parse_bench(text: str, name: str = "bench") -> Netlist:
@@ -222,7 +224,7 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
         if m:
             out, kind, argstr = m.group(1), m.group(2).upper(), m.group(3)
             args = [a.strip() for a in argstr.split(",")]
-            if any(not a or not re.fullmatch(_NAME, a) for a in args):
+            if any(not a or not _NAME_RE.fullmatch(a) for a in args):
                 raise BenchError(f"bad argument list for '{out}'", lineno, line.index("(") + 1)
             if out in def_line:
                 raise BenchError(f"duplicate definition of net '{out}' (first at line {def_line[out]})", lineno)
@@ -239,12 +241,7 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
         col = len(raw) - len(raw.lstrip()) + 1
         raise BenchError(f"unrecognized line: {line!r}", lineno, col)
 
-    try:
-        return Netlist(name, tuple(inputs), tuple(outputs), tuple(gates), tuple(dffs))
-    except BenchError:
-        raise
-    except ValueError as e:  # pragma: no cover - defensive
-        raise BenchError(str(e)) from e
+    return Netlist(name, tuple(inputs), tuple(outputs), tuple(gates), tuple(dffs))
 
 
 def emit_bench(nl: Netlist) -> str:
@@ -270,35 +267,55 @@ def save_bench(nl: Netlist, path: str | Path) -> None:
 
 # -- evaluation --------------------------------------------------------------
 
-_OP_AND, _OP_NAND, _OP_OR, _OP_NOR, _OP_XOR, _OP_XNOR, _OP_NOT, _OP_BUFF = range(8)
-_OPCODE = {k: i for i, k in enumerate(GATE_KINDS)}
+# Gate inputs per generated function (about 16 gates): compile() holds about
+# 3 KB per gate input while it runs, so one function per netlist would add
+# tens of MiB of peak memory.
+_CHUNK = 40
+# gate kind -> (operator joining its inputs, expression around the join); only
+# NOR needs parentheses, which slow compile() by about a fifth per statement
+_KERNEL_OPS = {
+    "AND": (" & ", "{}"), "NAND": (" & ", "{} ^ m"), "OR": (" | ", "{}"), "NOR": (" | ", "({}) ^ m"),
+    "XOR": (" ^ ", "{}"), "XNOR": (" ^ ", "{} ^ m"), "NOT": ("", "{} ^ m"), "BUFF": ("", "{}"),
+}
 
 
 class CompiledCircuit:
-    """A netlist lowered to a flat op list for fast repeated evaluation.
+    """A netlist lowered to generated straight-line Python for fast evaluation.
 
     Net slots: inputs first, then flip-flop outputs, then gate outputs in
     topological order.  ``eval`` is width parallel; ``width`` is the number of
-    lanes packed into each word.
+    lanes packed into each word, and input bits above them are ignored.
+
+    The kernel is built on the first ``eval``/``eval_nets`` call: each gate
+    becomes one statement such as ``v[9] = v[3] & v[4] ^ m`` over the slot
+    list ``v`` and lane mask ``m``, compiled into functions of about
+    ``_CHUNK`` gate inputs each, which evaluation calls in order.
     """
 
     def __init__(self, nl: Netlist):
         self.netlist = nl
-        slot: dict[str, int] = {}
-        for x in nl.inputs:
-            slot[x] = len(slot)
-        for q, _d in nl.dffs:
-            slot[q] = len(slot)
-        for i in nl.topo_order:
-            slot[nl.gates[i].out] = len(slot)
-        self.slot = slot
-        self.n_slots = len(slot)
-        self._ops = tuple(
-            (_OPCODE[nl.gates[i].kind], slot[nl.gates[i].out], tuple(slot[a] for a in nl.gates[i].ins))
-            for i in nl.topo_order
-        )
+        nets = [*nl.inputs, *(q for q, _d in nl.dffs), *(nl.gates[i].out for i in nl.topo_order)]
+        self.slot = slot = {net: k for k, net in enumerate(nets)}
         self._out_slots = tuple(slot[y] for y in nl.outputs)
         self._d_slots = tuple(slot[d] for _q, d in nl.dffs)
+
+    @cached_property
+    def _kernel(self) -> tuple:
+        """The generated functions in topological order; each holds the gates
+        whose last input is in its ``_CHUNK``-wide stretch of all gate inputs."""
+        nl, slot = self.netlist, self.slot
+        filename = f"<{nl.name} kernel>"
+        chunks, ns = [], {}  # ns: the functions' shared globals; they read none
+        ends = accumulate(len(nl.gates[i].ins) for i in nl.topo_order)
+        for _, run in groupby(zip(nl.topo_order, ends), key=lambda ie: (ie[1] - 1) // _CHUNK):
+            lines = []
+            for i, _end in run:
+                g = nl.gates[i]
+                op, expr = _KERNEL_OPS[g.kind]
+                lines.append(f"v[{slot[g.out]}] = " + expr.format(op.join([f"v[{slot[a]}]" for a in g.ins])))
+            exec(compile("def chunk(v, m):\n    " + "\n    ".join(lines) + "\n", filename, "exec"), ns)
+            chunks.append(ns.pop("chunk"))  # so no function and its globals form a cycle
+        return tuple(chunks)
 
     def _run(self, in_words, state_words, width: int) -> list[int]:
         nl = self.netlist
@@ -307,34 +324,10 @@ class CompiledCircuit:
         if len(state_words) != len(nl.dffs):
             raise ValueError(f"expected {len(nl.dffs)} state values, got {len(state_words)}")
         mask = (1 << width) - 1
-        v = [0] * self.n_slots
-        k = 0
-        for w in in_words:
-            v[k] = w & mask
-            k += 1
-        for w in state_words:
-            v[k] = w & mask
-            k += 1
-        for code, out, ins in self._ops:
-            if code == _OP_AND or code == _OP_NAND:
-                acc = v[ins[0]]
-                for s in ins[1:]:
-                    acc &= v[s]
-                v[out] = acc if code == _OP_AND else acc ^ mask
-            elif code == _OP_OR or code == _OP_NOR:
-                acc = v[ins[0]]
-                for s in ins[1:]:
-                    acc |= v[s]
-                v[out] = acc if code == _OP_OR else acc ^ mask
-            elif code == _OP_XOR or code == _OP_XNOR:
-                acc = v[ins[0]]
-                for s in ins[1:]:
-                    acc ^= v[s]
-                v[out] = acc if code == _OP_XOR else acc ^ mask
-            elif code == _OP_NOT:
-                v[out] = v[ins[0]] ^ mask
-            else:
-                v[out] = v[ins[0]]
+        v = [w & mask for w in chain(in_words, state_words)]
+        v += [0] * len(nl.gates)
+        for chunk in self._kernel:
+            chunk(v, mask)
         return v
 
     def eval(self, in_words, state_words=(), width: int = 1):

@@ -26,7 +26,7 @@ from .attack import (
     recover_key_sequences,
 )
 from .bench import BenchError, load_bench, save_bench
-from .encrypt import EncryptConfig, KeySchedule, encrypt, load_config, load_schedule, save_schedule
+from .encrypt import EncryptConfig, KeySchedule, _is_int, encrypt, load_config, load_schedule, save_schedule
 from .evaluate import (
     Case,
     brute_force_effort,
@@ -195,7 +195,11 @@ def _load_timing(args, key_len_hint: int | None, oracle_nl):
         c = doc.get("c", key_len_hint)
         if c is None:
             raise _fail(f"{spec}: timing file needs a 'c' entry (patterns per window)")
-        return tuple(int(s) for s in starts), int(c)
+        if not isinstance(starts, list) or not all(_is_int(s) and s >= 0 for s in starts):
+            raise _fail(f"{spec}: 'starts' must be a list of non-negative integers")
+        if not (_is_int(c) and c > 0):
+            raise _fail(f"{spec}: 'c' must be a positive integer")
+        return tuple(starts), c
     raise _fail(f"{spec}: expected a key schedule or an object with 'starts'")
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .bench import Netlist
@@ -50,18 +50,7 @@ class HdReport:
     config: dict
 
     def as_dict(self) -> dict:
-        return {
-            "circuit": self.circuit,
-            "case": int(self.case),
-            "n_vectors": self.n_vectors,
-            "cycles": self.cycles,
-            "mask_size": self.mask_size,
-            "mean_hd": self.mean_hd,
-            "per_run": list(self.per_run),
-            "seed": self.seed,
-            "coverage": self.coverage,
-            "config": self.config,
-        }
+        return {**asdict(self), "case": int(self.case), "per_run": list(self.per_run)}
 
 
 def run_case(
@@ -111,22 +100,19 @@ def run_case(
     plan = case_plan(sched, case, cycles)
     full = (1 << n_vectors) - 1
     lanes = iter(wl)
-    enc_in = [next(lanes) if key is None else [full if (key >> b) & 1 else 0 for b in range(n_in)] for key in plan]
+    enc_in = (next(lanes) if key is None else [full if (key >> b) & 1 else 0 for b in range(n_in)] for key in plan)
     free = [t for t, key in enumerate(plan) if key is None]
     rank = {t: j for j, t in enumerate(free)}
-    enc_out = [outs for outs, _ in run_from_reset(enc_nl, enc_in, n_vectors)]
     gold_out = [outs for outs, _ in run_from_reset(orig, wl[: len(free)], n_vectors)]
 
+    # the encrypted run is streamed: each cycle's output differences are
+    # tallied as the cycle comes out, all lanes at once
+    scored = set(mask)
+    enc_out = enumerate(run_from_reset(enc_nl, enc_in, n_vectors))
+    diffs = (e ^ g for t, (eo, _) in enc_out if t in scored for e, g in zip(eo, gold_out[rank[t]]))
+    counts = _lane_counts(diffs, n_vectors)
+
     width = len(orig.outputs)
-    counts = [0] * n_vectors
-    for t in mask:
-        eo = enc_out[t]
-        go = gold_out[rank[t]]
-        for o in range(width):
-            d = eo[o] ^ go[o]
-            while d:
-                counts[(d & -d).bit_length() - 1] += 1
-                d &= d - 1
     denom = width * n_workload
     per_run = tuple(cnt / denom for cnt in counts)
     mean_hd = sum(counts) / (n_vectors * denom)
@@ -142,6 +128,23 @@ def run_case(
         coverage=coverage,
         config=sched.config.to_dict(),
     )
+
+
+def _lane_counts(words, n_lanes: int) -> list[int]:
+    """How many of ``words`` have bit k set, for each lane k < ``n_lanes``.
+
+    Bit k of ``planes[i]`` is bit i of lane k's count, so each word is added
+    to every lane at once, carrying into higher planes.
+    """
+    planes: list[int] = []
+    for d in words:
+        i = 0
+        while d:
+            if i == len(planes):
+                planes.append(0)
+            planes[i], d = planes[i] ^ d, planes[i] & d
+            i += 1
+    return [sum(((p >> k) & 1) << i for i, p in enumerate(planes)) for k in range(n_lanes)]
 
 
 def write_hd_csv(reports, fh) -> None:

@@ -1,6 +1,7 @@
 """Netlist parsing, emission, and combinational evaluation."""
 
 import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -10,14 +11,16 @@ from relock import (
     BenchError,
     CircuitStats,
     DanglingNetWarning,
+    EncryptConfig,
     Gate,
     Netlist,
     emit_bench,
+    encrypt,
     eval_comb,
     load_bench,
     parse_bench,
 )
-from relock.bench import GATE_KINDS
+from relock.bench import _CHUNK, GATE_KINDS, CompiledCircuit
 
 from conftest import BENCH_STATS, bench_path
 
@@ -26,11 +29,11 @@ NOT_TEXT = "INPUT(a)\nOUTPUT(y)\ny = NOT(a)"
 
 # -- a second, deliberately naive evaluator used as the oracle ----------------
 
-def naive_eval(nl, in_vals, state_vals):
+def naive_nets(nl, in_vals, state_vals):
     """Evaluate every net by recursion over gate definitions.
 
     No topological sort, no caching across calls; memoization only to stay
-    polynomial.  Bit values in and out.
+    polynomial.  Bit values in, and a bit per net name out.
     """
     driver = {g.out: g for g in nl.gates}
     env = dict(zip(nl.inputs, in_vals))
@@ -63,9 +66,12 @@ def naive_eval(nl, in_vals, state_vals):
         memo[net] = v
         return v
 
-    outs = tuple(value(y) for y in nl.outputs)
-    nxt = tuple(value(d) for (_q, d) in nl.dffs)
-    return outs, nxt
+    return {net: value(net) for net in nl.net_names}
+
+
+def naive_eval(nl, in_vals, state_vals):
+    nets = naive_nets(nl, in_vals, state_vals)
+    return tuple(nets[y] for y in nl.outputs), tuple(nets[d] for (_q, d) in nl.dffs)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -175,10 +181,10 @@ def test_emit_uses_lf_newlines(s27):
 # -- random netlist generator for property tests -------------------------------
 
 @st.composite
-def netlists(draw):
+def netlists(draw, min_gates=1, max_gates=12, max_arity=3):
     """Random valid netlist: inputs, then gates over already-defined nets."""
     n_in = draw(st.integers(1, 4))
-    n_gates = draw(st.integers(1, 12))
+    n_gates = draw(st.integers(min_gates, max_gates))
     n_dffs = draw(st.integers(0, 3))
     names = [f"i{k}" for k in range(n_in)]
     inputs = tuple(names)
@@ -187,7 +193,7 @@ def netlists(draw):
     gates = []
     for k in range(n_gates):
         kind = draw(st.sampled_from(GATE_KINDS))
-        arity = 1 if kind in ("NOT", "BUFF") else draw(st.integers(2, 3))
+        arity = 1 if kind in ("NOT", "BUFF") else draw(st.integers(2, max_arity))
         ins = tuple(draw(st.sampled_from(names)) for _ in range(arity))
         out = f"g{k}"
         gates.append(Gate(out=out, kind=kind, ins=ins))
@@ -266,3 +272,77 @@ def test_compiled_eval_packs_lanes(s27):
         o1, n1 = eval_comb(s27, iv, sv)
         assert tuple((w >> lane) & 1 for w in outs) == o1
         assert tuple((w >> lane) & 1 for w in nxt) == n1
+
+
+# -- generated kernels across chunk boundaries ---------------------------------
+
+def kind_arity_netlist(rng, n_in=5, n_dffs=3):
+    """Gate k has kind GATE_KINDS[k % 8] and, if it takes several inputs,
+    arity 2 + k // 8: every kind at every arity up to 14, in shuffled
+    declaration order, mostly reading recent nets so values cross chunks."""
+    names = [f"i{k}" for k in range(n_in)] + [f"q{k}" for k in range(n_dffs)]
+    gates = []
+    for k in range(len(GATE_KINDS) * 13):
+        kind = GATE_KINDS[k % len(GATE_KINDS)]
+        arity = 1 if kind in ("NOT", "BUFF") else 2 + k // len(GATE_KINDS)
+        pool = names[-24:] if rng.random() < 0.7 else names
+        gates.append(Gate(f"g{k}", kind, tuple(rng.choice(pool) for _ in range(arity))))
+        names.append(f"g{k}")
+    rng.shuffle(gates)
+    dffs = tuple((f"q{k}", rng.choice(names[n_in + n_dffs :])) for k in range(n_dffs))
+    outputs = tuple(rng.sample(names, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DanglingNetWarning)
+        return Netlist("kinds", tuple(names[:n_in]), outputs, tuple(gates), dffs)
+
+
+def assert_kernel_matches_naive(nl, rng, width):
+    cc = CompiledCircuit(nl)
+    # words carry junk above the lane mask, which evaluation must ignore
+    in_words = [rng.getrandbits(width + 9) for _ in nl.inputs]
+    st_words = [rng.getrandbits(width + 9) for _ in nl.dffs]
+    nets = cc.eval_nets(in_words, st_words, width)
+    assert set(nets) == nl.net_names
+    for lane in range(width):
+        iv = [(w >> lane) & 1 for w in in_words]
+        sv = [(w >> lane) & 1 for w in st_words]
+        want = naive_nets(nl, iv, sv)
+        assert {net: (w >> lane) & 1 for net, w in nets.items()} == want
+    assert all(w >> width == 0 for w in nets.values())
+    outs, nxt = cc.eval(in_words, st_words, width)
+    assert outs == tuple(nets[y] for y in nl.outputs)
+    assert nxt == tuple(nets[d] for _q, d in nl.dffs)
+
+
+@pytest.mark.parametrize("width", [1, 64, 1000])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kernel_every_kind_and_arity_matches_naive(width, seed):
+    rng = random.Random(f"kinds/{seed}/{width}")
+    nl = kind_arity_netlist(rng)
+    assert len(CompiledCircuit(nl)._kernel) >= 3
+    assert {(g.kind, len(g.ins)) for g in nl.gates} >= {(k, 14) for k in GATE_KINDS if k not in ("NOT", "BUFF")}
+    assert_kernel_matches_naive(nl, rng, width)
+
+
+@given(netlists(min_gates=3 * _CHUNK + 1, max_gates=5 * _CHUNK, max_arity=14), st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_kernel_across_chunks_matches_naive_random(nl, rng):
+    assert len(CompiledCircuit(nl)._kernel) >= 3
+    assert_kernel_matches_naive(nl, rng, rng.choice([1, 3, 64]))
+
+
+def test_kernel_build_peak_memory_stays_small():
+    # compile() holds about 3 KB per gate input while it runs, so the kernel
+    # is built in small chunks; one function per netlist peaks above 50 MiB
+    cfg = EncryptConfig(lfsr_width=5, enc_out_width=3, key_len=8, sbj_bits=2, coverage=0.1)
+    cc = CompiledCircuit(encrypt(load_bench(bench_path("s9234")), cfg).netlist)
+    tracemalloc.start()
+    try:
+        kernel = cc._kernel
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_ins = sum(len(g.ins) for g in cc.netlist.gates)
+    assert max(len(g.ins) for g in cc.netlist.gates) <= _CHUNK
+    assert len(kernel) == -(-n_ins // _CHUNK)
+    assert peak < 4 * 2**20

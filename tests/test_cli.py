@@ -296,6 +296,29 @@ def test_attack_starts_file_without_c(capsys, workdir, tmp_path):
     assert "'c'" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"starts": 5, "c": 2},
+        {"starts": "0,4", "c": 2},
+        {"starts": [0, 9, 20, 40], "c": [2]},
+        {"starts": [0, -4, 10], "c": 2},
+        {"starts": [0, 4.0, 10], "c": 2},
+        {"starts": [0, True, 10], "c": 2},
+        {"starts": [0, 4, 10], "c": 0},
+        {"starts": [0, 4, 10], "c": 2.0},
+        {"starts": [0, 4, 10], "c": True},
+    ],
+)
+def test_attack_starts_file_wrong_types(capsys, workdir, tmp_path, doc):
+    timing = tmp_path / "timing.json"
+    timing.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, *attack_argv(workdir, str(timing)))
+    assert rc == EXIT_INPUT
+    assert str(timing) in err
+    assert "Traceback" not in err and out == ""
+
+
 # -- malformed key schedules --------------------------------------------------
 
 def edited_schedule(workdir, tmp_path, edit):

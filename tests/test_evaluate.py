@@ -3,7 +3,10 @@
 import io
 from fractions import Fraction
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relock import (
     Case,
@@ -20,6 +23,7 @@ from relock import (
     load_bench,
     write_hd_csv,
 )
+from relock.evaluate import _lane_counts
 
 CFG = EncryptConfig(
     lfsr_width=5,
@@ -42,6 +46,25 @@ def test_case1_is_exactly_zero(s27, enc27):
     rep = run_case(s27, enc27, Case.TRUSTED, n_vectors=40, cycles=200, seed=0)
     assert rep.mean_hd == 0.0
     assert all(hd == 0.0 for hd in rep.per_run)
+
+
+def naive_lane_counts(words, n_lanes):
+    return [sum((w >> k) & 1 for w in words) for k in range(n_lanes)]
+
+
+@given(st.integers(1, 200).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=70))))
+@settings(max_examples=80, deadline=None)
+def test_bit_sliced_tally_matches_per_lane_popcount(lanes_words):
+    n_lanes, words = lanes_words
+    assert _lane_counts(words, n_lanes) == naive_lane_counts(words, n_lanes)
+
+
+def test_bit_sliced_tally_long_carries_at_1000_lanes():
+    # all-ones words carry through every plane; sparse high lanes stay apart
+    rng = random.Random(1000)
+    full = (1 << 1000) - 1
+    words = [full] * 1023 + [rng.getrandbits(1000) & rng.getrandbits(1000) for _ in range(300)] + [1 << 999, 0]
+    assert _lane_counts(iter(words), 1000) == naive_lane_counts(words, 1000)
 
 
 def test_case2_corrupts(s27, enc27):
