@@ -85,16 +85,17 @@ def _comb_core(nl: Netlist) -> Netlist:
 
 
 class _SymbolicRun:
-    """Thread one copy of a sequential netlist through consecutive cycles.
+    """Thread one copy of a sequential netlist through consecutive cycles,
+    starting from ``state`` (flip-flop output -> value).
 
     Net values are CnfBuilder values: bools fold, literals build clauses.
     """
 
-    def __init__(self, b: CnfBuilder, nl: Netlist, core: Netlist, state=None):
+    def __init__(self, b: CnfBuilder, nl: Netlist, core: Netlist, state: dict):
         self.b = b
         self.nl = nl
         self.core = core
-        self.state = dict(state) if state is not None else {q: False for q, _ in nl.dffs}
+        self.state = state
 
     def step(self, in_vals: dict) -> dict:
         pins = dict(in_vals)
@@ -102,6 +103,15 @@ class _SymbolicRun:
         val = self.b.encode_netlist(self.core, pins)
         self.state = {q: val[d] for q, d in self.nl.dffs}
         return {y: val[y] for y in self.nl.outputs}
+
+
+def _state_after(nl: Netlist, vectors) -> dict:
+    """Flip-flop values after running ``vectors`` from reset, as bools."""
+    cc, n_in = nl.compiled, len(nl.inputs)
+    state = (0,) * len(nl.dffs)
+    for word in vectors:
+        _outs, state = cc.eval([(word >> i) & 1 for i in range(n_in)], state)
+    return {q: bool(v) for (q, _d), v in zip(nl.dffs, state)}
 
 
 def _const_pins(nl: Netlist, word: int) -> dict:
@@ -250,18 +260,13 @@ def recover_key_sequences(
         committed = plan_stimulus(key_plan(zip(starts, keys), start), probes, n_in)
         prefix_probe = probes[: committed.n_workload]
 
-        # the committed prefix folds to a constant state, shared by all copies
-        prefix = _SymbolicRun(b, enc, core)
-        for word in committed.vectors:
-            prefix.step(_const_pins(enc, word))
-        base_state = prefix.state
-        if any(not isinstance(v, bool) for v in base_state.values()):
-            raise AssertionError("committed prefix did not fold to constants")
+        # the committed prefix is concrete: one state, shared by all copies
+        base_state = _state_after(enc, committed.vectors)
 
         def run_copy(key_vals, gap_vals, pin_outputs=None):
             # one locked-design copy over window + gap cycles; when
             # pin_outputs is given, gap outputs are constrained to it
-            run = _SymbolicRun(b, enc, core, state=base_state)
+            run = _SymbolicRun(b, enc, core, base_state)
             for u in range(key_len):
                 run.step(key_vals[u])
             out_rows = []
@@ -326,12 +331,9 @@ def recover_key_sequences(
         if win_status == STATUS_RECOVERED:
             e = CnfBuilder()
             k_e = [[e.new_var() for _ in range(n_in)] for _ in range(key_len)]
-            e_prefix = _SymbolicRun(e, enc, core)
-            for word in committed.vectors:
-                e_prefix.step(_const_pins(enc, word))
             key_pins_e = [_var_pins(enc, row) for row in k_e]
             for probe_words, oracle_out in learned:
-                run = _SymbolicRun(e, enc, core, state=e_prefix.state)
+                run = _SymbolicRun(e, enc, core, base_state)
                 for u in range(key_len):
                     run.step(key_pins_e[u])
                 for j, w in enumerate(probe_words):

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, groupby
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
+from sys import intern
 
 GATE_KINDS = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUFF")
 
@@ -126,6 +129,7 @@ class Netlist:
                 raise BenchError(f"duplicate primary output '{y}'")
             seen_out.add(y)
 
+        del defined  # freed before the topological sort adds its own peak
         self.topo_order  # raises on combinational cycles
 
         consumed: set[str] = set(self.outputs)
@@ -191,6 +195,8 @@ _NAME = r"[^\s(),=#]+"
 _IO_RE = re.compile(rf"^(INPUT|OUTPUT)\s*\(\s*({_NAME})\s*\)$", re.IGNORECASE)
 _ASSIGN_RE = re.compile(rf"^({_NAME})\s*=\s*([A-Za-z]+)\s*\(([^()=#]*)\)$")
 _NAME_RE = re.compile(_NAME)
+# a comma-separated list of names, each with optional whitespace around it
+_ARGS_RE = re.compile(rf"\s*{_NAME}\s*(?:,\s*{_NAME}\s*)*")
 
 
 def parse_bench(text: str, name: str = "bench") -> Netlist:
@@ -209,23 +215,14 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _IO_RE.match(line)
-        if m:
-            kw, net = m.group(1).upper(), m.group(2)
-            if kw == "INPUT":
-                if net in def_line:
-                    raise BenchError(f"duplicate definition of net '{net}' (first at line {def_line[net]})", lineno)
-                def_line[net] = lineno
-                inputs.append(net)
-            else:
-                outputs.append(net)
-            continue
         m = _ASSIGN_RE.match(line)
         if m:
-            out, kind, argstr = m.group(1), m.group(2).upper(), m.group(3)
-            args = [a.strip() for a in argstr.split(",")]
-            if any(not a or not _NAME_RE.fullmatch(a) for a in args):
+            out, kind, argstr = m.groups()
+            # one string object per net name and per kind, however often read
+            out, kind = intern(out), intern(kind.upper())
+            if not _ARGS_RE.fullmatch(argstr):
                 raise BenchError(f"bad argument list for '{out}'", lineno, line.index("(") + 1)
+            args = tuple(map(intern, _NAME_RE.findall(argstr)))
             if out in def_line:
                 raise BenchError(f"duplicate definition of net '{out}' (first at line {def_line[out]})", lineno)
             def_line[out] = lineno
@@ -234,13 +231,25 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
                     raise BenchError(f"DFF '{out}' takes exactly one input, got {len(args)}", lineno)
                 dffs.append((out, args[0]))
             elif kind in GATE_KINDS:
-                gates.append(Gate(out, kind, tuple(args)))
+                gates.append(Gate(out, kind, args))
             else:
                 raise BenchError(f"unknown gate kind '{kind}'", lineno, line.index("=") + 2)
+            continue
+        m = _IO_RE.match(line)
+        if m:
+            kw, net = m.group(1).upper(), intern(m.group(2))
+            if kw == "INPUT":
+                if net in def_line:
+                    raise BenchError(f"duplicate definition of net '{net}' (first at line {def_line[net]})", lineno)
+                def_line[net] = lineno
+                inputs.append(net)
+            else:
+                outputs.append(net)
             continue
         col = len(raw) - len(raw.lstrip()) + 1
         raise BenchError(f"unrecognized line: {line!r}", lineno, col)
 
+    del def_line  # about 2 MiB on locked s38584, freed before validation adds its own peak
     return Netlist(name, tuple(inputs), tuple(outputs), tuple(gates), tuple(dffs))
 
 
@@ -267,16 +276,23 @@ def save_bench(nl: Netlist, path: str | Path) -> None:
 
 # -- evaluation --------------------------------------------------------------
 
-# Gate inputs per generated function (about 16 gates): compile() holds about
-# 3 KB per gate input while it runs, so one function per netlist would add
-# tens of MiB of peak memory.
+# Gate inputs per generated function, and the most gate inputs plus operators
+# an expression may fuse: compile() holds about 3 KB per gate input while it
+# runs, so one function per netlist would add tens of MiB of peak memory.
 _CHUNK = 40
-# gate kind -> (operator joining its inputs, expression around the join); only
-# NOR needs parentheses, which slow compile() by about a fifth per statement
+# gate kind -> (operator joining its inputs, or None for one input; inverted)
 _KERNEL_OPS = {
-    "AND": (" & ", "{}"), "NAND": (" & ", "{} ^ m"), "OR": (" | ", "{}"), "NOR": (" | ", "({}) ^ m"),
-    "XOR": (" ^ ", "{}"), "XNOR": (" ^ ", "{} ^ m"), "NOT": ("", "{} ^ m"), "BUFF": ("", "{}"),
+    "AND": ("&", False), "NAND": ("&", True), "OR": ("|", False), "NOR": ("|", True),
+    "XOR": ("^", False), "XNOR": ("^", True), "NOT": (None, True), "BUFF": (None, False),
 }
+# Python binds & tighter than ^, and ^ tighter than |; a slot read is an atom
+_PREC = {"|": 1, "^": 2, "&": 3}
+_ATOM = 4
+
+
+def _getter(slots):
+    """``v -> tuple(v[s] for s in slots)``; itemgetter returns a bare item for one slot."""
+    return itemgetter(*slots) if len(slots) > 1 else lambda v: tuple(v[s] for s in slots)
 
 
 class CompiledCircuit:
@@ -286,38 +302,96 @@ class CompiledCircuit:
     topological order.  ``eval`` is width parallel; ``width`` is the number of
     lanes packed into each word, and input bits above them are ignored.
 
-    The kernel is built on the first ``eval``/``eval_nets`` call: each gate
-    becomes one statement such as ``v[9] = v[3] & v[4] ^ m`` over the slot
-    list ``v`` and lane mask ``m``, compiled into functions of about
-    ``_CHUNK`` gate inputs each, which evaluation calls in order.
+    The kernel is built on the first ``eval`` call.  Each stored net gets one
+    statement over the slot list ``v`` and lane mask ``m``, such as
+    ``v[9] = v[3] & (v[4] | v[5]) ^ m``.  A gate read by exactly one gate
+    input, and by no primary output or flip-flop, is not stored but inlined
+    into its reader, parenthesised by precedence.  An inlined input that
+    would carry its reader past ``_CHUNK`` gate inputs plus operators is
+    stored first, so ``compile()`` stays small and shallow: no fused
+    expression exceeds that bound (inlined whole, a 3000-gate inverter chain
+    nests past the compiler's recursion limit), and only a gate wider than
+    ``_CHUNK`` makes a statement wider.  Statements are compiled into
+    functions of at most ``_CHUNK`` gate inputs (or one wider statement),
+    which evaluation calls in order.  ``eval_nets`` needs every net, so it
+    runs a second kernel from the same generator with nothing inlined,
+    built on its first call.
     """
 
     def __init__(self, nl: Netlist):
         self.netlist = nl
         nets = [*nl.inputs, *(q for q, _d in nl.dffs), *(nl.gates[i].out for i in nl.topo_order)]
         self.slot = slot = {net: k for k, net in enumerate(nets)}
-        self._out_slots = tuple(slot[y] for y in nl.outputs)
-        self._d_slots = tuple(slot[d] for _q, d in nl.dffs)
+        self._outputs = _getter([slot[y] for y in nl.outputs])
+        self._next_state = _getter([slot[d] for _q, d in nl.dffs])
+
+    def _statements(self, fuse: bool):
+        """``(source, gate inputs)`` per statement in topological order;
+        without ``fuse`` every gate is stored."""
+        nl, slot = self.netlist, self.slot
+        inline = set()
+        if fuse:
+            reads = Counter(chain.from_iterable(g.ins for g in nl.gates))
+            inline = {g.out for g in nl.gates if reads[g.out] == 1}.difference(nl.outputs, (d for _q, d in nl.dffs))
+        pending = {}  # inlined net -> (expression, precedence, gate inputs, operators)
+        for i in nl.topo_order:
+            g = nl.gates[i]
+            op, inv = _KERNEL_OPS[g.kind]
+            n_in = len(g.ins)
+            n_op = (n_in - 1 if op else 0) + inv
+            p = _PREC[op] if op else 0  # the least precedence an operand needs
+            terms = []
+            for a in g.ins:
+                e = pending.pop(a, None)
+                if e is not None and n_in + n_op + e[2] + e[3] > _CHUNK:
+                    yield f"v[{slot[a]}] = {e[0]}", e[2]
+                    e = None
+                if e is None:
+                    terms.append(f"v[{slot[a]}]")
+                    q = _ATOM
+                else:
+                    n_in += e[2]
+                    n_op += e[3]
+                    q = e[1]
+                    terms.append(e[0] if q >= p else f"({e[0]})")
+            if op:
+                text = f" {op} ".join(terms)
+            else:  # NOT and BUFF take their operand's precedence
+                text, p = terms[0], q
+            if inv:
+                text, p = (text if p >= _PREC["^"] else f"({text})") + " ^ m", _PREC["^"]
+            if g.out in inline:
+                pending[g.out] = (text, p, n_in, n_op)
+            else:
+                yield f"v[{slot[g.out]}] = {text}", n_in
+
+    def _build(self, fuse: bool) -> tuple:
+        """Compile the statements into functions of at most ``_CHUNK`` gate
+        inputs (or one wider statement) each, in topological order."""
+        filename = f"<{self.netlist.name} kernel>"
+        chunks, ns = [], {}  # ns: the functions' shared globals; they read none
+        lines, size = [], 0
+        # the sentinel statement at the end flushes the last function
+        for line, n_in in chain(self._statements(fuse), [("", _CHUNK + 1)]):
+            if lines and size + n_in > _CHUNK:
+                exec(compile("def chunk(v, m):\n    " + "\n    ".join(lines) + "\n", filename, "exec"), ns)
+                chunks.append(ns.pop("chunk"))  # so no function and its globals form a cycle
+                lines, size = [], 0
+            lines.append(line)
+            size += n_in
+        return tuple(chunks)
 
     @cached_property
     def _kernel(self) -> tuple:
-        """The generated functions in topological order; each holds the gates
-        whose last input is in its ``_CHUNK``-wide stretch of all gate inputs."""
-        nl, slot = self.netlist, self.slot
-        filename = f"<{nl.name} kernel>"
-        chunks, ns = [], {}  # ns: the functions' shared globals; they read none
-        ends = accumulate(len(nl.gates[i].ins) for i in nl.topo_order)
-        for _, run in groupby(zip(nl.topo_order, ends), key=lambda ie: (ie[1] - 1) // _CHUNK):
-            lines = []
-            for i, _end in run:
-                g = nl.gates[i]
-                op, expr = _KERNEL_OPS[g.kind]
-                lines.append(f"v[{slot[g.out]}] = " + expr.format(op.join([f"v[{slot[a]}]" for a in g.ins])))
-            exec(compile("def chunk(v, m):\n    " + "\n    ".join(lines) + "\n", filename, "exec"), ns)
-            chunks.append(ns.pop("chunk"))  # so no function and its globals form a cycle
-        return tuple(chunks)
+        """The fused kernel that ``eval`` runs."""
+        return self._build(fuse=True)
 
-    def _run(self, in_words, state_words, width: int) -> list[int]:
+    @cached_property
+    def _net_kernel(self) -> tuple:
+        """The kernel that stores every net, for ``eval_nets``."""
+        return self._build(fuse=False)
+
+    def _run(self, kernel, in_words, state_words, width: int) -> list[int]:
         nl = self.netlist
         if len(in_words) != len(nl.inputs):
             raise ValueError(f"expected {len(nl.inputs)} input values, got {len(in_words)}")
@@ -326,7 +400,7 @@ class CompiledCircuit:
         mask = (1 << width) - 1
         v = [w & mask for w in chain(in_words, state_words)]
         v += [0] * len(nl.gates)
-        for chunk in self._kernel:
+        for chunk in kernel:
             chunk(v, mask)
         return v
 
@@ -336,15 +410,12 @@ class CompiledCircuit:
         Returns ``(outputs, next_state)`` as tuples of words aligned with
         ``netlist.outputs`` and ``netlist.dffs``.
         """
-        v = self._run(in_words, state_words, width)
-        return (
-            tuple(v[s] for s in self._out_slots),
-            tuple(v[s] for s in self._d_slots),
-        )
+        v = self._run(self._kernel, in_words, state_words, width)
+        return self._outputs(v), self._next_state(v)
 
     def eval_nets(self, in_words, state_words=(), width: int = 1) -> dict[str, int]:
         """Like eval, but returns the value of every net by name."""
-        v = self._run(in_words, state_words, width)
+        v = self._run(self._net_kernel, in_words, state_words, width)
         return {net: v[s] for net, s in self.slot.items()}
 
 

@@ -58,6 +58,8 @@ def _load_bench(path: str):
         return load_bench(path)
     except OSError as e:
         raise _fail(f"cannot read '{path}': {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise _fail(f"{path}: not UTF-8 text: {e}") from e
     except BenchError as e:
         raise _fail(f"{path}: {e}") from e
 
@@ -186,6 +188,8 @@ def _load_timing(args, key_len_hint: int | None, oracle_nl):
         doc = json.loads(path.read_text())
     except OSError as e:
         raise _fail(f"cannot read '{spec}': {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise _fail(f"{spec}: not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise _fail(f"{spec}: bad JSON: {e}") from e
     if isinstance(doc, dict) and "key_table" in doc:

@@ -235,17 +235,31 @@ def insert_xor(
     ``<prefix>corrupt<j>``; tying them all to zero restores the original
     function exactly.
     """
+    if prefix is None:
+        prefix = _fresh_prefix(nl)
+    gates, sites = _xor_gates(nl, enc_out_width, coverage, rng, prefix)
+    nlx = Netlist(
+        name=nl.name,
+        inputs=nl.inputs + tuple(f"{prefix}corrupt{j}" for j in range(min(enc_out_width, len(sites)))),
+        outputs=nl.outputs,
+        gates=tuple(gates),
+        dffs=nl.dffs,
+    )
+    return nlx, sites
+
+
+def _xor_gates(
+    nl: Netlist, enc_out_width: int, coverage: float, rng: random.Random, prefix: str
+) -> tuple[list[Gate], tuple[XorSite, ...]]:
+    """The gates of :func:`insert_xor`'s netlist, unvalidated, and its sites."""
     if enc_out_width < 1:
         raise ValueError("enc_out_width must be >= 1")
     if not 0 < coverage <= 1:
         raise ValueError(f"coverage must be in (0, 1], got {coverage}")
     if not nl.gates:
         raise ValueError(f"netlist '{nl.name}' has no gates to corrupt")
-    if prefix is None:
-        prefix = _fresh_prefix(nl)
     k = min(math.ceil(coverage * len(nl.gates)), len(nl.gates))
     picks = rng.sample(range(len(nl.gates)), k)
-    used_bits = min(enc_out_width, k)
     new_gates = list(nl.gates)
     xor_gates: list[Gate] = []
     sites: list[XorSite] = []
@@ -256,14 +270,7 @@ def insert_xor(
         new_gates[gi] = Gate(raw, g.kind, g.ins)
         xor_gates.append(Gate(g.out, "XOR", (raw, f"{prefix}corrupt{j}")))
         sites.append(XorSite(net=g.out, enc_bit=j, raw_net=raw))
-    nlx = Netlist(
-        name=nl.name,
-        inputs=nl.inputs + tuple(f"{prefix}corrupt{j}" for j in range(used_bits)),
-        outputs=nl.outputs,
-        gates=tuple(new_gates + xor_gates),
-        dffs=nl.dffs,
-    )
-    return nlx, tuple(sites)
+    return new_gates + xor_gates, tuple(sites)
 
 
 @dataclass(frozen=True)
@@ -502,14 +509,14 @@ def encrypt(nl: Netlist, cfg: EncryptConfig) -> EncryptedDesign:
     prefix = _fresh_prefix(nl)
 
     fsm = build_enc_fsm(n_in, cfg, rng_fsm)
-    core, sites = insert_xor(nl, cfg.enc_out_width, cfg.coverage, rng_sites, prefix=prefix)
+    gates, sites = _xor_gates(nl, cfg.enc_out_width, cfg.coverage, rng_sites, prefix)
 
     n = cfg.lfsr_width
     c = cfg.key_len
     chains = 1 << cfg.sbj_bits
     p_bits = max(1, (c - 1).bit_length())
 
-    f = _NetFactory(prefix, list(core.gates), anchor=nl.inputs[0])
+    f = _NetFactory(prefix, gates, anchor=nl.inputs[0])
     x = list(nl.inputs)
     lfsr_q = [f"{prefix}lfsr{j}" for j in range(n)]
     cnt_q = [f"{prefix}cnt{j}" for j in range(n)]

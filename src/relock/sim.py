@@ -257,11 +257,12 @@ def simulate(nl: Netlist, stim: Stimulus, cycles: int | None = None) -> Trace:
     )
 
 
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
+
+
 def _pack(bits) -> int:
-    word = 0
-    for k, b in enumerate(bits):
-        word |= (b & 1) << k
-    return word
+    """Pack a sequence of 0/1 values into an int, element ``k`` at bit ``k``."""
+    return int(bytes(bits[::-1]).translate(_BIT_CHARS) or b"0", 2)
 
 
 def hamming_distance(a: Trace, b: Trace, mask) -> float:

@@ -1,6 +1,8 @@
 """Netlist parsing, emission, and combinational evaluation."""
 
+import itertools
 import random
+import re
 import tracemalloc
 import warnings
 
@@ -87,6 +89,15 @@ def test_parse_stock_benchmarks(name):
     nl = load_bench(bench_path(name))
     s = nl.stats()
     assert (s.n_inputs, s.n_outputs, s.n_dffs, s.n_gates) == BENCH_STATS[name]
+
+
+def test_parse_keeps_one_string_per_net_name(s1238):
+    # a 30k-gate netlist holds about 6 MiB less when every read of a net
+    # shares the string its definition made
+    nl = parse_bench(emit_bench(s1238))
+    refs = [*nl.inputs, *nl.outputs, *(x for qd in nl.dffs for x in qd)]
+    refs += [x for g in nl.gates for x in (g.out, g.kind, *g.ins)]
+    assert len({id(x) for x in refs}) == len(set(refs))
 
 
 def test_parse_is_case_insensitive_on_keywords():
@@ -331,6 +342,33 @@ def test_kernel_across_chunks_matches_naive_random(nl, rng):
     assert_kernel_matches_naive(nl, rng, rng.choice([1, 3, 64]))
 
 
+def statement_gate_inputs(cc, statements):
+    """Gate inputs each fused statement covers, derived from its source alone.
+
+    A statement stores one slot; the gates it evaluates are the cone behind
+    that net up to nets that are primary inputs, flip-flop outputs or stored
+    by some statement.  The slots it reads must be exactly that cone's leaves.
+    """
+    net_of = {k: net for net, k in cc.slot.items()}
+    driver = {g.out: g for g in cc.netlist.gates}
+    parsed = [re.fullmatch(r"v\[(\d+)\] = (.*)", src).groups() for src, _n in statements]
+    stored = {net_of[int(k)] for k, _expr in parsed} | set(cc.netlist.inputs) | {q for q, _d in cc.netlist.dffs}
+    widths = []
+    for k, expr in parsed:
+        cone, leaves, todo = [], set(), [driver[net_of[int(k)]]]
+        while todo:
+            g = todo.pop()
+            cone.append(g)
+            for a in g.ins:
+                if a in stored:
+                    leaves.add(a)
+                else:
+                    todo.append(driver[a])
+        assert {net_of[int(r)] for r in re.findall(r"v\[(\d+)\]", expr)} == leaves
+        widths.append(sum(len(g.ins) for g in cone))
+    return widths
+
+
 def test_kernel_build_peak_memory_stays_small():
     # compile() holds about 3 KB per gate input while it runs, so the kernel
     # is built in small chunks; one function per netlist peaks above 50 MiB
@@ -338,11 +376,101 @@ def test_kernel_build_peak_memory_stays_small():
     cc = CompiledCircuit(encrypt(load_bench(bench_path("s9234")), cfg).netlist)
     tracemalloc.start()
     try:
-        kernel = cc._kernel
+        cc._kernel
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    n_ins = sum(len(g.ins) for g in cc.netlist.gates)
     assert max(len(g.ins) for g in cc.netlist.gates) <= _CHUNK
-    assert len(kernel) == -(-n_ins // _CHUNK)
+    statements = list(cc._statements(fuse=True))
+    assert len(statements) < 0.6 * len(cc.netlist.gates)
+    assert max(statement_gate_inputs(cc, statements)) <= _CHUNK
     assert peak < 4 * 2**20
+
+
+# -- fused kernel expressions ----------------------------------------------------
+
+@st.composite
+def chain_netlists(draw, max_gates=40):
+    """Random netlist biased towards single-reader chains: four in five gates
+    read the gate declared just before them, so most gates are inlined into
+    their reader and every kind comes to feed every kind."""
+    n_in = draw(st.integers(1, 4))
+    sources = [f"i{k}" for k in range(n_in)] + [f"q{k}" for k in range(draw(st.integers(0, 2)))]
+    names = list(sources)
+    gates = []
+    for k in range(draw(st.integers(1, max_gates))):
+        kind = draw(st.sampled_from(GATE_KINDS))
+        arity = 1 if kind in ("NOT", "BUFF") else draw(st.integers(2, 4))
+        ins = [draw(st.sampled_from(sources if draw(st.booleans()) else names)) for _ in range(arity)]
+        if gates and draw(st.integers(0, 4)):
+            ins[draw(st.integers(0, arity - 1))] = gates[-1].out
+        gates.append(Gate(f"g{k}", kind, tuple(ins)))
+        names.append(f"g{k}")
+    dffs = tuple((q, draw(st.sampled_from(names))) for q in sources[n_in:])
+    outputs = tuple(dict.fromkeys([names[-1], *draw(st.lists(st.sampled_from(names), max_size=2))]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DanglingNetWarning)
+        return Netlist("chains", tuple(sources[:n_in]), outputs, tuple(gates), dffs)
+
+
+def assert_eval_matches_naive(nl, rng, width):
+    in_words = [rng.getrandbits(width + 9) for _ in nl.inputs]
+    st_words = [rng.getrandbits(width + 9) for _ in nl.dffs]
+    outs, nxt = CompiledCircuit(nl).eval(in_words, st_words, width)
+    for lane in range(width):
+        iv = [(w >> lane) & 1 for w in in_words]
+        sv = [(w >> lane) & 1 for w in st_words]
+        got = tuple((w >> lane) & 1 for w in outs), tuple((w >> lane) & 1 for w in nxt)
+        assert got == naive_eval(nl, iv, sv)
+    assert all(w >> width == 0 for w in outs + nxt)
+
+
+@pytest.mark.parametrize("width", [1, 3, 64, 1000])
+@given(nl=chain_netlists(), rng=st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_fused_eval_matches_naive_on_chains(width, nl, rng):
+    assert_eval_matches_naive(nl, rng, width)
+
+
+def test_fused_eval_every_kind_triple():
+    # gate c reads gate b, which reads gate a, for every ordered kind triple
+    names, gates, outputs = ["x0", "x1", "x2"], [], []
+    for k, kinds in enumerate(itertools.product(GATE_KINDS, repeat=3)):
+        prev = None
+        for j, kind in enumerate(kinds):
+            ins = (prev or "x0",) if kind in ("NOT", "BUFF") else (prev or "x0", names[1 + j % 2])
+            prev = f"t{k}_{j}"
+            gates.append(Gate(prev, kind, ins))
+        outputs.append(prev)
+    nl = Netlist("triples", tuple(names), tuple(outputs), tuple(gates), ())
+    assert len(list(nl.compiled._statements(fuse=True))) == len(outputs)
+    for width in (1, 64):
+        assert_eval_matches_naive(nl, random.Random(width), width)
+
+
+LONG_CHAINS = {
+    "NOT": (3000, lambda x, _b, m: x ^ m),
+    "BUFF": (3000, lambda x, _b, _m: x),
+    "XNOR": (3000, lambda x, b, m: x ^ b ^ m),
+    "NOR": (300, lambda x, b, m: (x | b) ^ m),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LONG_CHAINS))
+def test_long_single_reader_chain_stays_within_bounds(kind):
+    # inlined whole, a 3000-gate chain nests past compile()'s recursion limit
+    n, step = LONG_CHAINS[kind]
+    extra = () if kind in ("NOT", "BUFF") else ("b",)
+    gates = [Gate(f"g{k}", kind, (f"g{k - 1}" if k else "a", *extra)) for k in range(n)]
+    nl = Netlist("long", ("a", "b"), (f"g{n - 1}",), tuple(gates), ())
+    cc = nl.compiled
+    statements = list(cc._statements(fuse=True))
+    assert len(statements) < len(gates) / 5
+    assert max(statement_gate_inputs(cc, statements)) <= _CHUNK
+    width = 64
+    rng = random.Random(kind)
+    a, b = rng.getrandbits(width), rng.getrandbits(width)
+    want, m = a, (1 << width) - 1
+    for _ in range(n):
+        want = step(want, b, m)
+    assert cc.eval([a, b], (), width) == ((want,), ())

@@ -64,6 +64,29 @@ def test_stats_parse_error_names_the_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+def not_utf8(tmp_path, name):
+    """A file whose bytes are not UTF-8: a valid netlist with a 0xff in a comment."""
+    path = tmp_path / name
+    path.write_bytes(b"INPUT(a)\nOUTPUT(y)\n# \xff\ny = NOT(a)\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["stats", "simulate", "eval-hd", "attack"])
+def test_undecodable_bench_names_the_file(capsys, workdir, tmp_path, command):
+    bad = str(not_utf8(tmp_path, "bad.bench"))
+    enc, keys = str(workdir / "s27_enc.bench"), str(workdir / "s27_keys.json")
+    argv = {
+        "stats": ["stats", bad],
+        "simulate": ["simulate", bad, "--cycles", "5"],
+        "eval-hd": ["eval-hd", str(bench_path("s27")), bad, "--keys", keys],
+        "attack": ["attack", enc, "--oracle", bad, "--keys-timing", keys],
+    }[command]
+    rc, out, err = run(capsys, *argv)
+    assert rc == EXIT_INPUT
+    assert bad in err and "UTF-8" in err
+    assert "Traceback" not in err and out == ""
+
+
 # -- encrypt -----------------------------------------------------------------
 
 def test_encrypt_reports_and_writes(capsys, workdir, tmp_path):
@@ -316,6 +339,14 @@ def test_attack_starts_file_wrong_types(capsys, workdir, tmp_path, doc):
     rc, out, err = run(capsys, *attack_argv(workdir, str(timing)))
     assert rc == EXIT_INPUT
     assert str(timing) in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_attack_undecodable_timing_names_the_file(capsys, workdir, tmp_path):
+    timing = not_utf8(tmp_path, "timing.json")
+    rc, out, err = run(capsys, *attack_argv(workdir, str(timing)))
+    assert rc == EXIT_INPUT
+    assert str(timing) in err and "UTF-8" in err
     assert "Traceback" not in err and out == ""
 
 

@@ -10,6 +10,7 @@ from relock import (
     EncryptConfig,
     EncryptedDesign,
     KeySchedule,
+    Netlist,
     build_enc_fsm,
     derive_sbj,
     emit_bench,
@@ -225,6 +226,20 @@ def test_encrypt_emits_parseable_bench(s27):
     enc = encrypt(s27, TOY_CFG)
     again = parse_bench(emit_bench(enc.netlist), name=enc.netlist.name)
     assert again == enc.netlist
+
+
+def test_encrypt_validates_one_netlist_per_lock(s27, monkeypatch):
+    validated = []
+    real = Netlist._validate
+    monkeypatch.setattr(Netlist, "_validate", lambda nl: validated.append(nl.name) or real(nl))
+    enc = encrypt(s27, TOY_CFG)
+    assert validated == [enc.netlist.name]
+    # insert_xor still returns a validated netlist, and encrypt builds on the same rewrite
+    rng = random.Random(f"{TOY_CFG.master_seed}/sites")
+    nlx, sites = insert_xor(s27, TOY_CFG.enc_out_width, TOY_CFG.coverage, rng, prefix=enc.report.prefix)
+    assert validated == [enc.netlist.name, nlx.name]
+    assert sites == enc.report.sites
+    assert enc.netlist.gates[: len(nlx.gates)] == nlx.gates
 
 
 def test_schedule_json_round_trip(s27):
