@@ -21,10 +21,11 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 from .bench import Netlist
 from .sat import UNKNOWN, UNSAT, solve
-from .sim import key_plan, plan_stimulus, simulate, workload_stimulus
+from .sim import key_plan, plan_stimulus, replay_windows, simulate, workload_stimulus
 from .unroll import CnfBuilder
 
 STATUS_RECOVERED = "recovered"
@@ -66,45 +67,6 @@ class SequenceOracle:
         return simulate(self._nl, workload_stimulus(vectors)).outputs
 
 
-def _comb_core(nl: Netlist) -> Netlist:
-    """One-cycle view of ``nl``: state bits become primary inputs."""
-    qs = tuple(q for q, _ in nl.dffs)
-    outs = list(nl.outputs)
-    have = set(outs)
-    for _, d in nl.dffs:
-        if d not in have:
-            have.add(d)
-            outs.append(d)
-    return Netlist(
-        name=f"{nl.name}_core",
-        inputs=nl.inputs + qs,
-        outputs=tuple(outs),
-        gates=nl.gates,
-        dffs=(),
-    )
-
-
-class _SymbolicRun:
-    """Thread one copy of a sequential netlist through consecutive cycles,
-    starting from ``state`` (flip-flop output -> value).
-
-    Net values are CnfBuilder values: bools fold, literals build clauses.
-    """
-
-    def __init__(self, b: CnfBuilder, nl: Netlist, core: Netlist, state: dict):
-        self.b = b
-        self.nl = nl
-        self.core = core
-        self.state = state
-
-    def step(self, in_vals: dict) -> dict:
-        pins = dict(in_vals)
-        pins.update(self.state)
-        val = self.b.encode_netlist(self.core, pins)
-        self.state = {q: val[d] for q, d in self.nl.dffs}
-        return {y: val[y] for y in self.nl.outputs}
-
-
 def _state_after(nl: Netlist, vectors) -> dict:
     """Flip-flop values after running ``vectors`` from reset, as bools."""
     cc, n_in = nl.compiled, len(nl.inputs)
@@ -114,12 +76,35 @@ def _state_after(nl: Netlist, vectors) -> dict:
     return {q: bool(v) for (q, _d), v in zip(nl.dffs, state)}
 
 
-def _const_pins(nl: Netlist, word: int) -> dict:
-    return {x: bool((word >> i) & 1) for i, x in enumerate(nl.inputs)}
+def _pins(nl: Netlist, row) -> dict:
+    """Input pins of one cycle: a packed word of constants or a literal row."""
+    if isinstance(row, int):
+        return {x: bool((row >> i) & 1) for i, x in enumerate(nl.inputs)}
+    return dict(zip(nl.inputs, row))
 
 
-def _var_pins(nl: Netlist, lits: list[int]) -> dict:
-    return {x: lits[i] for i, x in enumerate(nl.inputs)}
+def _encode_copy(b: CnfBuilder, nl: Netlist, state: dict, key_rows, gap_rows, oracle_out=None):
+    """Encode one copy of ``nl`` from flip-flop values ``state`` over a
+    window's key cycles and the gap after it, one frame per cycle.
+
+    Returns the gap outputs, one list of output values per cycle.  With
+    ``oracle_out``, each gap cycle's outputs are pinned to its packed word
+    instead and the returned list is empty.
+    """
+    out_rows = []
+    for t, row in enumerate((*key_rows, *gap_rows)):
+        val = b.encode_netlist(nl, {**_pins(nl, row), **state})
+        state = {q: val[d] for q, d in nl.dffs}
+        if t < len(key_rows):
+            continue
+        outs = [val[y] for y in nl.outputs]
+        if oracle_out is None:
+            out_rows.append(outs)
+        else:
+            word = oracle_out[t - len(key_rows)]
+            for i, v in enumerate(outs):
+                b.pin(v, (word >> i) & 1)
+    return out_rows
 
 
 def _model_word(model: dict, lits: list[int]) -> int:
@@ -218,6 +203,8 @@ def recover_key_sequences(
         raise ValueError("key_len must be >= 1")
     if max_seq < 1:
         raise ValueError("max_seq must be >= 1")
+    if conflict_budget < 0:
+        raise ValueError(f"conflict budget must be >= 0, got {conflict_budget}")
     if len(enc.inputs) != oracle.n_inputs or len(enc.outputs) != oracle.n_outputs:
         raise ValueError(
             f"oracle width mismatch: locked design has {len(enc.inputs)} inputs / "
@@ -234,7 +221,6 @@ def recover_key_sequences(
             raise ValueError("window start cycles overlap or are out of order")
 
     n_in = len(enc.inputs)
-    core = _comb_core(enc)
     rng = random.Random(f"{seed}/attack/probes")
     # one probe per non-window cycle before the last probed gap ends
     probes = [rng.getrandbits(n_in) for _ in range(starts[max_seq] - max_seq * key_len)]
@@ -262,34 +248,13 @@ def recover_key_sequences(
 
         # the committed prefix is concrete: one state, shared by all copies
         base_state = _state_after(enc, committed.vectors)
-
-        def run_copy(key_vals, gap_vals, pin_outputs=None):
-            # one locked-design copy over window + gap cycles; when
-            # pin_outputs is given, gap outputs are constrained to it
-            run = _SymbolicRun(b, enc, core, base_state)
-            for u in range(key_len):
-                run.step(key_vals[u])
-            out_rows = []
-            for j, vals in enumerate(gap_vals):
-                outs = run.step(vals)
-                if pin_outputs is None:
-                    out_rows.append(outs)
-                else:
-                    word = pin_outputs[j]
-                    for i, y in enumerate(enc.outputs):
-                        b.pin(outs[y], (word >> i) & 1)
-            return out_rows
-
-        key_pins_a = [_var_pins(enc, row) for row in k_a]
-        key_pins_b = [_var_pins(enc, row) for row in k_b]
-        probe_pins = [_var_pins(enc, row) for row in x_vars]
-        outs_a = run_copy(key_pins_a, probe_pins)
-        outs_b = run_copy(key_pins_b, probe_pins)
+        outs_a = _encode_copy(b, enc, base_state, k_a, x_vars)
+        outs_b = _encode_copy(b, enc, base_state, k_b, x_vars)
 
         diffs = []
         for ra, rb in zip(outs_a, outs_b):
-            for y in enc.outputs:
-                d = b.xor_value(ra[y], rb[y])
+            for va, vb in zip(ra, rb):
+                d = b.xor_value(va, vb)
                 if d is True:
                     # both copies share all non-key inputs, so a constant
                     # difference would mean the copies are not copies
@@ -323,23 +288,16 @@ def recover_key_sequences(
                 oracle_out = tuple(answer[len(prefix_probe):])
                 learned.append((probe_words, oracle_out))
                 iterations += 1
-                probe_consts = [_const_pins(enc, w) for w in probe_words]
-                run_copy(key_pins_a, probe_consts, pin_outputs=oracle_out)
-                run_copy(key_pins_b, probe_consts, pin_outputs=oracle_out)
+                _encode_copy(b, enc, base_state, k_a, probe_words, oracle_out)
+                _encode_copy(b, enc, base_state, k_b, probe_words, oracle_out)
 
         key = None
         if win_status == STATUS_RECOVERED:
+            # a fresh formula over one key copy and the learned DIPs only
             e = CnfBuilder()
             k_e = [[e.new_var() for _ in range(n_in)] for _ in range(key_len)]
-            key_pins_e = [_var_pins(enc, row) for row in k_e]
             for probe_words, oracle_out in learned:
-                run = _SymbolicRun(e, enc, core, base_state)
-                for u in range(key_len):
-                    run.step(key_pins_e[u])
-                for j, w in enumerate(probe_words):
-                    outs = run.step(_const_pins(enc, w))
-                    for i, y in enumerate(enc.outputs):
-                        e.pin(outs[y], (oracle_out[j] >> i) & 1)
+                _encode_copy(e, enc, base_state, k_e, probe_words, oracle_out)
             if e.contradiction:
                 win_status = STATUS_NO_KEY
             else:
@@ -426,11 +384,6 @@ def _replay_verify(enc, oracle, starts, keys, seed, verify_vectors):
 
 def derive_window_starts(sched, max_seq: int) -> tuple[int, ...]:
     """First ``max_seq + 1`` window start cycles from a key schedule."""
-    from .sim import authentication_schedule
-
-    horizon = (sched.key_len + (1 << (sched.lfsr_width - 1))) * (max_seq + 2)
-    while True:
-        windows = authentication_schedule(sched, horizon)
-        if len(windows) >= max_seq + 1:
-            return tuple(w.start for w in windows[: max_seq + 1])
-        horizon *= 2
+    if max_seq < 0:
+        raise ValueError(f"max_seq must be >= 0, got {max_seq}")
+    return tuple(w.start for w in islice(replay_windows(sched), max_seq + 1))

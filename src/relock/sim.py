@@ -20,6 +20,7 @@ uninterrupted run of the original design index for index.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .bench import Netlist
@@ -41,16 +42,15 @@ class AuthWindow:
     t_func: int
 
 
-def authentication_schedule(sched: KeySchedule, cycles: int) -> tuple[AuthWindow, ...]:
-    """Replay the controller's timing for ``cycles`` cycles.
+def replay_windows(sched: KeySchedule, cycles: float = math.inf):
+    """Replay the controller's timing lazily, one window at a time.
 
     Window q occupies cycles [start, start + key_len); the design is then
     functional for t_func cycles and the next window begins at
-    start + key_len + t_func.  The last window may extend past the horizon;
-    the PRNG is stepped at most ``cycles + key_len`` times.
+    start + key_len + t_func.  Windows stop before the first one starting
+    at or after ``cycles``.  The PRNG is stepped only as far as the last
+    window yielded needs: to its start + key_len.
     """
-    if cycles < 0:
-        raise ValueError("cycles must be nonnegative")
     c = sched.key_len
     g = new_lfsr(sched.lfsr_width, sched.lfsr_taps, sched.reset_seed)
     now = 0  # the cycle whose PRNG state g holds
@@ -63,17 +63,24 @@ def authentication_schedule(sched: KeySchedule, cycles: int) -> tuple[AuthWindow
             now += 1
         return g.state
 
-    windows: list[AuthWindow] = []
     start = 0
-    chain = 0
     while start < cycles:
+        chain = derive_sbj(state_at(start), sched.sbj_bits) if start else 0
         t_func = max(state_at(start + c), 1)
-        windows.append(AuthWindow(start=start, chain=chain, t_func=t_func))
-        nxt = start + c + t_func
-        if nxt < cycles:  # the window past the horizon needs no chain
-            chain = derive_sbj(state_at(nxt), sched.sbj_bits)
-        start = nxt
-    return tuple(windows)
+        yield AuthWindow(start=start, chain=chain, t_func=t_func)
+        start += c + t_func
+
+
+def authentication_schedule(sched: KeySchedule, cycles: int) -> tuple[AuthWindow, ...]:
+    """Replay the controller's timing for ``cycles`` cycles.
+
+    The windows of :func:`replay_windows` that start before the horizon;
+    the last may extend past it.  The PRNG is stepped at most
+    ``cycles + key_len`` times.
+    """
+    if cycles < 0:
+        raise ValueError("cycles must be nonnegative")
+    return tuple(replay_windows(sched, cycles))
 
 
 @dataclass(frozen=True)

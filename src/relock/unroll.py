@@ -8,12 +8,14 @@ ordinary combinational netlist whose inputs are the per-frame primary inputs
 plus the zero net, so it can be evaluated, emitted, or encoded like any
 other netlist.
 
-``to_cnf`` is a plain Tseitin encoding: one variable per net per frame, a
-constant number of clauses per gate, with auxiliary variables only for XOR
-and XNOR gates of arity above two.  ``CnfBuilder`` is the incremental
-encoder used by the attack: it encodes whole netlist copies into one growing
-clause set and folds constants on the fly, so copies with mostly pinned
-inputs shrink to almost nothing.
+``gate_clauses`` is the one Tseitin table.  ``to_cnf`` applies it plainly:
+one variable per net per frame, a constant number of clauses per gate, with
+auxiliary variables only for XOR and XNOR gates of arity above two.
+``CnfBuilder`` is the incremental encoder used by the attack: it encodes one
+clock frame of a netlist at a time into one growing clause set, with the
+flip-flop outputs pinned to the previous frame's next-state values, and
+folds constants on the fly, so frames with mostly pinned inputs shrink to
+almost nothing.  Every gate it does not fold goes through ``gate_clauses``.
 """
 
 from __future__ import annotations
@@ -238,12 +240,12 @@ def to_dimacs(cnf: Cnf, comments=()) -> str:
 
 
 class CnfBuilder:
-    """Incremental constant-folding encoder for netlist copies.
+    """Incremental constant-folding encoder for netlist frames.
 
     Net values are either Python bools (constants) or nonzero signed ints
     (literals over allocated variables).  ``encode_netlist`` returns the
-    value of every net of the copy; pinned inputs drive the folding, so a
-    copy whose inputs are all constants reduces to pure evaluation.
+    value of every net of one frame; pinned inputs drive the folding, so a
+    frame whose inputs are all constants reduces to pure evaluation.
     """
 
     def __init__(self) -> None:
@@ -271,22 +273,28 @@ class CnfBuilder:
         self.add_clause([value if bit else -value])
 
     def encode_netlist(self, nl: Netlist, pins: dict) -> dict:
-        """Encode one copy of ``nl`` with inputs bound by ``pins``.
+        """Encode one clock frame of ``nl`` with its sources bound by ``pins``.
 
-        ``pins`` maps every primary input name to a bool or a signed
-        literal.  Returns net name -> value for all nets.
+        ``pins`` maps every primary input name, and every flip-flop output
+        name of a sequential netlist, to a bool or a signed literal.
+        Returns net name -> value for all nets; the next state is the
+        value of each flip-flop's input net.
         """
         val: dict[str, int | bool] = {}
-        for x in nl.inputs:
+        n_in = len(nl.inputs)
+        for k, x in enumerate((*nl.inputs, *(q for q, _d in nl.dffs))):
             if x not in pins:
-                raise ValueError(f"unpinned primary input '{x}'")
+                if k < n_in:
+                    raise ValueError(f"unpinned primary input '{x}'")
+                raise ValueError(
+                    f"unpinned flip-flop output '{x}': CnfBuilder encodes combinational"
+                    " logic, so a sequential netlist needs its state pinned"
+                )
             v = pins[x]
             if not isinstance(v, bool) and v == 0:
                 # int literals must be nonzero; constants must be bools
                 raise ValueError(f"pin for '{x}' is 0; use False for a constant")
             val[x] = v
-        if nl.dffs:
-            raise ValueError("CnfBuilder encodes combinational netlists only")
         for i in nl.topo_order:
             g = nl.gates[i]
             val[g.out] = self._encode_gate(g.kind, [val[a] for a in g.ins])
@@ -326,9 +334,7 @@ class CnfBuilder:
                 y = lits[0]
             else:
                 y = self.new_var()
-                for a in lits:
-                    self.add_clause([-y, a])
-                self.add_clause([y] + [-a for a in lits])
+                self.clauses += gate_clauses("AND", y, lits, self.new_var)
             return -y if invert_out else y
 
         if kind in ("XOR", "XNOR"):
@@ -352,7 +358,7 @@ class CnfBuilder:
             cur = lits[0]
             for a in lits[1:]:
                 aux = self.new_var()
-                self.clauses += _xor2(aux, cur, a)
+                self.clauses += gate_clauses("XOR", aux, [cur, a], self.new_var)
                 cur = aux
             return -cur if phase else cur
 

@@ -230,3 +230,10 @@ def test_derive_window_starts_matches_controller_replay(toy):
     wins = authentication_schedule(enc.schedule, starts[-1] + 1)
     assert starts == tuple(w.start for w in wins[: N_WINDOWS + 1])
     assert all(a < b for a, b in zip(starts, starts[1:]))
+
+
+def test_derive_window_starts_rejects_negative_counts(toy):
+    _, enc, _, _ = toy
+    assert derive_window_starts(enc.schedule, 0) == (0,)
+    with pytest.raises(ValueError, match="max_seq"):
+        derive_window_starts(enc.schedule, -2)

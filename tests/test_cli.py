@@ -305,6 +305,15 @@ def test_attack_budget_exit_code(capsys, workdir):
     assert "budget" in err
 
 
+def test_attack_rejects_negative_budget(capsys, workdir):
+    rc, out, err = run(
+        capsys, *attack_argv(workdir, str(workdir / "s27_keys.json")), "--budget", "-1"
+    )
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert "budget" in err and "-1" in err
+
+
 def test_attack_missing_timing_file(capsys, workdir):
     rc, _, err = run(capsys, *attack_argv(workdir, "/no/such/timing.json"))
     assert rc == EXIT_INPUT

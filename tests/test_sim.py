@@ -165,6 +165,29 @@ def test_schedule_replay_stops_at_the_horizon(toy, monkeypatch):
     assert windows[-1].start + sched.key_len + windows[-1].t_func >= cycles
 
 
+def test_derive_window_starts_steps_only_to_the_last_window(toy, monkeypatch):
+    """Deriving the first windows replays the PRNG only as far as the last
+    derived window's key cycles, not out to a guessed horizon."""
+    import dataclasses
+
+    import relock.sim
+    from relock import MAXIMAL_TAPS, derive_window_starts
+
+    sched = dataclasses.replace(toy.schedule, lfsr_width=14, lfsr_taps=MAXIMAL_TAPS[14])
+    steps = 0
+    real_step = relock.sim.step
+
+    def counting_step(g):
+        nonlocal steps
+        steps += 1
+        return real_step(g)
+
+    monkeypatch.setattr(relock.sim, "step", counting_step)
+    starts = derive_window_starts(sched, 3)
+    assert len(starts) == 4
+    assert steps <= starts[3] + sched.key_len
+
+
 def test_schedule_replay_memory_does_not_grow_with_the_horizon(toy):
     """The replay keeps the current PRNG state only: deriving the window
     starts of a width-14 lock walks a ~41k-cycle horizon in bounded memory."""

@@ -25,3 +25,11 @@ def test_make_benchmarks_reproduces_committed_bench(name):
     # so this also runs both kernels on every gate of the generated netlists
     nl = load_tool("make_benchmarks").make(name)
     assert emit_bench(nl) == bench_path(name).read_text()
+
+
+def test_code_size_counts_the_public_names():
+    import relock
+
+    size = load_tool("code_size").measure()
+    assert size["public_names"] == len(relock.__all__)
+    assert size["src_lines"] > 0

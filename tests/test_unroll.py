@@ -224,6 +224,13 @@ def test_builder_symbolic_matches_eval(s27):
             got = res.model[abs(lit)] ^ (lit < 0)
             assert got == bool(want)
 
+    # s27 itself, flip-flop outputs pinned, encodes as the same frame
+    frame = CnfBuilder()
+    frame_val = frame.encode_netlist(s27, {x: frame.new_var() for x in comb.inputs})
+    assert frame.clauses == b.clauses
+    assert frame.n_vars == b.n_vars
+    assert [frame_val[y] for y in s27.outputs] == [val[y] for y in comb.outputs]
+
 
 def test_builder_rejects_int_zero_pin():
     b = CnfBuilder()
