@@ -1,5 +1,7 @@
 """Gate-level sequential logic encryption with sporadic re-authentication."""
 
+from types import ModuleType as _ModuleType
+
 from .bench import (
     BenchError,
     CircuitStats,
@@ -55,15 +57,7 @@ from .evaluate import (
     run_case,
     write_hd_csv,
 )
-from .unroll import (
-    Cnf,
-    CnfBuilder,
-    UnrolledCircuit,
-    eval_unrolled,
-    to_cnf,
-    to_dimacs,
-    unroll,
-)
+from .unroll import CnfBuilder, to_dimacs
 from .sat import SAT, UNKNOWN, UNSAT, Solver, SolveResult, solve
 from .attack import (
     STATUS_BUDGET,
@@ -79,4 +73,7 @@ from .attack import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# API names only: the submodules imported above are not part of it
+__all__ = [
+    name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -76,35 +76,20 @@ def _state_after(nl: Netlist, vectors) -> dict:
     return {q: bool(v) for (q, _d), v in zip(nl.dffs, state)}
 
 
-def _pins(nl: Netlist, row) -> dict:
-    """Input pins of one cycle: a packed word of constants or a literal row."""
-    if isinstance(row, int):
-        return {x: bool((row >> i) & 1) for i, x in enumerate(nl.inputs)}
-    return dict(zip(nl.inputs, row))
-
-
 def _encode_copy(b: CnfBuilder, nl: Netlist, state: dict, key_rows, gap_rows, oracle_out=None):
     """Encode one copy of ``nl`` from flip-flop values ``state`` over a
     window's key cycles and the gap after it, one frame per cycle.
 
     Returns the gap outputs, one list of output values per cycle.  With
     ``oracle_out``, each gap cycle's outputs are pinned to its packed word
-    instead and the returned list is empty.
+    as the cycle is encoded, and nothing is returned.
     """
-    out_rows = []
-    for t, row in enumerate((*key_rows, *gap_rows)):
-        val = b.encode_netlist(nl, {**_pins(nl, row), **state})
-        state = {q: val[d] for q, d in nl.dffs}
-        if t < len(key_rows):
-            continue
-        outs = [val[y] for y in nl.outputs]
-        if oracle_out is None:
-            out_rows.append(outs)
-        else:
-            word = oracle_out[t - len(key_rows)]
-            for i, v in enumerate(outs):
-                b.pin(v, (word >> i) & 1)
-    return out_rows
+    gap_outs = islice(b.encode_frames(nl, state, (*key_rows, *gap_rows)), len(key_rows), None)
+    if oracle_out is None:
+        return list(gap_outs)
+    for outs, word in zip(gap_outs, oracle_out):
+        for i, v in enumerate(outs):
+            b.pin(v, (word >> i) & 1)
 
 
 def _model_word(model: dict, lits: list[int]) -> int:

@@ -79,6 +79,14 @@ class EncryptConfig:
     master_seed: int = DEFAULT_SEED
 
     def validate(self) -> None:
+        for name in ("lfsr_width", "enc_out_width", "key_len", "sbj_bits", "master_seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.lfsr_taps is not None and not all(_is_int(t) for t in self.lfsr_taps):
+            raise ValueError(f"lfsr_taps must be integers, got {list(self.lfsr_taps)}")
+        if isinstance(self.coverage, bool) or not isinstance(self.coverage, (int, float)):
+            raise ValueError(f"coverage must be a number, got {self.coverage!r}")
         if self.lfsr_width < 1:
             raise ValueError(f"lfsr_width must be >= 1, got {self.lfsr_width}")
         new_lfsr(self.lfsr_width, self.resolved_taps())  # raises on bad taps
@@ -308,8 +316,9 @@ class KeySchedule:
         """Raise ValueError unless the schedule can drive a design.
 
         Checks the field types, ``2**sbj_bits`` key table rows of
-        ``key_len`` patterns each, every pattern in ``[0, 2**n_inputs)``, and
-        the PRNG width, taps and reset seed (through ``new_lfsr``).
+        ``key_len`` patterns each, every pattern in ``[0, 2**n_inputs)``,
+        the PRNG width, taps and reset seed (through ``new_lfsr``), and the
+        embedded encryption config (through ``EncryptConfig.validate``).
         """
         if not isinstance(self.circuit, str):
             raise ValueError(f"circuit must be a string, got {self.circuit!r}")
@@ -338,6 +347,10 @@ class KeySchedule:
             for w in row:
                 if not 0 <= w < limit:
                     raise ValueError(f"key_table row {s}: pattern {w:#x} does not fit i = {self.n_inputs} inputs")
+        try:
+            self.config.validate()
+        except ValueError as e:
+            raise ValueError(f"config: {e}") from e
 
     @classmethod
     def from_json(cls, text: str) -> "KeySchedule":

@@ -355,10 +355,14 @@ class Solver:
 
 
 def solve(cnf_or_clauses, n_vars: int | None = None, conflict_budget: int | None = None) -> SolveResult:
-    """Solve a :class:`~relock.unroll.Cnf` or a raw clause list.
+    """Solve a :class:`~relock.unroll.CnfBuilder` or a raw clause list.
 
-    Deterministic: equal formulas give equal results and statistics.
+    Deterministic: equal formulas give equal results and statistics.  A
+    builder whose ``contradiction`` flag is set raises ``ValueError``: the
+    empty clause it records is not in its clause list.
     """
+    if getattr(cnf_or_clauses, "contradiction", False):
+        raise ValueError("builder has its contradiction flag set: the formula is unsatisfiable")
     clauses = getattr(cnf_or_clauses, "clauses", cnf_or_clauses)
     if n_vars is None:
         n_vars = getattr(cnf_or_clauses, "n_vars", None)

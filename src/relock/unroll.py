@@ -1,151 +1,17 @@
 """Time-frame expansion and CNF encoding of sequential netlists.
 
-``unroll`` replicates the combinational core once per clock cycle: net ``x``
-of frame ``t`` becomes flat net ``x@t``, a flip-flop output in frame ``t``
-reads the flip-flop input net of frame ``t-1``, and frame 0 reads the
-dedicated all-zeros net (every flip-flop resets to 0).  The result is an
-ordinary combinational netlist whose inputs are the per-frame primary inputs
-plus the zero net, so it can be evaluated, emitted, or encoded like any
-other netlist.
-
-``gate_clauses`` is the one Tseitin table.  ``to_cnf`` applies it plainly:
-one variable per net per frame, a constant number of clauses per gate, with
-auxiliary variables only for XOR and XNOR gates of arity above two.
-``CnfBuilder`` is the incremental encoder used by the attack: it encodes one
-clock frame of a netlist at a time into one growing clause set, with the
-flip-flop outputs pinned to the previous frame's next-state values, and
-folds constants on the fly, so frames with mostly pinned inputs shrink to
-almost nothing.  Every gate it does not fold goes through ``gate_clauses``.
+``gate_clauses`` is the one Tseitin table.  ``CnfBuilder`` is the one
+encoder: it encodes a netlist one clock frame at a time into one growing
+clause set, with the flip-flop outputs pinned to the previous frame's
+next-state values, and folds constants on the fly, so frames with mostly
+pinned inputs shrink to almost nothing.  Every gate it does not fold goes
+through ``gate_clauses``.  ``CnfBuilder.encode_frames`` steps the frames;
+``to_dimacs`` writes a builder's formula as DIMACS text.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-
-from .bench import DanglingNetWarning, Gate, Netlist
-
-ZERO_NET = "@zero@"
-
-
-@dataclass(frozen=True)
-class UnrolledCircuit:
-    """A sequential netlist expanded over a fixed number of frames."""
-
-    base: Netlist
-    frames: int
-    netlist: Netlist
-    zero_net: str
-
-    def frame_net(self, net: str, frame: int) -> str:
-        return f"{net}@{frame}"
-
-    def frame_inputs(self, frame: int) -> tuple[str, ...]:
-        return tuple(f"{x}@{frame}" for x in self.base.inputs)
-
-    def frame_outputs(self, frame: int) -> tuple[str, ...]:
-        return tuple(f"{y}@{frame}" for y in self.base.outputs)
-
-
-def unroll(nl: Netlist, frames: int) -> UnrolledCircuit:
-    """Expand ``nl`` over ``frames`` cycles into one combinational netlist."""
-    if frames < 1:
-        raise ValueError(f"frames must be >= 1, got {frames}")
-    if any("@" in x and x.rpartition("@")[2].isdigit() for x in nl.net_names):
-        # the @frame suffix must stay injective
-        raise ValueError("net names ending in '@<digits>' would collide with frame names")
-    d_of_q = dict(nl.dffs)
-    gates: list[Gate] = []
-    zero_used = False
-
-    def resolve(net: str, t: int) -> str:
-        # walk register-to-register chains back one frame per hop
-        nonlocal zero_used
-        while net in d_of_q:
-            if t == 0:
-                zero_used = True
-                return ZERO_NET
-            net = d_of_q[net]
-            t -= 1
-        return f"{net}@{t}"
-
-    for t in range(frames):
-        for g in nl.gates:
-            gates.append(Gate(f"{g.out}@{t}", g.kind, tuple(resolve(a, t) for a in g.ins)))
-        for y in nl.outputs:
-            if y in d_of_q:
-                # a state bit exported directly needs a defined flat net
-                gates.append(Gate(f"{y}@{t}", "BUFF", (resolve(y, t),)))
-
-    inputs = [ZERO_NET] if zero_used else []
-    for t in range(frames):
-        inputs.extend(f"{x}@{t}" for x in nl.inputs)
-    outputs = [f"{y}@{t}" for t in range(frames) for y in nl.outputs]
-    with warnings.catch_warnings():
-        # last-frame next-state cones legitimately drive nothing
-        warnings.simplefilter("ignore", DanglingNetWarning)
-        flat = Netlist(
-            name=f"{nl.name}_x{frames}",
-            inputs=tuple(inputs),
-            outputs=tuple(outputs),
-            gates=tuple(gates),
-            dffs=(),
-        )
-    return UnrolledCircuit(base=nl, frames=frames, netlist=flat, zero_net=ZERO_NET)
-
-
-def eval_unrolled(u: UnrolledCircuit, frame_inputs) -> list[int]:
-    """Evaluate the flat netlist on packed per-frame input words.
-
-    ``frame_inputs[t]`` has bit ``b`` carrying input ``b`` of frame ``t``.
-    Returns one packed output word per frame.  The zero net is tied to 0.
-    """
-    if len(frame_inputs) != u.frames:
-        raise ValueError(f"expected {u.frames} frame inputs, got {len(frame_inputs)}")
-    n_in = len(u.base.inputs)
-    by_name = {}
-    for t, w in enumerate(frame_inputs):
-        for b in range(n_in):
-            by_name[f"{u.base.inputs[b]}@{t}"] = (w >> b) & 1
-    words = [0 if x == u.zero_net else by_name[x] for x in u.netlist.inputs]
-    outs, _ = u.netlist.compiled.eval(words, ())
-    n_out = len(u.base.outputs)
-    result = []
-    for t in range(u.frames):
-        word = 0
-        for b in range(n_out):
-            word |= outs[t * n_out + b] << b
-        result.append(word)
-    return result
-
-
-@dataclass
-class Cnf:
-    """A CNF formula with net annotations.
-
-    ``var_of`` maps flat net names to DIMACS variables; ``note`` maps each
-    variable back to ``(frame, net)`` (frame None for the zero net and for
-    XOR chain auxiliaries).
-    """
-
-    n_vars: int
-    clauses: list[tuple[int, ...]]
-    var_of: dict[str, int] = field(default_factory=dict)
-    note: dict[int, tuple[int | None, str]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for cl in self.clauses:
-            if not cl:
-                raise ValueError("empty clause at construction")
-            if any(v == 0 or abs(v) > self.n_vars for v in cl):
-                raise ValueError(f"literal out of range in {cl}")
-
-
-def _split_frame(flat: str) -> tuple[int | None, str]:
-    base, sep, t = flat.rpartition("@")
-    if sep and t.isdigit():
-        return int(t), base
-    return None, flat
+from .bench import Netlist
 
 
 def gate_clauses(kind: str, y: int, ins: list[int], new_aux) -> list[tuple[int, ...]]:
@@ -188,57 +54,6 @@ def _xor2(y: int, a: int, b: int) -> list[tuple[int, ...]]:
     return [(-y, a, b), (-y, -a, -b), (y, -a, b), (y, a, -b)]
 
 
-def to_cnf(u: UnrolledCircuit, assumptions=()) -> Cnf:
-    """Tseitin-encode the unrolled circuit.
-
-    ``assumptions`` are signed literals over the returned variables, added
-    as unit clauses.  The zero net, when present, is pinned to false.
-    """
-    nl = u.netlist
-    var_of: dict[str, int] = {}
-    note: dict[int, tuple[int | None, str]] = {}
-
-    def add_var(net: str) -> int:
-        v = len(var_of) + 1
-        var_of[net] = v
-        note[v] = _split_frame(net) if net != u.zero_net else (None, u.zero_net)
-        return v
-
-    aux_notes: list[int] = []
-    for x in nl.inputs:
-        add_var(x)
-    for i in nl.topo_order:
-        add_var(nl.gates[i].out)
-
-    n_vars = len(var_of)
-    clauses: list[tuple[int, ...]] = []
-
-    def new_aux() -> int:
-        nonlocal n_vars
-        n_vars += 1
-        note[n_vars] = (None, f"@aux{len(aux_notes)}@")
-        aux_notes.append(n_vars)
-        return n_vars
-
-    for i in nl.topo_order:
-        g = nl.gates[i]
-        clauses += gate_clauses(g.kind, var_of[g.out], [var_of[a] for a in g.ins], new_aux)
-    if u.zero_net in var_of:
-        clauses.append((-var_of[u.zero_net],))
-    for lit in assumptions:
-        clauses.append((int(lit),))
-    return Cnf(n_vars=n_vars, clauses=clauses, var_of=var_of, note=note)
-
-
-def to_dimacs(cnf: Cnf, comments=()) -> str:
-    """Standard DIMACS text; deterministic byte-for-byte."""
-    lines = [f"c {c}" for c in comments]
-    lines.append(f"p cnf {cnf.n_vars} {len(cnf.clauses)}")
-    for cl in cnf.clauses:
-        lines.append(" ".join(str(v) for v in cl) + " 0")
-    return "\n".join(lines) + "\n"
-
-
 class CnfBuilder:
     """Incremental constant-folding encoder for netlist frames.
 
@@ -246,6 +61,8 @@ class CnfBuilder:
     (literals over allocated variables).  ``encode_netlist`` returns the
     value of every net of one frame; pinned inputs drive the folding, so a
     frame whose inputs are all constants reduces to pure evaluation.
+    An empty clause sets ``contradiction`` instead of entering ``clauses``,
+    so ``to_dimacs`` and ``sat.solve`` refuse a builder with the flag set.
     """
 
     def __init__(self) -> None:
@@ -299,6 +116,25 @@ class CnfBuilder:
             g = nl.gates[i]
             val[g.out] = self._encode_gate(g.kind, [val[a] for a in g.ins])
         return val
+
+    def encode_frames(self, nl: Netlist, state: dict, rows):
+        """Encode ``nl`` one clock frame per row, starting from ``state``.
+
+        ``state`` maps every flip-flop output to a bool or a literal (all
+        False for reset).  Each row binds the primary inputs of one frame:
+        either a packed word of constants (bit ``i`` drives input ``i``) or
+        a sequence of per-input values.  Yields each frame's output values
+        as it is encoded, so clauses a caller adds between frames follow
+        that frame's clauses.
+        """
+        for row in rows:
+            if isinstance(row, int):
+                pins = {x: bool((row >> i) & 1) for i, x in enumerate(nl.inputs)}
+            else:
+                pins = dict(zip(nl.inputs, row))
+            val = self.encode_netlist(nl, {**pins, **state})
+            state = {q: val[d] for q, d in nl.dffs}
+            yield [val[y] for y in nl.outputs]
 
     # -- gate folding ------------------------------------------------------
 
@@ -367,3 +203,14 @@ class CnfBuilder:
     def xor_value(self, a, b):
         """Value of a ⊕ b for mixed bool/literal operands."""
         return self._encode_gate("XOR", [a, b])
+
+
+def to_dimacs(b: CnfBuilder, comments=()) -> str:
+    """Standard DIMACS text of a builder's formula; deterministic byte for byte."""
+    if b.contradiction:
+        raise ValueError("builder has its contradiction flag set: the formula is unsatisfiable")
+    lines = [f"c {c}" for c in comments]
+    lines.append(f"p cnf {b.n_vars} {len(b.clauses)}")
+    for cl in b.clauses:
+        lines.append(" ".join(str(v) for v in cl) + " 0")
+    return "\n".join(lines) + "\n"

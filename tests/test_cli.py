@@ -138,6 +138,19 @@ def test_encrypt_bad_config_rejected(capsys, tmp_path):
     assert "coverage" in err
 
 
+@pytest.mark.parametrize("doc", [{"key_len": 2.5}, {"enc_out_width": 2.0}, {"coverage": True}])
+def test_encrypt_config_field_types_exit_2(capsys, tmp_path, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    rc, out, err = run(
+        capsys, "encrypt", str(bench_path("s27")),
+        "--config", str(cfg), "--out", str(tmp_path / "e"), "--keys", str(tmp_path / "k"),
+    )
+    assert rc == EXIT_INPUT
+    assert out == "" and str(cfg) in err and next(iter(doc)) in err
+    assert "Traceback" not in err
+
+
 # -- simulate -----------------------------------------------------------------
 
 def test_simulate_unkeyed_trace(capsys):
@@ -390,6 +403,19 @@ def test_malformed_schedule_exits_2(capsys, workdir, tmp_path, defect, command):
     assert rc == EXIT_INPUT
     assert out == ""
     assert "bad key schedule" in err
+
+
+@pytest.mark.parametrize("coverage", [[1], None])
+def test_schedule_config_types_exit_2_before_output(capsys, workdir, tmp_path, coverage):
+    keys = edited_schedule(workdir, tmp_path, lambda d: d["config"].update(coverage=coverage))
+    csv = tmp_path / "hd.csv"
+    rc, out, err = run(
+        capsys, "eval-hd", str(bench_path("s27")), str(workdir / "s27_enc.bench"), "--keys", keys,
+        "--vectors", "10", "--cycles", "60", "--csv", str(csv),
+    )
+    assert rc == EXIT_INPUT
+    assert out == "" and not csv.exists()
+    assert keys in err and "coverage" in err
 
 
 def test_eval_hd_checks_schedule_inputs(capsys, workdir, tmp_path):

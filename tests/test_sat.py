@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import relock.sat
-from relock import SAT, UNKNOWN, UNSAT, SolveResult, solve
+from relock import SAT, UNKNOWN, UNSAT, CnfBuilder, SolveResult, solve
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
@@ -171,12 +171,12 @@ def test_result_fields_populated():
 
 
 def test_solve_accepts_cnf_objects(s27):
-    from relock import to_cnf, unroll
-
-    cnf = to_cnf(unroll(s27, 2))
-    res = solve(cnf)
+    b = CnfBuilder()
+    rows = [[b.new_var() for _ in s27.inputs] for _ in range(2)]
+    list(b.encode_frames(s27, {q: False for q, _d in s27.dffs}, rows))
+    res = solve(b)
     assert res.status == SAT
-    assert len(res.model) == cnf.n_vars
+    assert len(res.model) == b.n_vars
 
 
 # -- pinned search trajectories ---------------------------------------------------

@@ -8,16 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from relock import (
     SAT,
-    Cnf,
     CnfBuilder,
     DanglingNetWarning,
     eval_comb,
     parse_bench,
     simulate,
     solve,
-    to_cnf,
     to_dimacs,
-    unroll,
     workload_stimulus,
 )
 
@@ -28,155 +25,132 @@ NOT_TEXT = "INPUT(a)\nOUTPUT(y)\ny = NOT(a)"
 TOGGLE_Q = "OUTPUT(q)\nq = DFF(y)\ny = NOT(q)"
 
 
-# -- unrolling -----------------------------------------------------------------
-
-def test_unroll_rejects_bad_frame_count(s27):
-    with pytest.raises(ValueError):
-        unroll(s27, 0)
+def reset(nl):
+    return {q: False for q, _d in nl.dffs}
 
 
-def test_unroll_rejects_colliding_names():
-    nl = parse_bench("INPUT(a@1)\nOUTPUT(y)\ny = NOT(a@1)")
-    with pytest.raises(ValueError, match="collide"):
-        unroll(nl, 2)
+def value(model, v):
+    """A net value under a solver model: constants stay, literals decode."""
+    return v if isinstance(v, bool) else model[abs(v)] ^ (v < 0)
 
 
-def test_unroll_gate_count_scales(s27):
-    for T in (1, 2, 5):
-        u = unroll(s27, T)
-        assert len(u.netlist.gates) == T * len(s27.gates)
-        assert u.netlist.dffs == ()
+def word(bits):
+    return sum(int(b) << i for i, b in enumerate(bits))
 
+
+# -- frame stepping --------------------------------------------------------------
 
 def test_unroll_toggle_constant_frames():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DanglingNetWarning)
         nl = parse_bench(TOGGLE_Q, name="toggle")
-    u = unroll(nl, 3)
-    from relock.unroll import eval_unrolled
-
-    assert eval_unrolled(u, [0, 0, 0]) == [0, 1, 0]
+    b = CnfBuilder()
+    assert list(b.encode_frames(nl, reset(nl), [0, 0, 0])) == [[False], [True], [False]]
 
 
 def test_unroll_single_frame_equals_reset_eval(s27):
-    from relock.unroll import eval_unrolled
-
-    u = unroll(s27, 1)
     rng = random.Random(1)
     for _ in range(50):
-        word = rng.getrandbits(4)
-        bits = [(word >> b) & 1 for b in range(4)]
-        outs, _ = eval_comb(s27, bits, [0, 0, 0])
-        want = sum(v << k for k, v in enumerate(outs))
-        assert eval_unrolled(u, [word]) == [want]
+        w = rng.getrandbits(4)
+        outs, _ = eval_comb(s27, [(w >> b) & 1 for b in range(4)], [0, 0, 0])
+        (got,) = CnfBuilder().encode_frames(s27, reset(s27), [w])
+        assert got == [bool(v) for v in outs]
 
 
-def test_unroll_frame_helpers(s27):
-    u = unroll(s27, 2)
-    assert u.frame_net("G17", 1) == "G17@1"
-    assert u.frame_inputs(0) == tuple(f"{x}@0" for x in s27.inputs)
-    assert set(u.frame_outputs(1)) <= set(u.netlist.outputs)
-
-
-def test_eval_unrolled_validates_frame_count(s27):
-    from relock.unroll import eval_unrolled
-
-    u = unroll(s27, 3)
-    with pytest.raises(ValueError, match="frame inputs"):
-        eval_unrolled(u, [0, 0])
+def test_encode_frames_is_lazy(s27):
+    b = CnfBuilder()
+    rows = [[b.new_var() for _ in s27.inputs] for _ in range(2)]
+    frames = b.encode_frames(s27, reset(s27), rows)
+    assert b.clauses == []
+    next(frames)
+    n0 = len(b.clauses)
+    # a clause added between frames lands between their clauses
+    b.add_clause([1])
+    next(frames)
+    assert b.clauses[n0] == (1,) and len(b.clauses) > n0 + 1
 
 
 @given(netlists(), st.integers(1, 5), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
-def test_unroll_matches_simulation(nl, T, rng):
-    """Per-frame unrolled outputs equal a cycle-accurate run."""
-    from relock.unroll import eval_unrolled
-
+def test_encode_frames_match_simulation(nl, T, rng):
+    """Per-frame outputs from reset equal a cycle-accurate run, whether
+    the rows are constants or literals fixed by unit clauses."""
     vectors = [rng.getrandbits(len(nl.inputs)) for _ in range(T)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DanglingNetWarning)
-        u = unroll(nl, T)
-    tr = simulate(nl, workload_stimulus(vectors))
-    assert eval_unrolled(u, vectors) == list(tr.outputs)
+    want = list(simulate(nl, workload_stimulus(vectors)).outputs)
+
+    b = CnfBuilder()
+    assert [word(outs) for outs in b.encode_frames(nl, reset(nl), vectors)] == want
+    assert b.clauses == [] and b.n_vars == 0
+
+    b = CnfBuilder()
+    rows = [[b.new_var() for _ in nl.inputs] for _ in vectors]
+    frames = list(b.encode_frames(nl, reset(nl), rows))
+    for row, w in zip(rows, vectors):
+        for i, v in enumerate(row):
+            b.pin(v, (w >> i) & 1)
+    res = solve(b)
+    assert res.status == SAT
+    assert [word(value(res.model, v) for v in outs) for outs in frames] == want
 
 
-# -- Tseitin encoding ------------------------------------------------------------
+# -- Tseitin encoding and export ---------------------------------------------------
+
+def encoded(text):
+    """A builder holding one frame of ``text`` over fresh input variables."""
+    nl = parse_bench(text)
+    b = CnfBuilder()
+    (outs,) = b.encode_frames(nl, {}, [[b.new_var() for _ in nl.inputs]])
+    return b, outs
+
 
 def test_cnf_textbook_and():
-    u = unroll(parse_bench(AND_TEXT), 1)
-    cnf = to_cnf(u)
-    assert cnf.n_vars == 3
-    assert cnf.clauses == [(-3, 1), (-3, 2), (3, -1, -2)]
+    b, outs = encoded(AND_TEXT)
+    assert b.n_vars == 3
+    assert b.clauses == [(-3, 1), (-3, 2), (3, -1, -2)]
+    assert outs == [3]
 
 
 def test_cnf_textbook_not():
-    u = unroll(parse_bench(NOT_TEXT), 1)
-    cnf = to_cnf(u)
-    assert cnf.n_vars == 2
-    assert len(cnf.clauses) == 2
-
-
-def test_cnf_assumptions_are_units():
-    u = unroll(parse_bench(AND_TEXT), 1)
-    cnf = to_cnf(u, assumptions=[1, -2])
-    assert cnf.clauses[-2:] == [(1,), (-2,)]
+    # an inverter folds into the literal's sign
+    b, outs = encoded(NOT_TEXT)
+    assert (b.n_vars, b.clauses, outs) == (1, [], [-1])
 
 
 def test_dimacs_bytes():
-    u = unroll(parse_bench(AND_TEXT), 1)
-    text = to_dimacs(to_cnf(u))
-    assert text == "p cnf 3 3\n-3 1 0\n-3 2 0\n3 -1 -2 0\n"
+    b, _ = encoded(AND_TEXT)
+    assert to_dimacs(b) == "p cnf 3 3\n-3 1 0\n-3 2 0\n3 -1 -2 0\n"
 
 
 def test_dimacs_comments():
-    u = unroll(parse_bench(NOT_TEXT), 1)
-    text = to_dimacs(to_cnf(u), comments=("hello",))
-    assert text.startswith("c hello\np cnf 2 2\n")
+    b, _ = encoded(NOT_TEXT)
+    assert to_dimacs(b, comments=("hello",)) == "c hello\np cnf 1 0\n"
+
+
+def test_dimacs_rejects_contradiction():
+    b = CnfBuilder()
+    b.pin(True, 0)
+    with pytest.raises(ValueError, match="contradiction"):
+        to_dimacs(b)
+
+
+def test_solve_rejects_contradiction():
+    b = CnfBuilder()
+    b.pin(True, 0)
+    with pytest.raises(ValueError, match="contradiction"):
+        solve(b)
 
 
 def test_cnf_rejects_empty_clause():
-    with pytest.raises(ValueError, match="empty"):
-        Cnf(n_vars=1, clauses=[()])
+    b = CnfBuilder()
+    b.add_clause([])
+    assert b.contradiction and b.clauses == []
+    with pytest.raises(ValueError, match="contradiction"):
+        to_dimacs(b)
 
 
 def test_cnf_rejects_out_of_range_literal():
-    with pytest.raises(ValueError, match="out of range"):
-        Cnf(n_vars=1, clauses=[(2,)])
-
-
-def test_cnf_notes_point_back_to_frames(s27):
-    u = unroll(s27, 2)
-    cnf = to_cnf(u)
-    v = cnf.var_of["G17@1"]
-    assert cnf.note[v] == (1, "G17")
-
-
-@given(netlists(), st.randoms(use_true_random=False))
-@settings(max_examples=40, deadline=None)
-def test_cnf_models_decode_to_circuit_values(nl, rng):
-    """Pin the inputs; the unique model must equal direct evaluation."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DanglingNetWarning)
-        u = unroll(nl, 1)
-    cnf = to_cnf(u)
-    word = rng.getrandbits(len(nl.inputs))
-    assumptions = []
-    for b, x in enumerate(nl.inputs):
-        v = cnf.var_of[f"{x}@0"]
-        assumptions.append(v if (word >> b) & 1 else -v)
-    pinned = Cnf(
-        n_vars=cnf.n_vars,
-        clauses=cnf.clauses + [(a,) for a in assumptions],
-        var_of=cnf.var_of,
-        note=cnf.note,
-    )
-    res = solve(pinned)
-    assert res.status == SAT
-    bits = [(word >> b) & 1 for b in range(len(nl.inputs))]
-    state = [0] * len(nl.dffs)
-    outs, _ = eval_comb(nl, bits, state)
-    for y, want in zip(nl.outputs, outs):
-        assert res.model[cnf.var_of[f"{y}@0"]] == bool(want)
+    with pytest.raises(ValueError, match="bad literal"):
+        solve([(2,)], n_vars=1)
 
 
 # -- incremental builder -----------------------------------------------------------

@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import relock.sat  # noqa: E402
-from relock import load_bench, to_cnf, unroll  # noqa: E402
+from relock import CnfBuilder, load_bench  # noqa: E402
 
 OUT = ROOT / "tests" / "data" / "sat_trajectories.json"
 
@@ -58,6 +58,22 @@ def planted_3sat(seed):
     return n_vars, clauses
 
 
+def frames_from_reset(nl, frames):
+    """``nl`` over ``frames`` clock frames from reset, with one fresh
+    variable per input per frame.
+
+    Each frame's input variables are numbered just before its gates, which
+    ``CnfBuilder.encode_frames`` cannot do (its rows exist up front), so the
+    frames are stepped here with ``encode_netlist``.
+    """
+    b = CnfBuilder()
+    state = {q: False for q, _d in nl.dffs}
+    for _ in range(frames):
+        val = b.encode_netlist(nl, {**{x: b.new_var() for x in nl.inputs}, **state})
+        state = {q: val[d] for q, d in nl.dffs}
+    return b.n_vars, b.clauses
+
+
 def cases():
     """name -> (n_vars, clauses, conflict_budget, act_limit or None)."""
     out = {}
@@ -66,8 +82,8 @@ def cases():
     out["pigeonhole-7-budget-20"] = (*pigeonhole(7), 20, None)
     for seed in range(20):
         out[f"planted-3sat-{seed}"] = (*planted_3sat(seed), None, None)
-    cnf = to_cnf(unroll(load_bench(ROOT / "benchmarks" / "s27.bench"), 3))
-    out["s27-unroll-3"] = (cnf.n_vars, cnf.clauses, None, None)
+    s27 = load_bench(ROOT / "benchmarks" / "s27.bench")
+    out["s27-frames-3"] = (*frames_from_reset(s27, 3), None, None)
     # a low limit makes the activity rescale branch run
     out["pigeonhole-6-rescale"] = (*pigeonhole(6), None, 1e6)
     return out
