@@ -72,16 +72,22 @@ def test_encode_frames_is_lazy(s27):
 
 @given(netlists(), st.integers(1, 5), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
-def test_encode_frames_match_simulation(nl, T, rng):
-    """Per-frame outputs from reset equal a cycle-accurate run, whether
-    the rows are constants or literals fixed by unit clauses."""
+def test_unroll_matches_simulation(nl, T, rng):
+    """Per-frame outputs over constant rows equal a cycle-accurate run and
+    fold away without a clause."""
     vectors = [rng.getrandbits(len(nl.inputs)) for _ in range(T)]
     want = list(simulate(nl, workload_stimulus(vectors)).outputs)
-
     b = CnfBuilder()
     assert [word(outs) for outs in b.encode_frames(nl, reset(nl), vectors)] == want
     assert b.clauses == [] and b.n_vars == 0
 
+
+@given(netlists(), st.integers(1, 5), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_cnf_models_decode_to_circuit_values(nl, T, rng):
+    """Pin the literal input rows; the model decodes to a cycle-accurate run."""
+    vectors = [rng.getrandbits(len(nl.inputs)) for _ in range(T)]
+    want = list(simulate(nl, workload_stimulus(vectors)).outputs)
     b = CnfBuilder()
     rows = [[b.new_var() for _ in nl.inputs] for _ in vectors]
     frames = list(b.encode_frames(nl, reset(nl), rows))
