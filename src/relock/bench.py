@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import re
 import warnings
-from collections import Counter
-from dataclasses import dataclass
+from array import array
+from copy import copy
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
 from sys import intern
@@ -79,6 +80,9 @@ class Netlist:
     dffs : tuple of (str, str)
         ``(q, d)`` pairs in declaration order: ``q`` is the state output net,
         ``d`` the next-state input net.  All flip-flops reset to 0.
+    topo_order : tuple of int
+        Gate indices in dependency order, set by validation, which raises
+        BenchError on a combinational cycle.
     """
 
     name: str
@@ -86,26 +90,33 @@ class Netlist:
     outputs: tuple[str, ...]
     gates: tuple[Gate, ...]
     dffs: tuple[tuple[str, str], ...]
+    topo_order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _reads: tuple[int, ...] = field(init=False, repr=False, compare=False)  # gate inputs reading each gate
 
     def __post_init__(self) -> None:
-        self._validate()
+        order, reads = self._validate()
+        object.__setattr__(self, "topo_order", order)
+        object.__setattr__(self, "_reads", reads)
 
     # -- validation -------------------------------------------------------
 
-    def _validate(self) -> None:
-        defined: dict[str, str] = {}
+    def _validate(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Raise BenchError on a malformed netlist, else return the gate
+        indices in dependency order and how many gate inputs read each gate."""
+        ids = list(range(len(self.gates)))  # one int object per gate index, however often stored
+        driver: dict[str, int] = {}  # net -> the gate that drives it, or -1 for a source
         for x in self.inputs:
-            if x in defined:
+            if x in driver:
                 raise BenchError(f"duplicate definition of net '{x}'")
-            defined[x] = "input"
+            driver[x] = -1
         for q, _d in self.dffs:
-            if q in defined:
+            if q in driver:
                 raise BenchError(f"duplicate definition of net '{q}'")
-            defined[q] = "dff"
-        for g in self.gates:
-            if g.out in defined:
+            driver[q] = -1
+        for i, g in zip(ids, self.gates):
+            if g.out in driver:
                 raise BenchError(f"duplicate definition of net '{g.out}'")
-            defined[g.out] = "gate"
+            driver[g.out] = i
             if g.kind not in GATE_KINDS:
                 raise BenchError(f"unknown gate kind '{g.kind}' for net '{g.out}'")
             if g.kind in _UNARY_KINDS:
@@ -114,63 +125,66 @@ class Netlist:
             elif len(g.ins) < 2:
                 raise BenchError(f"{g.kind} gate '{g.out}' takes at least two inputs, got {len(g.ins)}")
 
-        for g in self.gates:
+        # one pass over the gate inputs: undefined nets, readers per gate and
+        # the gate-to-gate edges, driver src[k] read by gate dst[k]
+        n = len(ids)
+        reads = [0] * n
+        indeg = [0] * n
+        src: list[int] = []
+        dst: list[int] = []
+        for i, g in zip(ids, self.gates):
             for a in g.ins:
-                if a not in defined:
+                j = driver.get(a)
+                if j is None:
                     raise BenchError(f"gate '{g.out}' reads undefined net '{a}'")
+                if j >= 0:
+                    reads[j] += 1
+                    indeg[i] += 1
+                    src.append(j)
+                    dst.append(i)
         for q, d in self.dffs:
-            if d not in defined:
+            if d not in driver:
                 raise BenchError(f"flip-flop '{q}' reads undefined net '{d}'")
         seen_out: set[str] = set()
         for y in self.outputs:
-            if y not in defined:
+            if y not in driver:
                 raise BenchError(f"primary output '{y}' is undefined")
             if y in seen_out:
                 raise BenchError(f"duplicate primary output '{y}'")
             seen_out.add(y)
+        del driver
 
-        del defined  # freed before the topological sort adds its own peak
-        self.topo_order  # raises on combinational cycles
+        # Kahn's sort over flat fan-out arrays: gate j's readers, in reading
+        # order, are fan[start[j]:start[j + 1]]
+        start = array("i", accumulate(reads, initial=0))
+        fan = [0] * len(src)
+        nxt = start[:-1]
+        for j, i in zip(src, dst):
+            fan[nxt[j]] = i
+            nxt[j] += 1
+        del src, dst, nxt
+        ready = [i for i, d in zip(ids, indeg) if d == 0]
+        order: list[int] = []
+        while ready:
+            i = ready.pop()
+            order.append(i)
+            for j in fan[start[i] : start[i + 1]]:
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    ready.append(j)
+        if len(order) != n:
+            stuck = next(g.out for g, d in zip(self.gates, indeg) if d > 0)
+            raise BenchError(f"combinational cycle through net '{stuck}'")
 
-        consumed: set[str] = set(self.outputs)
-        for g in self.gates:
-            consumed.update(g.ins)
-        for _q, d in self.dffs:
-            consumed.add(d)
-        dangling = [g.out for g in self.gates if g.out not in consumed]
+        sinks = seen_out.union(d for _q, d in self.dffs)
+        dangling = [g.out for g, r in zip(self.gates, reads) if not r and g.out not in sinks]
         if dangling:
             warnings.warn(
                 f"netlist '{self.name}': dangling gate outputs: {', '.join(dangling)}",
                 DanglingNetWarning,
                 stacklevel=3,
             )
-
-    @cached_property
-    def topo_order(self) -> tuple[int, ...]:
-        """Gate indices in dependency order; raises BenchError on a cycle."""
-        producer = {g.out: i for i, g in enumerate(self.gates)}
-        n = len(self.gates)
-        indeg = [0] * n
-        fanout: list[list[int]] = [[] for _ in range(n)]
-        for i, g in enumerate(self.gates):
-            for a in g.ins:
-                j = producer.get(a)
-                if j is not None:
-                    indeg[i] += 1
-                    fanout[j].append(i)
-        ready = [i for i in range(n) if indeg[i] == 0]
-        order: list[int] = []
-        while ready:
-            i = ready.pop()
-            order.append(i)
-            for j in fanout[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    ready.append(j)
-        if len(order) != n:
-            stuck = next(self.gates[i].out for i in range(n) if indeg[i] > 0)
-            raise BenchError(f"combinational cycle through net '{stuck}'")
-        return tuple(order)
+        return tuple(order), tuple(reads)
 
     # -- conveniences ------------------------------------------------------
 
@@ -186,12 +200,17 @@ class Netlist:
 
     @cached_property
     def compiled(self) -> "CompiledCircuit":
-        return CompiledCircuit(self)
+        # built on a shallow copy, which caches no circuit: with no reference
+        # cycle, a dropped netlist and its kernel are freed at once, not by
+        # the next full garbage collection
+        return CompiledCircuit(copy(self))
 
 
 # -- parsing ---------------------------------------------------------------
 
 _NAME = r"[^\s(),=#]+"
+# the one line form emit_bench writes for a gate or flip-flop
+_CANONICAL_RE = re.compile(rf"({_NAME}) = ([A-Z]+)\(({_NAME}(?:, {_NAME})*)\)")
 _IO_RE = re.compile(rf"^(INPUT|OUTPUT)\s*\(\s*({_NAME})\s*\)$", re.IGNORECASE)
 _ASSIGN_RE = re.compile(rf"^({_NAME})\s*=\s*([A-Za-z]+)\s*\(([^()=#]*)\)$")
 _NAME_RE = re.compile(_NAME)
@@ -212,42 +231,48 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
     def_line: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = _ASSIGN_RE.match(line)
-        if m:
+        m = _CANONICAL_RE.fullmatch(raw)
+        if m:  # the form emit_bench writes, which the general path below reads alike
+            line = raw
             out, kind, argstr = m.groups()
-            # one string object per net name and per kind, however often read
-            out, kind = intern(out), intern(kind.upper())
+            args = argstr.split(", ")
+        else:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            m = _IO_RE.match(line)
+            if m:
+                kw, net = m.group(1).upper(), intern(m.group(2))
+                if kw == "INPUT":
+                    if net in def_line:
+                        raise BenchError(f"duplicate definition of net '{net}' (first at line {def_line[net]})", lineno)
+                    def_line[net] = lineno
+                    inputs.append(net)
+                else:
+                    outputs.append(net)
+                continue
+            m = _ASSIGN_RE.match(line)
+            if not m:
+                col = len(raw) - len(raw.lstrip()) + 1
+                raise BenchError(f"unrecognized line: {line!r}", lineno, col)
+            out, kind, argstr = m.groups()
+            kind = kind.upper()
             if not _ARGS_RE.fullmatch(argstr):
                 raise BenchError(f"bad argument list for '{out}'", lineno, line.index("(") + 1)
-            args = tuple(map(intern, _NAME_RE.findall(argstr)))
-            if out in def_line:
-                raise BenchError(f"duplicate definition of net '{out}' (first at line {def_line[out]})", lineno)
-            def_line[out] = lineno
-            if kind == "DFF":
-                if len(args) != 1:
-                    raise BenchError(f"DFF '{out}' takes exactly one input, got {len(args)}", lineno)
-                dffs.append((out, args[0]))
-            elif kind in GATE_KINDS:
-                gates.append(Gate(out, kind, args))
-            else:
-                raise BenchError(f"unknown gate kind '{kind}'", lineno, line.index("=") + 2)
-            continue
-        m = _IO_RE.match(line)
-        if m:
-            kw, net = m.group(1).upper(), intern(m.group(2))
-            if kw == "INPUT":
-                if net in def_line:
-                    raise BenchError(f"duplicate definition of net '{net}' (first at line {def_line[net]})", lineno)
-                def_line[net] = lineno
-                inputs.append(net)
-            else:
-                outputs.append(net)
-            continue
-        col = len(raw) - len(raw.lstrip()) + 1
-        raise BenchError(f"unrecognized line: {line!r}", lineno, col)
+            args = _NAME_RE.findall(argstr)
+        # one string object per net name and per kind, however often read
+        out, kind, args = intern(out), intern(kind), tuple(map(intern, args))
+        if out in def_line:
+            raise BenchError(f"duplicate definition of net '{out}' (first at line {def_line[out]})", lineno)
+        def_line[out] = lineno
+        if kind == "DFF":
+            if len(args) != 1:
+                raise BenchError(f"DFF '{out}' takes exactly one input, got {len(args)}", lineno)
+            dffs.append((out, args[0]))
+        elif kind in GATE_KINDS:
+            gates.append(Gate(out, kind, args))
+        else:
+            raise BenchError(f"unknown gate kind '{kind}'", lineno, line.index("=") + 2)
 
     del def_line  # about 2 MiB on locked s38584, freed before validation adds its own peak
     return Netlist(name, tuple(inputs), tuple(outputs), tuple(gates), tuple(dffs))
@@ -276,10 +301,12 @@ def save_bench(nl: Netlist, path: str | Path) -> None:
 
 # -- evaluation --------------------------------------------------------------
 
-# Gate inputs per generated function, and the most gate inputs plus operators
-# an expression may fuse: compile() holds about 3 KB per gate input while it
-# runs, so one function per netlist would add tens of MiB of peak memory.
+# The most gate inputs plus operators an expression may fuse, so compile()
+# stays shallow; and the gate inputs per generated function, so a cycle makes
+# few calls while compile(), holding about 3 KB per gate input as it runs,
+# peaks low (one function per netlist would add tens of MiB).
 _CHUNK = 40
+_FUNCTION_INPUTS = 320
 # gate kind -> (operator joining its inputs, or None for one input; inverted)
 _KERNEL_OPS = {
     "AND": ("&", False), "NAND": ("&", True), "OR": ("|", False), "NOR": ("|", True),
@@ -308,14 +335,14 @@ class CompiledCircuit:
     input, and by no primary output or flip-flop, is not stored but inlined
     into its reader, parenthesised by precedence.  An inlined input that
     would carry its reader past ``_CHUNK`` gate inputs plus operators is
-    stored first, so ``compile()`` stays small and shallow: no fused
-    expression exceeds that bound (inlined whole, a 3000-gate inverter chain
-    nests past the compiler's recursion limit), and only a gate wider than
-    ``_CHUNK`` makes a statement wider.  Statements are compiled into
-    functions of at most ``_CHUNK`` gate inputs (or one wider statement),
-    which evaluation calls in order.  ``eval_nets`` needs every net, so it
-    runs a second kernel from the same generator with nothing inlined,
-    built on its first call.
+    stored first, so ``compile()`` stays shallow: no fused expression
+    exceeds that bound (inlined whole, a 3000-gate inverter chain nests past
+    the compiler's recursion limit), and only a gate wider than ``_CHUNK``
+    makes a statement wider.  Statements are compiled into functions of at
+    most ``_FUNCTION_INPUTS`` gate inputs (or one wider statement), which
+    evaluation calls in order.  ``eval_nets`` needs every net, so it runs a
+    second kernel from the same generator with nothing inlined, built on its
+    first call.
     """
 
     def __init__(self, nl: Netlist):
@@ -331,8 +358,7 @@ class CompiledCircuit:
         nl, slot = self.netlist, self.slot
         inline = set()
         if fuse:
-            reads = Counter(chain.from_iterable(g.ins for g in nl.gates))
-            inline = {g.out for g in nl.gates if reads[g.out] == 1}.difference(nl.outputs, (d for _q, d in nl.dffs))
+            inline = {g.out for g, r in zip(nl.gates, nl._reads) if r == 1}.difference(nl.outputs, (d for _q, d in nl.dffs))
         pending = {}  # inlined net -> (expression, precedence, gate inputs, operators)
         for i in nl.topo_order:
             g = nl.gates[i]
@@ -366,14 +392,15 @@ class CompiledCircuit:
                 yield f"v[{slot[g.out]}] = {text}", n_in
 
     def _build(self, fuse: bool) -> tuple:
-        """Compile the statements into functions of at most ``_CHUNK`` gate
-        inputs (or one wider statement) each, in topological order."""
+        """Compile the statements into functions of at most
+        ``_FUNCTION_INPUTS`` gate inputs (or one wider statement) each, in
+        topological order."""
         filename = f"<{self.netlist.name} kernel>"
         chunks, ns = [], {}  # ns: the functions' shared globals; they read none
         lines, size = [], 0
         # the sentinel statement at the end flushes the last function
-        for line, n_in in chain(self._statements(fuse), [("", _CHUNK + 1)]):
-            if lines and size + n_in > _CHUNK:
+        for line, n_in in chain(self._statements(fuse), [("", _FUNCTION_INPUTS + 1)]):
+            if lines and size + n_in > _FUNCTION_INPUTS:
                 exec(compile("def chunk(v, m):\n    " + "\n    ".join(lines) + "\n", filename, "exec"), ns)
                 chunks.append(ns.pop("chunk"))  # so no function and its globals form a cycle
                 lines, size = [], 0

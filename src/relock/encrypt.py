@@ -317,8 +317,10 @@ class KeySchedule:
 
         Checks the field types, ``2**sbj_bits`` key table rows of
         ``key_len`` patterns each, every pattern in ``[0, 2**n_inputs)``,
-        the PRNG width, taps and reset seed (through ``new_lfsr``), and the
-        embedded encryption config (through ``EncryptConfig.validate``).
+        the PRNG width, taps and reset seed (through ``new_lfsr``), the
+        embedded encryption config (through ``EncryptConfig.validate``), and
+        that the config agrees with the schedule's own width, taps, ``c``,
+        ``l`` and master seed.
         """
         if not isinstance(self.circuit, str):
             raise ValueError(f"circuit must be a string, got {self.circuit!r}")
@@ -351,6 +353,17 @@ class KeySchedule:
             self.config.validate()
         except ValueError as e:
             raise ValueError(f"config: {e}") from e
+        cfg = self.config
+        pairs = (
+            ("lfsr_width", cfg.lfsr_width, "n", self.lfsr_width),
+            ("key_len", cfg.key_len, "c", self.key_len),
+            ("sbj_bits", cfg.sbj_bits, "l", self.sbj_bits),
+            ("master_seed", cfg.master_seed, "master_seed", self.master_seed),
+            ("lfsr_taps", sorted(cfg.resolved_taps()), "taps", sorted(set(self.lfsr_taps))),
+        )
+        for cfg_name, cfg_value, name, value in pairs:
+            if cfg_value != value:
+                raise ValueError(f"config: {cfg_name} {cfg_value} does not match the schedule's {name} {value}")
 
     @classmethod
     def from_json(cls, text: str) -> "KeySchedule":

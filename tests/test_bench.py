@@ -1,10 +1,13 @@
 """Netlist parsing, emission, and combinational evaluation."""
 
+import gc
 import itertools
 import random
 import re
 import tracemalloc
 import warnings
+import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +25,7 @@ from relock import (
     load_bench,
     parse_bench,
 )
-from relock.bench import _CHUNK, GATE_KINDS, CompiledCircuit
+from relock.bench import _CHUNK, _FUNCTION_INPUTS, GATE_KINDS, CompiledCircuit
 
 from conftest import BENCH_STATS, bench_path
 
@@ -231,6 +234,45 @@ def test_emit_parse_round_trip_random(nl):
         assert emit_bench(again) == text  # idempotent
 
 
+def respell(text, rng):
+    """``text`` with every gate and flip-flop line spelled off the one form
+    emit_bench writes: other spacing, lower-case kinds, trailing comments."""
+    lines = []
+    for line in text.splitlines():
+        m = re.fullmatch(r"(\S+) = (\w+)\((.*)\)", line)
+        if m:
+            out, kind, args = m.groups()
+            sep = rng.choice([",", " , ", ",\t"])
+            line = f"{rng.choice(['', '  '])}{out}{rng.choice(['=', ' =  '])}{rng.choice([kind, kind.lower()])}({sep.join(args.split(', '))})"
+            if rng.random() < 0.5:
+                line += f"  # {out}"
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def bench_error(text):
+    with pytest.raises(BenchError) as exc:
+        parse_bench(text)
+    return str(exc.value), exc.value.line, exc.value.column
+
+
+@given(netlists(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_canonical_and_general_spellings_parse_alike(nl, rng):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DanglingNetWarning)
+        text = emit_bench(nl)
+        assert parse_bench(respell(text, rng), name=nl.name) == parse_bench(text, name=nl.name) == nl
+    # a malformed line in the canonical form, and the same line with a
+    # comment, which sends it down the general path at the same columns
+    lines = text.splitlines()
+    at = rng.randrange(1 + len(nl.inputs) + len(nl.outputs), len(lines) + 1)
+    bad = rng.choice([f"new = MAJ({nl.inputs[0]}, {nl.inputs[0]})", f"{nl.gates[0].out} = DFF({nl.inputs[0]})"])
+    canonical = "\n".join([*lines[:at], bad, *lines[at:]])
+    general = "\n".join([*lines[:at], bad + "  # spelled with a comment", *lines[at:]])
+    assert bench_error(canonical) == bench_error(general)
+
+
 @given(netlists(), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_eval_matches_naive_recursive_oracle(nl, rng):
@@ -238,6 +280,73 @@ def test_eval_matches_naive_recursive_oracle(nl, rng):
     st_vals = [rng.randrange(2) for _ in nl.dffs]
     outs, nxt = eval_comb(nl, in_vals, st_vals)
     assert (outs, nxt) == naive_eval(nl, in_vals, st_vals)
+
+
+def reference_topo_order(nl):
+    """Kahn's sort with a producer dict and one fan-out list per gate: the
+    order ``Netlist.topo_order`` must reproduce."""
+    producer = {g.out: i for i, g in enumerate(nl.gates)}
+    indeg = [0] * len(nl.gates)
+    fanout = [[] for _ in nl.gates]
+    for i, g in enumerate(nl.gates):
+        for a in g.ins:
+            if a in producer:
+                indeg[i] += 1
+                fanout[producer[a]].append(i)
+    ready = [i for i, d in enumerate(indeg) if d == 0]
+    order = []
+    while ready:
+        i = ready.pop()
+        order.append(i)
+        for j in fanout[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                ready.append(j)
+    return tuple(order)
+
+
+@given(netlists(max_gates=40), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_topo_order_matches_reference_kahn(nl, rng):
+    gates = list(nl.gates)
+    rng.shuffle(gates)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DanglingNetWarning)
+        nl = Netlist(nl.name, nl.inputs, nl.outputs, tuple(gates), nl.dffs)
+    assert nl.topo_order == reference_topo_order(nl)
+    reads = Counter(a for g in gates for a in g.ins)
+    assert nl._reads == tuple(reads[g.out] for g in gates)
+
+
+def test_validation_peak_memory_stays_small():
+    # a producer dict and one fan-out list per gate peaked at 1.49 MiB here;
+    # one driver dict and flat fan-out arrays peak at 0.86 MiB
+    cfg = EncryptConfig(lfsr_width=5, enc_out_width=3, key_len=8, sbj_bits=2, coverage=0.1)
+    nl = parse_bench(emit_bench(encrypt(load_bench(bench_path("s9234")), cfg).netlist))
+    tracemalloc.start()
+    try:
+        Netlist(nl.name, nl.inputs, nl.outputs, nl.gates, nl.dffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * 2**20
+
+
+def test_dropped_netlist_is_freed_without_a_collection(s27):
+    nl = parse_bench(emit_bench(s27), name=s27.name)
+    want = nl.compiled.eval([1, 0, 1, 1], [0, 1, 1])
+    ref = weakref.ref(nl)
+    gc.disable()
+    try:
+        del nl
+        assert ref() is None
+    finally:
+        gc.enable()
+    # a circuit built directly keeps its netlist
+    cc = CompiledCircuit(parse_bench(emit_bench(s27), name=s27.name))
+    gc.collect()
+    assert cc.eval([1, 0, 1, 1], [0, 1, 1]) == want
+    assert cc.netlist == s27
 
 
 # -- evaluation corner cases ----------------------------------------------------
@@ -289,13 +398,16 @@ def test_compiled_eval_packs_lanes(s27):
 
 def kind_arity_netlist(rng, n_in=5, n_dffs=3):
     """Gate k has kind GATE_KINDS[k % 8] and, if it takes several inputs,
-    arity 2 + k // 8: every kind at every arity up to 14, in shuffled
+    arity 2 + k // 8 % 13: every kind at every arity up to 14, in shuffled
     declaration order, mostly reading recent nets so values cross chunks."""
     names = [f"i{k}" for k in range(n_in)] + [f"q{k}" for k in range(n_dffs)]
     gates = []
-    for k in range(len(GATE_KINDS) * 13):
+    # one pass over the 13 arities takes 650 gate inputs; enough passes to
+    # fill more than two kernel functions
+    passes = 2 * _FUNCTION_INPUTS // 650 + 1
+    for k in range(len(GATE_KINDS) * 13 * passes):
         kind = GATE_KINDS[k % len(GATE_KINDS)]
-        arity = 1 if kind in ("NOT", "BUFF") else 2 + k // len(GATE_KINDS)
+        arity = 1 if kind in ("NOT", "BUFF") else 2 + k // len(GATE_KINDS) % 13
         pool = names[-24:] if rng.random() < 0.7 else names
         gates.append(Gate(f"g{k}", kind, tuple(rng.choice(pool) for _ in range(arity))))
         names.append(f"g{k}")
@@ -335,9 +447,30 @@ def test_kernel_every_kind_and_arity_matches_naive(width, seed):
     assert_kernel_matches_naive(nl, rng, width)
 
 
-@given(netlists(min_gates=3 * _CHUNK + 1, max_gates=5 * _CHUNK, max_arity=14), st.randoms(use_true_random=False))
+def random_netlist(rng, n_gates, max_arity):
+    """Random valid netlist like ``netlists()``, drawn from a plain ``rng``:
+    hypothesis draws one choice at a time, too slowly for hundreds of gates."""
+    inputs = tuple(f"i{k}" for k in range(rng.randint(1, 4)))
+    dff_qs = [f"q{k}" for k in range(rng.randint(0, 3))]
+    names = [*inputs, *dff_qs]
+    gates = []
+    for k in range(n_gates):
+        kind = rng.choice(GATE_KINDS)
+        arity = 1 if kind in ("NOT", "BUFF") else rng.randint(2, max_arity)
+        gates.append(Gate(f"g{k}", kind, tuple(rng.choice(names) for _ in range(arity))))
+        names.append(f"g{k}")
+    dffs = tuple((q, rng.choice(names)) for q in dff_qs)
+    outputs = tuple(rng.sample(names, rng.randint(1, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DanglingNetWarning)
+        return Netlist("fuzz", inputs, outputs, tuple(gates), dffs)
+
+
+@given(st.randoms(use_true_random=True))
 @settings(max_examples=25, deadline=None)
-def test_kernel_across_chunks_matches_naive_random(nl, rng):
+def test_kernel_across_chunks_matches_naive_random(rng):
+    # every gate has an input, so more than two functions' worth of gate inputs
+    nl = random_netlist(rng, rng.randint(2 * _FUNCTION_INPUTS + 1, 3 * _FUNCTION_INPUTS), max_arity=14)
     assert len(CompiledCircuit(nl)._kernel) >= 3
     assert_kernel_matches_naive(nl, rng, rng.choice([1, 3, 64]))
 

@@ -418,6 +418,17 @@ def test_schedule_config_types_exit_2_before_output(capsys, workdir, tmp_path, c
     assert keys in err and "coverage" in err
 
 
+def test_schedule_config_must_match_the_schedule(capsys, workdir, tmp_path):
+    keys = edited_schedule(workdir, tmp_path, lambda d: d["config"].update(key_len=7))
+    rc, out, err = run(
+        capsys, "eval-hd", str(bench_path("s27")), str(workdir / "s27_enc.bench"), "--keys", keys,
+        "--vectors", "10", "--cycles", "60",
+    )
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert "bad key schedule" in err and "key_len" in err
+
+
 def test_eval_hd_checks_schedule_inputs(capsys, workdir, tmp_path):
     keys = edited_schedule(workdir, tmp_path, lambda d: d.update(i=5))
     rc, _, err = run(

@@ -275,6 +275,12 @@ MALFORMED_SCHEDULES = {
     "zero-inputs": lambda d: d.update(i=0),
     "config-not-an-object": lambda d: d.update(config=[]),
     "config-taps-not-a-list": lambda d: d["config"].update(lfsr_taps=3),
+    # a config valid on its own that disagrees with the schedule's fields
+    "config-width-mismatch": lambda d: d["config"].update(lfsr_width=4, lfsr_taps=[4, 3]),
+    "config-key-len-mismatch": lambda d: d["config"].update(key_len=7),
+    "config-sbj-bits-mismatch": lambda d: d["config"].update(sbj_bits=2),
+    "config-master-seed-mismatch": lambda d: d["config"].update(master_seed=d["master_seed"] + 1),
+    "config-taps-mismatch": lambda d: d["config"].update(lfsr_taps=[3, 1]),
 }
 
 
