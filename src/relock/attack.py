@@ -4,11 +4,16 @@ The attacker holds the locked netlist and can run an unlocked chip from
 reset, observing outputs for any input sequence.  Window timing is taken as
 known input; per window, the search encodes two symbolic key candidates
 driving the same probe inputs in the cycles after the window and asks a SAT
-solver for a probe that makes their outputs differ.  Each such probe is
-replayed on the unlocked chip and the observed outputs are added as
-constraints, until no distinguishing probe remains; any surviving candidate
-is then extracted and committed.  Earlier windows stay pinned to their
-committed keys, so instances grow with the window index.
+solver for a probe that makes their outputs differ.  A wrong key corrupts
+the outputs, so the window's first such probe usually comes from simulation
+instead: one lane-parallel run from reset plays random key pairs on random
+probes, and a probe on which its pair's outputs differ is distinguishing.
+The solver finds every later probe, and the first one too when no
+simulated pair differs.  Each probe is replayed on the unlocked chip and the observed
+outputs are added as constraints, until no distinguishing probe remains;
+any surviving candidate is then extracted and committed.  Earlier windows
+stay pinned to their committed keys, so instances grow with the window
+index.
 
 Output comparisons are rank aligned: the unlocked chip never sees the
 window cycles, so its cycle ``j`` output is compared against the locked
@@ -25,7 +30,7 @@ from itertools import islice
 
 from .bench import Netlist
 from .sat import UNKNOWN, UNSAT, solve
-from .sim import key_plan, plan_stimulus, replay_windows, simulate, workload_stimulus
+from .sim import key_plan, plan_stimulus, replay_windows, run_from_reset, simulate, workload_stimulus
 from .unroll import CnfBuilder
 
 STATUS_RECOVERED = "recovered"
@@ -34,6 +39,9 @@ STATUS_BUDGET = "budget-exhausted"
 STATUS_VERIFY_FAILED = "verify-failed"
 
 DEFAULT_CONFLICT_BUDGET = 2_000_000
+
+# key pairs tried at once when looking for a window's first DIP by simulation
+_DIP_LANES = 64
 
 
 class SequenceOracle:
@@ -67,13 +75,47 @@ class SequenceOracle:
         return simulate(self._nl, workload_stimulus(vectors)).outputs
 
 
-def _state_after(nl: Netlist, vectors) -> dict:
-    """Flip-flop values after running ``vectors`` from reset, as bools."""
-    cc, n_in = nl.compiled, len(nl.inputs)
-    state = (0,) * len(nl.dffs)
-    for word in vectors:
-        _outs, state = cc.eval([(word >> i) & 1 for i in range(n_in)], state)
-    return {q: bool(v) for (q, _d), v in zip(nl.dffs, state)}
+def _lane_dip(nl: Netlist, prefix, key_len: int, gap: int, rng: random.Random):
+    """Look for a window's first DIP in one lane-parallel run from reset.
+
+    Every lane plays ``prefix``, then random key rows (copy A on lanes
+    ``[0, L)``, copy B on lanes ``[L, 2L)``), then random gap probes that
+    lanes ``i`` and ``L + i`` share, with ``L`` = ``_DIP_LANES``.
+
+    Returns the flip-flop values after ``prefix`` as bools (every lane has
+    the same), and ``(key_a, key_b, probe)`` of the lowest lane ``i`` whose
+    gap outputs differ from lane ``L + i``, or None if no lane pair differs.
+    """
+    n_in, lanes = len(nl.inputs), _DIP_LANES
+    full = (1 << 2 * lanes) - 1
+    keys = [[rng.getrandbits(2 * lanes) for _ in range(n_in)] for _ in range(key_len)]
+    probes = [[rng.getrandbits(lanes) for _ in range(n_in)] for _ in range(gap)]
+    inputs = [
+        *([full if (word >> i) & 1 else 0 for i in range(n_in)] for word in prefix),
+        *keys,
+        *([p | p << lanes for p in row] for row in probes),
+    ]
+    run = list(run_from_reset(nl, inputs, 2 * lanes))
+    state = {q: bool(v & 1) for (q, _d), v in zip(nl.dffs, run[len(prefix)][1])}
+    differ = 0
+    for outs, _state in run[len(prefix) + key_len :]:
+        for v in outs:
+            differ |= v ^ (v >> lanes)
+    differ &= (1 << lanes) - 1
+    if not differ:
+        return state, None
+    lane = (differ & -differ).bit_length() - 1
+
+    def pick(rows, k):
+        return tuple(_transpose(row, 2 * lanes)[k] for row in rows)
+
+    return state, (pick(keys, lane), pick(keys, lanes + lane), pick(probes, lane))
+
+
+def _transpose(words, width: int) -> list[int]:
+    """Bit ``p`` of entry ``b`` is bit ``b`` of ``words[p]``, for ``b < width``:
+    one packed word per lane becomes one lane word per bit, and back."""
+    return [sum(((w >> b) & 1) << p for p, w in enumerate(words)) for b in range(width)]
 
 
 def _encode_copy(b: CnfBuilder, nl: Netlist, state: dict, key_rows, gap_rows, oracle_out=None):
@@ -232,7 +274,8 @@ def recover_key_sequences(
         prefix_probe = probes[: committed.n_workload]
 
         # the committed prefix is concrete: one state, shared by all copies
-        base_state = _state_after(enc, committed.vectors)
+        dip_rng = random.Random(f"{seed}/attack/dip/{q}")
+        base_state, lane_dip = _lane_dip(enc, committed.vectors, key_len, gap, dip_rng)
         outs_a = _encode_copy(b, enc, base_state, k_a, x_vars)
         outs_b = _encode_copy(b, enc, base_state, k_b, x_vars)
 
@@ -255,26 +298,31 @@ def recover_key_sequences(
         learned: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
         if diffs:
+            # a probe that tells two simulated keys apart is a DIP as good
+            # as one the solver finds, so the solver starts with a constraint
+            probe_words = None if lane_dip is None else lane_dip[2]
             while True:
-                if b.contradiction:
-                    break
-                res = solve(b.clauses, n_vars=b.n_vars, conflict_budget=conflict_budget)
-                solver_calls += 1
-                conflicts += res.conflicts
-                decisions += res.decisions
-                propagations += res.propagations
-                if res.status == UNKNOWN:
-                    win_status = STATUS_BUDGET
-                    break
-                if res.status == UNSAT:
-                    break
-                probe_words = tuple(_model_word(res.model, row) for row in x_vars)
+                if probe_words is None:
+                    if b.contradiction:
+                        break
+                    res = solve(b.clauses, n_vars=b.n_vars, conflict_budget=conflict_budget)
+                    solver_calls += 1
+                    conflicts += res.conflicts
+                    decisions += res.decisions
+                    propagations += res.propagations
+                    if res.status == UNKNOWN:
+                        win_status = STATUS_BUDGET
+                        break
+                    if res.status == UNSAT:
+                        break
+                    probe_words = tuple(_model_word(res.model, row) for row in x_vars)
                 answer = oracle.query(tuple(prefix_probe) + probe_words)
                 oracle_out = tuple(answer[len(prefix_probe):])
                 learned.append((probe_words, oracle_out))
                 iterations += 1
                 _encode_copy(b, enc, base_state, k_a, probe_words, oracle_out)
                 _encode_copy(b, enc, base_state, k_b, probe_words, oracle_out)
+                probe_words = None
 
         key = None
         if win_status == STATUS_RECOVERED:
@@ -343,28 +391,28 @@ def recover_key_sequences(
 def _replay_verify(enc, oracle, starts, keys, seed, verify_vectors):
     """Replay committed keys against fresh probes until enough comparisons.
 
-    Each pass draws a fresh workload, runs the locked design with the
-    committed keys in their windows, and checks every workload-cycle output
-    against the unlocked design rank for rank.
+    Each pass draws a fresh workload and checks every workload-cycle output
+    of the locked design, run with the committed keys in their windows,
+    against the unlocked design rank for rank.  The locked side runs every
+    pass at once, one lane per pass; the oracle is queried once per pass.
     """
     plan = key_plan(zip(starts, keys), starts[len(keys)])
     free = [t for t, key in enumerate(plan) if key is None]
     if not free:
         return True, 0
-    n_in = len(enc.inputs)
+    n_in, n_out = len(enc.inputs), len(enc.outputs)
     rng = random.Random(f"{seed}/attack/verify")
     passes = max(1, math.ceil(verify_vectors / len(free)))
-    comparisons = 0
-    ok = True
-    for _ in range(passes):
-        workload = [rng.getrandbits(n_in) for _ in free]
-        answer = oracle.query(workload)
-        trace = simulate(enc, plan_stimulus(plan, workload, n_in))
-        for rank, t in enumerate(free):
-            comparisons += 1
-            if trace.outputs[t] != answer[rank]:
-                ok = False
-    return ok, comparisons
+    workloads = [[rng.getrandbits(n_in) for _ in free] for _ in range(passes)]
+    answers = [oracle.query(workload) for workload in workloads]
+
+    # rank r of every pass's workload is one cycle of lane words
+    full = (1 << passes) - 1
+    free_in = (_transpose(column, n_in) for column in zip(*workloads))
+    inputs = (next(free_in) if key is None else [full if (key >> b) & 1 else 0 for b in range(n_in)] for key in plan)
+    outs = [outs for outs, _state in run_from_reset(enc, inputs, passes)]
+    ok = all(list(outs[t]) == _transpose(column, n_out) for t, column in zip(free, zip(*answers)))
+    return ok, passes * len(free)
 
 
 def derive_window_starts(sched, max_seq: int) -> tuple[int, ...]:

@@ -292,12 +292,13 @@ def test_criterion_08_solver_conflicts_strictly_increase_over_windows(toy_attack
 
 
 # per-window (iterations, solver_calls, conflicts, decisions, propagations) of
-# the toy attack, recorded with the solver whose search tests/test_sat.py pins;
-# criterion 08's rising conflicts rest on these exact numbers
+# the toy attack, recorded with the solver whose search tests/test_sat.py pins
+# and with each window's first DIP taken from the lane run; criterion 08's
+# rising conflicts rest on these exact numbers
 TOY_WINDOW_EFFORT = (
-    (1, 3, 35, 76, 2427),
-    (1, 3, 191, 305, 16684),
-    (1, 3, 280, 499, 29321),
+    (1, 2, 25, 41, 1367),
+    (2, 3, 175, 295, 16726),
+    (2, 3, 280, 497, 29967),
 )
 
 

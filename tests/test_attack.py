@@ -19,11 +19,13 @@ from relock import (
     SequenceOracle,
     derive_window_starts,
     encrypt,
+    parse_bench,
     recover_key_sequences,
     simulate,
     workload_stimulus,
 )
-from relock.sim import authentication_schedule
+from relock.attack import _lane_dip, _replay_verify
+from relock.sim import authentication_schedule, key_plan, plan_stimulus
 
 TOY_CFG = EncryptConfig(
     lfsr_width=3,
@@ -143,6 +145,110 @@ def test_shifted_window_starts_admit_no_consistent_key(toy):
         assert res.status == STATUS_NO_KEY
         assert len(res.keys) < N_WINDOWS
         assert not res.verified
+
+
+# -- first DIP by simulation -------------------------------------------------
+
+def test_lane_dip_separates_its_two_keys(toy):
+    """The probe the lane run picks really tells its two keys apart, and the
+    state it reports is the prefix's: both checked by single-lane runs."""
+    nl, enc, starts, truth = toy
+    c = TOY_CFG.key_len
+    n_in = len(nl.inputs)
+    rng = random.Random(5)
+    found = 0
+    for q in range(N_WINDOWS):
+        # earlier windows get their true keys, every other cycle a random word
+        plan = key_plan(zip(starts, truth[:q]), starts[q])
+        prefix = plan_stimulus(plan, [rng.getrandbits(n_in) for _ in plan], n_in).vectors
+        gap = starts[q + 1] - starts[q] - c
+        state, dip = _lane_dip(enc.netlist, prefix, c, gap, random.Random(q))
+
+        ref = simulate(enc.netlist, workload_stimulus([*prefix, 0]))
+        assert state == {name: bool(ref.state_bit(len(prefix), name)) for name in ref.state_names}
+        if dip is None:
+            continue
+        found += 1
+        key_a, key_b, probe = dip
+        assert len(key_a) == len(key_b) == c and len(probe) == gap
+        gap_outs = [
+            simulate(enc.netlist, workload_stimulus([*prefix, *key, *probe])).outputs[len(prefix) + c :]
+            for key in (key_a, key_b)
+        ]
+        assert gap_outs[0] != gap_outs[1], f"window {q}"
+    assert found == N_WINDOWS
+
+
+# 24 inputs; the lock's output is inverted until the one key below has been
+# applied, so a random key pair almost never differs on any probe
+NEEDLE_KEY = 0xA5C3E1
+NEEDLE_INPUTS = 24
+
+
+def _needle_lock():
+    ins = [f"a{i}" for i in range(NEEDLE_INPUTS)]
+    header = "".join(f"INPUT({a})\n" for a in ins) + "OUTPUT(y)\n"
+    orig = parse_bench(header + "y = BUFF(a0)\n", "needle")
+    match = "".join(
+        f"m{i} = {'BUFF' if (NEEDLE_KEY >> i) & 1 else 'NOT'}({a})\n" for i, a in enumerate(ins)
+    )
+    locked = parse_bench(
+        header
+        + "u = DFF(un)\n"
+        + match
+        + f"hit = AND({', '.join(f'm{i}' for i in range(NEEDLE_INPUTS))})\n"
+        + "un = OR(u, hit)\nnu = NOT(u)\ny = XOR(a0, nu)\n",
+        "needle_enc",
+    )
+    return orig, locked
+
+
+def test_sat_finds_the_first_dip_when_no_lane_differs():
+    orig, locked = _needle_lock()
+    starts = (0, 4)
+    assert _lane_dip(locked, (), 1, 3, random.Random("0/attack/dip/0"))[1] is None
+    res = recover_key_sequences(locked, SequenceOracle(orig), starts, 1, 1, seed=0)
+    assert res.status == STATUS_RECOVERED and res.verified
+    assert res.keys == ((NEEDLE_KEY,),)
+    (w,) = res.windows
+    # every DIP came from a solver call; one more proves none is left and
+    # the last extracts the key
+    assert w.iterations >= 1
+    assert w.solver_calls == w.iterations + 2
+
+
+def _replay_verify_one_lane(enc, oracle, starts, keys, seed, verify_vectors):
+    """The replay check one pass at a time, as it ran before it used lanes."""
+    plan = key_plan(zip(starts, keys), starts[len(keys)])
+    free = [t for t, key in enumerate(plan) if key is None]
+    n_in = len(enc.inputs)
+    rng = random.Random(f"{seed}/attack/verify")
+    ok, comparisons = True, 0
+    for _ in range(max(1, -(-verify_vectors // len(free)))):
+        workload = [rng.getrandbits(n_in) for _ in free]
+        answer = oracle.query(workload)
+        trace = simulate(enc, plan_stimulus(plan, workload, n_in))
+        for rank, t in enumerate(free):
+            comparisons += 1
+            ok &= trace.outputs[t] == answer[rank]
+    return ok, comparisons
+
+
+@pytest.mark.parametrize("flip", [None, (0, 0), (1, 1), (2, 0)])
+def test_replay_verify_matches_one_lane_per_pass(toy, flip):
+    nl, enc, starts, truth = toy
+    keys = [list(k) for k in truth]
+    if flip is not None:
+        keys[flip[0]][flip[1]] ^= 1
+    verdicts = []
+    for seed, vectors in ((0, 1000), (3, 7)):
+        got, want = (SequenceOracle(nl), SequenceOracle(nl))
+        lanes = _replay_verify(enc.netlist, got, starts, keys, seed, vectors)
+        assert lanes == _replay_verify_one_lane(enc.netlist, want, starts, keys, seed, vectors)
+        assert got.queries == want.queries
+        verdicts.append(lanes[0])
+    # a wrong key is caught by the full check, not always by a 7-vector one
+    assert verdicts[0] == (flip is None)
 
 
 # -- effort accounting ---------------------------------------------------------
