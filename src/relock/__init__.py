@@ -10,27 +10,22 @@ from .bench import (
     Gate,
     Netlist,
     emit_bench,
-    eval_comb,
     load_bench,
     parse_bench,
     save_bench,
 )
-from .lfsr import MAXIMAL_TAPS, Lfsr, new_lfsr, period, sequence, step
+from .lfsr import MAXIMAL_TAPS, Lfsr, new_lfsr, period, step
 from .encrypt import (
     DEFAULT_SEED,
-    EncFsmSpec,
     EncryptConfig,
     EncryptedDesign,
     EncryptReport,
     KeySchedule,
     XorSite,
-    build_enc_fsm,
     derive_sbj,
     encrypt,
-    insert_xor,
     load_config,
     load_schedule,
-    save_config,
     save_schedule,
 )
 from .sim import (
@@ -38,7 +33,6 @@ from .sim import (
     Stimulus,
     Trace,
     authentication_schedule,
-    hamming_distance,
     simulate,
     trusted_user_stimulus,
     workload_cycle_mask,

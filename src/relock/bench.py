@@ -301,7 +301,7 @@ def save_bench(nl: Netlist, path: str | Path) -> None:
 
 # -- evaluation --------------------------------------------------------------
 
-# The most gate inputs plus operators an expression may fuse, so compile()
+# The most gate inputs plus operators one expression may hold, so compile()
 # stays shallow; and the gate inputs per generated function, so a cycle makes
 # few calls while compile(), holding about 3 KB per gate input as it runs,
 # peaks low (one function per netlist would add tens of MiB).
@@ -335,14 +335,13 @@ class CompiledCircuit:
     input, and by no primary output or flip-flop, is not stored but inlined
     into its reader, parenthesised by precedence.  An inlined input that
     would carry its reader past ``_CHUNK`` gate inputs plus operators is
-    stored first, so ``compile()`` stays shallow: no fused expression
-    exceeds that bound (inlined whole, a 3000-gate inverter chain nests past
-    the compiler's recursion limit), and only a gate wider than ``_CHUNK``
-    makes a statement wider.  Statements are compiled into functions of at
-    most ``_FUNCTION_INPUTS`` gate inputs (or one wider statement), which
-    evaluation calls in order.  ``eval_nets`` needs every net, so it runs a
-    second kernel from the same generator with nothing inlined, built on its
-    first call.
+    stored first, so ``compile()`` stays shallow: no expression that
+    inlines anything exceeds that bound (inlined whole, a 3000-gate inverter
+    chain nests past the compiler's recursion limit), and only a gate wider
+    than ``_CHUNK`` makes a statement wider.  Statements are compiled into
+    functions of at most ``_FUNCTION_INPUTS`` gate inputs (or one wider
+    statement), which evaluation calls in order.  To read any net, list it
+    among the outputs: an output is always stored.
     """
 
     def __init__(self, nl: Netlist):
@@ -352,13 +351,10 @@ class CompiledCircuit:
         self._outputs = _getter([slot[y] for y in nl.outputs])
         self._next_state = _getter([slot[d] for _q, d in nl.dffs])
 
-    def _statements(self, fuse: bool):
-        """``(source, gate inputs)`` per statement in topological order;
-        without ``fuse`` every gate is stored."""
+    def _statements(self):
+        """``(source, gate inputs)`` per statement in topological order."""
         nl, slot = self.netlist, self.slot
-        inline = set()
-        if fuse:
-            inline = {g.out for g, r in zip(nl.gates, nl._reads) if r == 1}.difference(nl.outputs, (d for _q, d in nl.dffs))
+        inline = {g.out for g, r in zip(nl.gates, nl._reads) if r == 1}.difference(nl.outputs, (d for _q, d in nl.dffs))
         pending = {}  # inlined net -> (expression, precedence, gate inputs, operators)
         for i in nl.topo_order:
             g = nl.gates[i]
@@ -391,15 +387,16 @@ class CompiledCircuit:
             else:
                 yield f"v[{slot[g.out]}] = {text}", n_in
 
-    def _build(self, fuse: bool) -> tuple:
-        """Compile the statements into functions of at most
+    @cached_property
+    def _kernel(self) -> tuple:
+        """The statements compiled into functions of at most
         ``_FUNCTION_INPUTS`` gate inputs (or one wider statement) each, in
         topological order."""
         filename = f"<{self.netlist.name} kernel>"
         chunks, ns = [], {}  # ns: the functions' shared globals; they read none
         lines, size = [], 0
         # the sentinel statement at the end flushes the last function
-        for line, n_in in chain(self._statements(fuse), [("", _FUNCTION_INPUTS + 1)]):
+        for line, n_in in chain(self._statements(), [("", _FUNCTION_INPUTS + 1)]):
             if lines and size + n_in > _FUNCTION_INPUTS:
                 exec(compile("def chunk(v, m):\n    " + "\n    ".join(lines) + "\n", filename, "exec"), ns)
                 chunks.append(ns.pop("chunk"))  # so no function and its globals form a cycle
@@ -408,17 +405,12 @@ class CompiledCircuit:
             size += n_in
         return tuple(chunks)
 
-    @cached_property
-    def _kernel(self) -> tuple:
-        """The fused kernel that ``eval`` runs."""
-        return self._build(fuse=True)
+    def eval(self, in_words, state_words=(), width: int = 1):
+        """Evaluate one combinational step.
 
-    @cached_property
-    def _net_kernel(self) -> tuple:
-        """The kernel that stores every net, for ``eval_nets``."""
-        return self._build(fuse=False)
-
-    def _run(self, kernel, in_words, state_words, width: int) -> list[int]:
+        Returns ``(outputs, next_state)`` as tuples of words aligned with
+        ``netlist.outputs`` and ``netlist.dffs``.
+        """
         nl = self.netlist
         if len(in_words) != len(nl.inputs):
             raise ValueError(f"expected {len(nl.inputs)} input values, got {len(in_words)}")
@@ -427,29 +419,6 @@ class CompiledCircuit:
         mask = (1 << width) - 1
         v = [w & mask for w in chain(in_words, state_words)]
         v += [0] * len(nl.gates)
-        for chunk in kernel:
+        for chunk in self._kernel:
             chunk(v, mask)
-        return v
-
-    def eval(self, in_words, state_words=(), width: int = 1):
-        """Evaluate one combinational step.
-
-        Returns ``(outputs, next_state)`` as tuples of words aligned with
-        ``netlist.outputs`` and ``netlist.dffs``.
-        """
-        v = self._run(self._kernel, in_words, state_words, width)
         return self._outputs(v), self._next_state(v)
-
-    def eval_nets(self, in_words, state_words=(), width: int = 1) -> dict[str, int]:
-        """Like eval, but returns the value of every net by name."""
-        v = self._run(self._net_kernel, in_words, state_words, width)
-        return {net: v[s] for net, s in self.slot.items()}
-
-
-def eval_comb(nl: Netlist, in_vals, state_vals=()):
-    """Evaluate the combinational core for one (input, state) assignment.
-
-    ``in_vals``/``state_vals`` are 0/1 sequences aligned with ``nl.inputs``
-    and ``nl.dffs``.  Returns ``(outputs, next_state)`` as 0/1 tuples.
-    """
-    return nl.compiled.eval(tuple(in_vals), tuple(state_vals), width=1)

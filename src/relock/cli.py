@@ -16,6 +16,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from decimal import Decimal
 from pathlib import Path
 
@@ -73,6 +74,15 @@ def _load_schedule(path: str) -> KeySchedule:
         raise _fail(f"{path}: bad key schedule: {e}") from e
 
 
+@contextmanager
+def _writing(path: str):
+    """Report an OSError raised while writing ``path`` as bad input."""
+    try:
+        yield
+    except OSError as e:
+        raise _fail(f"cannot write '{path}': {e.strerror or e}") from e
+
+
 def _check_schedule(sched: KeySchedule, nl, path: str) -> None:
     """The schedule must be for this (unlocked) netlist."""
     if sched.circuit != nl.name:
@@ -111,8 +121,10 @@ def _cmd_encrypt(args) -> int:
         design = encrypt(nl, cfg)
     except ValueError as e:
         raise _fail(f"encrypt failed: {e}") from e
-    save_bench(design.netlist, args.out)
-    save_schedule(design.schedule, args.keys)
+    with _writing(args.out):
+        save_bench(design.netlist, args.out)
+    with _writing(args.keys):
+        save_schedule(design.schedule, args.keys)
     r = design.report
     print(
         f"{nl.name}: +{r.added_gates} gates, +{r.added_dffs} DFFs, "
@@ -140,12 +152,16 @@ def _cmd_simulate(args) -> int:
     trace = simulate(nl, plan_stimulus(plan, workload, n_in))
     write_columnar(trace, sys.stdout)
     if args.vcd is not None:
-        with open(args.vcd, "w", newline="\n") as fh:
+        with _writing(args.vcd), open(args.vcd, "w", newline="\n") as fh:
             write_vcd(trace, fh, design=nl.name)
     return EXIT_OK
 
 
 def _cmd_eval_hd(args) -> int:
+    if args.vectors < 1:
+        raise _fail(f"--vectors must be >= 1, got {args.vectors}")
+    if args.cycles < 0:
+        raise _fail(f"--cycles must be >= 0, got {args.cycles}")
     orig = _load_bench(args.orig)
     enc = _load_bench(args.enc)
     sched = _load_schedule(args.keys)
@@ -165,7 +181,7 @@ def _cmd_eval_hd(args) -> int:
         reports.append(rep)
         print(f"case {int(case)}: mean HD {rep.mean_hd:.6f} over {rep.mask_size} workload cycles x {rep.n_vectors} vectors")
     if args.csv is not None:
-        with open(args.csv, "w", newline="") as fh:
+        with _writing(args.csv), open(args.csv, "w", newline="") as fh:
             write_hd_csv(reports, fh)
     return EXIT_OK
 

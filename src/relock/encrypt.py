@@ -150,12 +150,8 @@ def load_config(path: str | Path) -> EncryptConfig:
     return cfg
 
 
-def save_config(cfg: EncryptConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2) + "\n")
-
-
 @dataclass(frozen=True)
-class EncFsmSpec:
+class _EncFsmSpec:
     """Behavioral controller spec before gate lowering.
 
     ``key_table[s][p]`` is the input pattern expected at progress ``p`` of
@@ -170,7 +166,7 @@ class EncFsmSpec:
     enc_out_table: tuple[tuple[int, ...], ...]
 
 
-def build_enc_fsm(n_inputs: int, cfg: EncryptConfig, rng: random.Random) -> EncFsmSpec:
+def _build_enc_fsm(n_inputs: int, cfg: EncryptConfig, rng: random.Random) -> _EncFsmSpec:
     """Draw the secret key table and corruption words.
 
     Corruption words are nonzero and no two consecutive states of a chain
@@ -196,7 +192,7 @@ def build_enc_fsm(n_inputs: int, cfg: EncryptConfig, rng: random.Random) -> EncF
             row.append(w)
             prev = w
         enc_rows.append(tuple(row))
-    return EncFsmSpec(n_inputs, cfg.enc_out_width, key_table, tuple(enc_rows))
+    return _EncFsmSpec(n_inputs, cfg.enc_out_width, key_table, tuple(enc_rows))
 
 
 def derive_sbj(r: int, sbj_bits: int) -> int:
@@ -227,39 +223,18 @@ def _fresh_prefix(nl: Netlist) -> str:
     return cand
 
 
-def insert_xor(
-    nl: Netlist,
-    enc_out_width: int,
-    coverage: float,
-    rng: random.Random,
-    prefix: str | None = None,
-) -> tuple[Netlist, tuple[XorSite, ...]]:
+def _xor_gates(
+    nl: Netlist, enc_out_width: int, coverage: float, rng: random.Random, prefix: str
+) -> tuple[list[Gate], tuple[XorSite, ...]]:
     """Cut ``ceil(coverage * n_gates)`` random gate-output nets with XOR taps.
 
     Each chosen net keeps its name but is re-driven by ``XOR(raw, enc_bit)``
     where ``raw`` is the renamed original gate output, so every downstream
     reader sees the corrupted value.  Corruption bits are assigned round
-    robin and enter the returned netlist as extra primary inputs named
-    ``<prefix>corrupt<j>``; tying them all to zero restores the original
-    function exactly.
+    robin and read nets named ``<prefix>corrupt<j>``, which the caller
+    drives; tying them all to zero restores the original function exactly.
+    Returns the rewritten gates, unvalidated, and the sites.
     """
-    if prefix is None:
-        prefix = _fresh_prefix(nl)
-    gates, sites = _xor_gates(nl, enc_out_width, coverage, rng, prefix)
-    nlx = Netlist(
-        name=nl.name,
-        inputs=nl.inputs + tuple(f"{prefix}corrupt{j}" for j in range(min(enc_out_width, len(sites)))),
-        outputs=nl.outputs,
-        gates=tuple(gates),
-        dffs=nl.dffs,
-    )
-    return nlx, sites
-
-
-def _xor_gates(
-    nl: Netlist, enc_out_width: int, coverage: float, rng: random.Random, prefix: str
-) -> tuple[list[Gate], tuple[XorSite, ...]]:
-    """The gates of :func:`insert_xor`'s netlist, unvalidated, and its sites."""
     if enc_out_width < 1:
         raise ValueError("enc_out_width must be >= 1")
     if not 0 < coverage <= 1:
@@ -534,7 +509,7 @@ def encrypt(nl: Netlist, cfg: EncryptConfig) -> EncryptedDesign:
     rng_sites = random.Random(f"{cfg.master_seed}/sites")
     prefix = _fresh_prefix(nl)
 
-    fsm = build_enc_fsm(n_in, cfg, rng_fsm)
+    fsm = _build_enc_fsm(n_in, cfg, rng_fsm)
     gates, sites = _xor_gates(nl, cfg.enc_out_width, cfg.coverage, rng_sites, prefix)
 
     n = cfg.lfsr_width

@@ -86,15 +86,17 @@ def _feedback(state: int, taps: tuple[int, ...]) -> int:
     return acc
 
 
+def _shift(state: int, mask: int, taps: tuple[int, ...]) -> int:
+    """The state one clock after ``state``; ``mask`` is ``2**width - 1``."""
+    return ((state << 1) & mask) | _feedback(state, taps)
+
+
 def step(g: Lfsr) -> tuple[Lfsr, int]:
     """Advance one clock.  Returns ``(next_lfsr, out)``.
 
     ``out`` is the register state before the shift, read as an unsigned int.
     """
-    fb = _feedback(g.state, g.taps)
-    mask = (1 << g.width) - 1
-    nxt = ((g.state << 1) & mask) | fb
-    return Lfsr(g.width, g.taps, nxt), g.state
+    return Lfsr(g.width, g.taps, _shift(g.state, (1 << g.width) - 1, g.taps)), g.state
 
 
 def period(g: Lfsr) -> int:
@@ -106,21 +108,9 @@ def period(g: Lfsr) -> int:
     if g.width > _PERIOD_WIDTH_LIMIT:
         raise ValueError(f"period enumeration capped at width {_PERIOD_WIDTH_LIMIT}")
     mask = (1 << g.width) - 1
-    start = g.state
-    cur = g.state
-    n = 0
-    while True:
-        fb = _feedback(cur, g.taps)
-        cur = ((cur << 1) & mask) | fb
+    cur = _shift(g.state, mask, g.taps)
+    n = 1
+    while cur != g.state:
+        cur = _shift(cur, mask, g.taps)
         n += 1
-        if cur == start:
-            return n
-
-
-def sequence(g: Lfsr, count: int) -> list[int]:
-    """The next ``count`` outputs starting with the current state."""
-    out = []
-    for _ in range(count):
-        g, r = step(g)
-        out.append(r)
-    return out
+    return n

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .bench import Netlist
 from .encrypt import KeySchedule, derive_sbj
-from .lfsr import new_lfsr, step
+from .lfsr import _shift, new_lfsr
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,16 @@ def replay_windows(sched: KeySchedule, cycles: float = math.inf):
     """
     c = sched.key_len
     g = new_lfsr(sched.lfsr_width, sched.lfsr_taps, sched.reset_seed)
-    now = 0  # the cycle whose PRNG state g holds
+    mask, taps = (1 << g.width) - 1, g.taps
+    state, now = g.state, 0  # the PRNG state during cycle now
 
     def state_at(t: int) -> int:
         # asked for nondecreasing t only, so no earlier state is kept
-        nonlocal g, now
+        nonlocal state, now
         while now < t:
-            g, _ = step(g)
+            state = _shift(state, mask, taps)
             now += 1
-        return g.state
+        return state
 
     start = 0
     while start < cycles:
@@ -214,9 +215,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.inputs)
 
-    def output_bit(self, t: int, name: str) -> int:
-        return (self.outputs[t] >> self.output_names.index(name)) & 1
-
     def state_bit(self, t: int, name: str) -> int:
         return (self.states[t] >> self.state_names.index(name)) & 1
 
@@ -270,24 +268,6 @@ _BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 def _pack(bits) -> int:
     """Pack a sequence of 0/1 values into an int, element ``k`` at bit ``k``."""
     return int(bytes(bits[::-1]).translate(_BIT_CHARS) or b"0", 2)
-
-
-def hamming_distance(a: Trace, b: Trace, mask) -> float:
-    """Fraction of differing output bits between two traces over ``mask`` cycles."""
-    if a.output_names != b.output_names:
-        raise ValueError("traces have different output nets")
-    cycles = list(mask)
-    if not cycles:
-        raise ValueError("empty cycle mask")
-    width = len(a.output_names)
-    if width == 0:
-        raise ValueError("traces have no outputs")
-    diff = 0
-    for t in cycles:
-        if t >= len(a) or t >= len(b):
-            raise ValueError(f"mask cycle {t} out of range")
-        diff += bin(a.outputs[t] ^ b.outputs[t]).count("1")
-    return diff / (width * len(cycles))
 
 
 def write_columnar(trace: Trace, fh) -> None:

@@ -62,7 +62,7 @@ class CnfBuilder:
     value of every net of one frame; pinned inputs drive the folding, so a
     frame whose inputs are all constants reduces to pure evaluation.
     An empty clause sets ``contradiction`` instead of entering ``clauses``,
-    so ``to_dimacs`` and ``sat.solve`` refuse a builder with the flag set.
+    so ``to_dimacs`` and ``sat.solve`` reject a builder with the flag set.
     """
 
     def __init__(self) -> None:

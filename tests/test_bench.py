@@ -1,5 +1,6 @@
 """Netlist parsing, emission, and combinational evaluation."""
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -21,7 +22,6 @@ from relock import (
     Netlist,
     emit_bench,
     encrypt,
-    eval_comb,
     load_bench,
     parse_bench,
 )
@@ -278,7 +278,7 @@ def test_canonical_and_general_spellings_parse_alike(nl, rng):
 def test_eval_matches_naive_recursive_oracle(nl, rng):
     in_vals = [rng.randrange(2) for _ in nl.inputs]
     st_vals = [rng.randrange(2) for _ in nl.dffs]
-    outs, nxt = eval_comb(nl, in_vals, st_vals)
+    outs, nxt = nl.compiled.eval(in_vals, st_vals)
     assert (outs, nxt) == naive_eval(nl, in_vals, st_vals)
 
 
@@ -353,14 +353,14 @@ def test_dropped_netlist_is_freed_without_a_collection(s27):
 
 def test_eval_not():
     nl = parse_bench(NOT_TEXT)
-    assert eval_comb(nl, [1])[0] == (0,)
-    assert eval_comb(nl, [0])[0] == (1,)
+    assert nl.compiled.eval([1])[0] == (0,)
+    assert nl.compiled.eval([0])[0] == (1,)
 
 
 def test_eval_xor_pair():
     nl = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a, b)")
-    assert eval_comb(nl, [1, 1])[0] == (0,)
-    assert eval_comb(nl, [1, 0])[0] == (1,)
+    assert nl.compiled.eval([1, 1])[0] == (0,)
+    assert nl.compiled.eval([1, 0])[0] == (1,)
 
 
 def test_eval_s27_against_oracle(s27):
@@ -368,14 +368,14 @@ def test_eval_s27_against_oracle(s27):
     for _ in range(50):
         iv = [rng.randrange(2) for _ in s27.inputs]
         sv = [rng.randrange(2) for _ in s27.dffs]
-        assert eval_comb(s27, iv, sv) == naive_eval(s27, iv, sv)
+        assert s27.compiled.eval(iv, sv) == naive_eval(s27, iv, sv)
 
 
 def test_eval_requires_exact_widths(s27):
     with pytest.raises(ValueError):
-        eval_comb(s27, [0, 1], [0, 0, 0])
+        s27.compiled.eval([0, 1], [0, 0, 0])
     with pytest.raises(ValueError):
-        eval_comb(s27, [0, 1, 0, 1], [0])
+        s27.compiled.eval([0, 1, 0, 1], [0])
 
 
 def test_compiled_eval_packs_lanes(s27):
@@ -389,7 +389,7 @@ def test_compiled_eval_packs_lanes(s27):
     for lane in range(8):
         iv = [col[lane] for col in vecs]
         sv = [col[lane] for col in states]
-        o1, n1 = eval_comb(s27, iv, sv)
+        o1, n1 = s27.compiled.eval(iv, sv)
         assert tuple((w >> lane) & 1 for w in outs) == o1
         assert tuple((w >> lane) & 1 for w in nxt) == n1
 
@@ -420,19 +420,21 @@ def kind_arity_netlist(rng, n_in=5, n_dffs=3):
 
 
 def assert_kernel_matches_naive(nl, rng, width):
-    cc = CompiledCircuit(nl)
+    # a copy whose outputs list every net stores every net, so its eval
+    # shows each one; the original's eval runs the inlining kernel
+    every = dataclasses.replace(nl, outputs=(*nl.inputs, *(q for q, _d in nl.dffs), *(g.out for g in nl.gates)))
+    assert set(every.outputs) == nl.net_names
     # words carry junk above the lane mask, which evaluation must ignore
     in_words = [rng.getrandbits(width + 9) for _ in nl.inputs]
     st_words = [rng.getrandbits(width + 9) for _ in nl.dffs]
-    nets = cc.eval_nets(in_words, st_words, width)
-    assert set(nets) == nl.net_names
+    nets = dict(zip(every.outputs, CompiledCircuit(every).eval(in_words, st_words, width)[0]))
     for lane in range(width):
         iv = [(w >> lane) & 1 for w in in_words]
         sv = [(w >> lane) & 1 for w in st_words]
         want = naive_nets(nl, iv, sv)
         assert {net: (w >> lane) & 1 for net, w in nets.items()} == want
     assert all(w >> width == 0 for w in nets.values())
-    outs, nxt = cc.eval(in_words, st_words, width)
+    outs, nxt = CompiledCircuit(nl).eval(in_words, st_words, width)
     assert outs == tuple(nets[y] for y in nl.outputs)
     assert nxt == tuple(nets[d] for _q, d in nl.dffs)
 
@@ -514,7 +516,7 @@ def test_kernel_build_peak_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert max(len(g.ins) for g in cc.netlist.gates) <= _CHUNK
-    statements = list(cc._statements(fuse=True))
+    statements = list(cc._statements())
     assert len(statements) < 0.6 * len(cc.netlist.gates)
     assert max(statement_gate_inputs(cc, statements)) <= _CHUNK
     assert peak < 4 * 2**20
@@ -576,7 +578,7 @@ def test_fused_eval_every_kind_triple():
             gates.append(Gate(prev, kind, ins))
         outputs.append(prev)
     nl = Netlist("triples", tuple(names), tuple(outputs), tuple(gates), ())
-    assert len(list(nl.compiled._statements(fuse=True))) == len(outputs)
+    assert len(list(nl.compiled._statements())) == len(outputs)
     for width in (1, 64):
         assert_eval_matches_naive(nl, random.Random(width), width)
 
@@ -597,7 +599,7 @@ def test_long_single_reader_chain_stays_within_bounds(kind):
     gates = [Gate(f"g{k}", kind, (f"g{k - 1}" if k else "a", *extra)) for k in range(n)]
     nl = Netlist("long", ("a", "b"), (f"g{n - 1}",), tuple(gates), ())
     cc = nl.compiled
-    statements = list(cc._statements(fuse=True))
+    statements = list(cc._statements())
     assert len(statements) < len(gates) / 5
     assert max(statement_gate_inputs(cc, statements)) <= _CHUNK
     width = 64

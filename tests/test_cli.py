@@ -260,6 +260,37 @@ def test_eval_hd_is_deterministic(capsys, workdir):
     assert a == b
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--cycles", "-5", "--cycles must be >= 0, got -5"),
+    ("--vectors", "0", "--vectors must be >= 1, got 0"),
+], ids=["cycles", "vectors"])
+def test_eval_hd_range_errors_name_the_flag(capsys, workdir, flag, value, message):
+    rc, out, err = run(
+        capsys, "eval-hd", str(bench_path("s27")), str(workdir / "s27_enc.bench"),
+        "--keys", str(workdir / "s27_keys.json"), flag, value,
+    )
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert message in err
+
+
+# -- unwritable output paths ---------------------------------------------------
+
+@pytest.mark.parametrize("flag", ["--out", "--keys", "--vcd", "--csv"])
+def test_unwritable_output_path_exits_2(capsys, workdir, tmp_path, flag):
+    bad = str(tmp_path / "no-such-dir" / "file")
+    s27, enc, keys = str(bench_path("s27")), str(workdir / "s27_enc.bench"), str(workdir / "s27_keys.json")
+    argv = {
+        "--out": ["encrypt", s27, "--out", bad, "--keys", str(tmp_path / "keys.json")],
+        "--keys": ["encrypt", s27, "--out", str(tmp_path / "enc.bench"), "--keys", bad],
+        "--vcd": ["simulate", s27, "--cycles", "3", "--vcd", bad],
+        "--csv": ["eval-hd", s27, enc, "--keys", keys, "--cases", "1", "--vectors", "5", "--cycles", "20", "--csv", bad],
+    }[flag]
+    rc, _, err = run(capsys, *argv)
+    assert rc == EXIT_INPUT
+    assert err == f"relock: error: cannot write '{bad}': No such file or directory\n"
+
+
 # -- attack ------------------------------------------------------------------
 
 def attack_argv(workdir, timing, *extra):

@@ -11,20 +11,15 @@ from relock import (
     EncryptedDesign,
     KeySchedule,
     Netlist,
-    build_enc_fsm,
     derive_sbj,
     emit_bench,
     encrypt,
-    eval_comb,
-    insert_xor,
-    new_lfsr,
     parse_bench,
-    sequence,
     simulate,
     trusted_user_stimulus,
 )
 from relock.bench import GATE_KINDS
-from relock.encrypt import DEFAULT_SEED
+from relock.encrypt import DEFAULT_SEED, _build_enc_fsm, _xor_gates
 
 TOY_CFG = EncryptConfig(
     lfsr_width=3,
@@ -83,7 +78,7 @@ def test_config_dict_round_trip():
 
 def test_enc_fsm_words_nonzero_and_switching():
     rng = random.Random(5)
-    spec = build_enc_fsm(8, EncryptConfig(enc_out_width=3, key_len=8), rng)
+    spec = _build_enc_fsm(8, EncryptConfig(enc_out_width=3, key_len=8), rng)
     for row in spec.enc_out_table:
         assert all(w != 0 for w in row)
         assert all(a != b for a, b in zip(row, row[1:]))
@@ -91,7 +86,7 @@ def test_enc_fsm_words_nonzero_and_switching():
 
 def test_enc_fsm_key_table_shape():
     cfg = EncryptConfig(sbj_bits=2, key_len=8)
-    spec = build_enc_fsm(14, cfg, random.Random(1))
+    spec = _build_enc_fsm(14, cfg, random.Random(1))
     assert len(spec.key_table) == 4
     assert all(len(row) == 8 for row in spec.key_table)
     assert all(0 <= p < 2**14 for row in spec.key_table for p in row)
@@ -99,8 +94,8 @@ def test_enc_fsm_key_table_shape():
 
 def test_enc_fsm_deterministic_in_seed():
     cfg = EncryptConfig()
-    a = build_enc_fsm(6, cfg, random.Random(42))
-    b = build_enc_fsm(6, cfg, random.Random(42))
+    a = _build_enc_fsm(6, cfg, random.Random(42))
+    b = _build_enc_fsm(6, cfg, random.Random(42))
     assert a.key_table == b.key_table
     assert a.enc_out_table == b.enc_out_table
 
@@ -122,28 +117,35 @@ def test_derive_sbj_rejects_bad_args():
 
 # -- XOR tap insertion ----------------------------------------------------------------
 
+def xor_netlist(nl, enc_out_width, coverage, rng):
+    """``nl`` with XOR taps at random sites, each ``LK_corrupt<j>`` net a new
+    primary input, and the sites."""
+    gates, sites = _xor_gates(nl, enc_out_width, coverage, rng, "LK_")
+    corrupt = tuple(f"LK_corrupt{j}" for j in range(min(enc_out_width, len(sites))))
+    return Netlist(nl.name, nl.inputs + corrupt, nl.outputs, tuple(gates), nl.dffs), sites
+
+
 def test_insert_xor_site_count(s27):
     for rho in (0.05, 0.2, 0.5, 1.0):
-        _, sites = insert_xor(s27, 3, rho, random.Random(0))
+        sites = encrypt(s27, EncryptConfig(coverage=rho)).report.sites
         assert len(sites) == math.ceil(rho * len(s27.gates))
 
 
 def test_insert_xor_round_robin_assignment(s1238):
-    rng = random.Random(3)
-    _, sites = insert_xor(s1238, 3, 6 / len(s1238.gates), rng)
+    sites = encrypt(s1238, EncryptConfig(enc_out_width=3, coverage=6 / len(s1238.gates))).report.sites
     assert len(sites) == 6
     per_bit = [sum(1 for s in sites if s.enc_bit == b) for b in range(3)]
     assert per_bit == [2, 2, 2]
 
 
 def test_insert_xor_zero_word_is_identity(s27):
-    nlx, _ = insert_xor(s27, 3, 0.5, random.Random(9))
+    nlx, _ = xor_netlist(s27, 3, 0.5, random.Random(9))
     rng = random.Random(10)
     extra = len(nlx.inputs) - len(s27.inputs)
     for _ in range(1000):
         iv = rand_bits(rng, len(s27.inputs))
         sv = rand_bits(rng, len(s27.dffs))
-        assert eval_comb(nlx, iv + [0] * extra, sv) == eval_comb(s27, iv, sv)
+        assert nlx.compiled.eval(iv + [0] * extra, sv) == s27.compiled.eval(iv, sv)
 
 
 FLAT6_TEXT = "\n".join(
@@ -161,18 +163,18 @@ FLAT6_TEXT = "\n".join(
 
 
 def test_insert_xor_set_bit_complements_its_sites():
-    # gates read primary inputs only, so corruption cannot cascade and the
-    # complement shows up directly at each tapped net
+    # gates read primary inputs only and drive the outputs, so corruption
+    # cannot cascade and eval shows the complement at each tapped net
     flat = parse_bench(FLAT6_TEXT, name="flat6")
-    nlx, sites = insert_xor(flat, 3, 1.0, random.Random(4))
+    nlx, sites = xor_netlist(flat, 3, 1.0, random.Random(4))
     assert len(sites) == 6
     rng = random.Random(11)
     for j in range(3):
         corrupt = [1 if b == j else 0 for b in range(3)]
         for _ in range(50):
             iv = rand_bits(rng, 4)
-            base = flat.compiled.eval_nets(iv, [])
-            poked = nlx.compiled.eval_nets(iv + corrupt, [])
+            base = dict(zip(flat.outputs, flat.compiled.eval(iv)[0]))
+            poked = dict(zip(nlx.outputs, nlx.compiled.eval(iv + corrupt)[0]))
             for site in sites:
                 want = base[site.net] ^ (1 if site.enc_bit == j else 0)
                 assert poked[site.net] == want
@@ -181,7 +183,7 @@ def test_insert_xor_set_bit_complements_its_sites():
 def test_insert_xor_rejects_gateless_netlist():
     nl = parse_bench("INPUT(a)\nOUTPUT(a)")
     with pytest.raises(ValueError, match="no gates"):
-        insert_xor(nl, 3, 0.5, random.Random(0))
+        encrypt(nl, EncryptConfig())
 
 
 # -- full encryption --------------------------------------------------------------------
@@ -234,12 +236,12 @@ def test_encrypt_validates_one_netlist_per_lock(s27, monkeypatch):
     monkeypatch.setattr(Netlist, "_validate", lambda nl: validated.append(nl.name) or real(nl))
     enc = encrypt(s27, TOY_CFG)
     assert validated == [enc.netlist.name]
-    # insert_xor still returns a validated netlist, and encrypt builds on the same rewrite
+    # the XOR rewrite is the head of the locked gate list, never a netlist of its own
     rng = random.Random(f"{TOY_CFG.master_seed}/sites")
-    nlx, sites = insert_xor(s27, TOY_CFG.enc_out_width, TOY_CFG.coverage, rng, prefix=enc.report.prefix)
-    assert validated == [enc.netlist.name, nlx.name]
+    gates, sites = _xor_gates(s27, TOY_CFG.enc_out_width, TOY_CFG.coverage, rng, enc.report.prefix)
+    assert validated == [enc.netlist.name]
     assert sites == enc.report.sites
-    assert enc.netlist.gates[: len(nlx.gates)] == nlx.gates
+    assert enc.netlist.gates[: len(gates)] == tuple(gates)
 
 
 def test_schedule_json_round_trip(s27):

@@ -8,14 +8,12 @@ import pytest
 from relock import (
     EncryptConfig,
     Stimulus,
-    Trace,
     authentication_schedule,
     encrypt,
-    hamming_distance,
     new_lfsr,
     parse_bench,
-    sequence,
     simulate,
+    step,
     trusted_user_stimulus,
     workload_cycle_mask,
     workload_stimulus,
@@ -84,16 +82,14 @@ def test_simulate_is_deterministic(s27):
 
 
 def test_simulate_agrees_with_manual_stepping(s27):
-    # fold eval_comb by hand and compare against the packed trace
-    from relock import eval_comb
-
+    # fold compiled.eval by hand and compare against the packed trace
     rng = random.Random(17)
     vectors = [rng.getrandbits(4) for _ in range(30)]
     tr = simulate(s27, workload_stimulus(vectors))
     state = [0, 0, 0]
     for t, word in enumerate(vectors):
         bits = [(word >> b) & 1 for b in range(4)]
-        outs, nxt = eval_comb(s27, bits, state)
+        outs, nxt = s27.compiled.eval(bits, state)
         assert tr.outputs[t] == outs[0]
         assert tr.states[t] == sum(s << k for k, s in enumerate(state))
         state = list(nxt)
@@ -121,7 +117,10 @@ def test_schedule_first_window_starts_at_reset(toy):
 def test_schedule_t_func_replays_the_prng(toy):
     sched = toy.schedule
     windows = authentication_schedule(sched, 60)
-    states = sequence(new_lfsr(sched.lfsr_width, sched.lfsr_taps, 0), 80)
+    g, states = new_lfsr(sched.lfsr_width, sched.lfsr_taps, 0), []
+    for _ in range(80):
+        g, out = step(g)
+        states.append(out)
     c = sched.key_len
     for w in windows:
         assert w.t_func == max(states[w.start + c], 1)
@@ -149,15 +148,15 @@ def test_schedule_replay_stops_at_the_horizon(toy, monkeypatch):
     cycles = 200
     limit = cycles + sched.key_len
     steps = 0
-    real_step = relock.sim.step
+    real_shift = relock.sim._shift
 
-    def counting_step(g):
+    def counting_shift(*args):
         nonlocal steps
         steps += 1
         assert steps <= limit, f"replay stepped the PRNG more than {limit} times"
-        return real_step(g)
+        return real_shift(*args)
 
-    monkeypatch.setattr(relock.sim, "step", counting_step)
+    monkeypatch.setattr(relock.sim, "_shift", counting_shift)
     windows = authentication_schedule(sched, cycles)
     assert steps <= limit
     assert windows[0].start == 0
@@ -175,14 +174,14 @@ def test_derive_window_starts_steps_only_to_the_last_window(toy, monkeypatch):
 
     sched = dataclasses.replace(toy.schedule, lfsr_width=14, lfsr_taps=MAXIMAL_TAPS[14])
     steps = 0
-    real_step = relock.sim.step
+    real_shift = relock.sim._shift
 
-    def counting_step(g):
+    def counting_shift(*args):
         nonlocal steps
         steps += 1
-        return real_step(g)
+        return real_shift(*args)
 
-    monkeypatch.setattr(relock.sim, "step", counting_step)
+    monkeypatch.setattr(relock.sim, "_shift", counting_shift)
     starts = derive_window_starts(sched, 3)
     assert len(starts) == 4
     assert steps <= starts[3] + sched.key_len
@@ -308,55 +307,6 @@ def test_restore_resumes_the_pre_jump_state(s27, toy):
         got = tuple(tr.state_bit(t, q) for q in orig_qs)
         want = tuple(golden.state_bit(tag, q) for q in orig_qs)
         assert got == want
-
-
-# -- hamming distance -------------------------------------------------------------
-
-def _mini_trace(outputs, width=2):
-    n = len(outputs)
-    return Trace(
-        input_names=("a",),
-        output_names=tuple(f"y{k}" for k in range(width)),
-        state_names=(),
-        inputs=(0,) * n,
-        outputs=tuple(outputs),
-        states=(0,) * n,
-    )
-
-
-def test_hd_identical_traces():
-    a = _mini_trace([1, 2, 3])
-    assert hamming_distance(a, a, range(3)) == 0.0
-
-
-def test_hd_complement_traces():
-    a = _mini_trace([0b00, 0b01, 0b10])
-    b = _mini_trace([0b11, 0b10, 0b01])
-    assert hamming_distance(a, b, range(3)) == 1.0
-
-
-def test_hd_half():
-    a = _mini_trace([0b00, 0b00])
-    b = _mini_trace([0b01, 0b10])
-    assert hamming_distance(a, b, [0, 1]) == 0.5
-
-
-def test_hd_mask_selects_cycles():
-    a = _mini_trace([0b00, 0b11, 0b00])
-    b = _mini_trace([0b00, 0b00, 0b00])
-    assert hamming_distance(a, b, [0, 2]) == 0.0
-    assert hamming_distance(a, b, [1]) == 1.0
-
-
-def test_hd_errors():
-    a = _mini_trace([0, 1])
-    b = _mini_trace([0, 1], width=3)
-    with pytest.raises(ValueError, match="different output"):
-        hamming_distance(a, b, [0])
-    with pytest.raises(ValueError, match="empty"):
-        hamming_distance(a, a, [])
-    with pytest.raises(ValueError, match="out of range"):
-        hamming_distance(a, a, [5])
 
 
 # -- exports -----------------------------------------------------------------------

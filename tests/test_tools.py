@@ -21,8 +21,9 @@ def load_tool(name):
 
 @pytest.mark.parametrize("name", ["s298", "s1238"])
 def test_make_benchmarks_reproduces_committed_bench(name):
-    # make() probes candidates with eval_nets and checks them with simulate,
-    # so this also runs both kernels on every gate of the generated netlists
+    # make() probes candidates with eval, every gate output listed as an
+    # output, and checks them with simulate, so this also runs the kernel
+    # with and without inlining on every gate of the generated netlists
     nl = load_tool("make_benchmarks").make(name)
     assert emit_bench(nl) == bench_path(name).read_text()
 
@@ -33,3 +34,26 @@ def test_code_size_counts_the_public_names():
     size = load_tool("code_size").measure()
     assert size["public_names"] == len(relock.__all__)
     assert size["src_lines"] > 0
+
+
+# every public name, so adding or removing one shows up in this file's diff
+PUBLIC_API = [
+    "AttackResult", "AuthWindow", "BenchError", "Case", "CircuitStats", "CnfBuilder",
+    "CompiledCircuit", "DEFAULT_SEED", "DanglingNetWarning", "EncryptConfig", "EncryptReport",
+    "EncryptedDesign", "Gate", "HdReport", "KeySchedule", "Lfsr", "MAXIMAL_TAPS", "Netlist",
+    "OverheadReport", "SAT", "STATUS_BUDGET", "STATUS_NO_KEY", "STATUS_RECOVERED",
+    "STATUS_VERIFY_FAILED", "SequenceOracle", "SolveResult", "Solver", "Stimulus", "Trace",
+    "UNKNOWN", "UNSAT", "WindowRecovery", "XorSite", "authentication_schedule",
+    "brute_force_effort", "cycle_delay_overhead", "cycle_delay_sweep", "derive_sbj",
+    "derive_window_starts", "emit_bench", "encrypt", "load_bench", "load_config",
+    "load_schedule", "new_lfsr", "overhead_report", "parse_bench", "period",
+    "recover_key_sequences", "run_case", "save_bench", "save_schedule", "simulate", "solve",
+    "step", "to_dimacs", "trusted_user_stimulus", "workload_cycle_mask", "workload_stimulus",
+    "write_columnar", "write_hd_csv", "write_vcd",
+]
+
+
+def test_public_api_is_pinned():
+    import relock
+
+    assert sorted(relock.__all__) == PUBLIC_API

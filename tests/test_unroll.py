@@ -10,7 +10,6 @@ from relock import (
     SAT,
     CnfBuilder,
     DanglingNetWarning,
-    eval_comb,
     parse_bench,
     simulate,
     solve,
@@ -52,7 +51,7 @@ def test_unroll_single_frame_equals_reset_eval(s27):
     rng = random.Random(1)
     for _ in range(50):
         w = rng.getrandbits(4)
-        outs, _ = eval_comb(s27, [(w >> b) & 1 for b in range(4)], [0, 0, 0])
+        outs, _ = s27.compiled.eval([(w >> b) & 1 for b in range(4)], [0, 0, 0])
         (got,) = CnfBuilder().encode_frames(s27, reset(s27), [w])
         assert got == [bool(v) for v in outs]
 
@@ -198,7 +197,7 @@ def test_builder_symbolic_matches_eval(s27):
             cls.append((v,) if bits[x] else (-v,))
         res = solve(cls, n_vars=b.n_vars)
         assert res.status == SAT
-        outs, _ = eval_comb(comb, [bits[x] for x in comb.inputs], [])
+        outs, _ = comb.compiled.eval([bits[x] for x in comb.inputs], [])
         for y, want in zip(comb.outputs, outs):
             lit = val[y]
             got = res.model[abs(lit)] ^ (lit < 0)

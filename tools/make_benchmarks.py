@@ -111,21 +111,20 @@ def _build(name: str, n_in: int, n_out: int, n_dff: int, n_gates: int, attempt: 
             readers[old] -= 1
         readers[net] = readers.get(net, 0) + 1
 
-    # probe the closed design to find nets that actually move
-    probe = Netlist(name, tuple(inputs), (), tuple(gates), tuple(dffs))
+    # probe the closed design to find nets that actually move: with every
+    # gate output listed as an output, eval returns them all
+    probe = Netlist(name, tuple(inputs), tuple(gate_out), tuple(gates), tuple(dffs))
     cc = CompiledCircuit(probe)
     toggles = {net: 0 for net in gate_out}
     prev: dict[str, int] = {}
     state = [0] * n_dff
     for _t in range(_PROBE_CYCLES):
         word = rng.getrandbits(n_in)
-        vals = cc.eval_nets([(word >> b) & 1 for b in range(n_in)], state)
-        for net in gate_out:
-            v = vals[net]
+        vals, state = cc.eval([(word >> b) & 1 for b in range(n_in)], state)
+        for net, v in zip(gate_out, vals):
             if net in prev and prev[net] != v:
                 toggles[net] += 1
             prev[net] = v
-        state = [vals[d] for _q, d in dffs]
 
     lively = [net for net in gate_out if toggles[net] >= _MIN_TOGGLES]
     cut = (2 * n_gates) // 5
