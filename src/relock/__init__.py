@@ -22,7 +22,6 @@ from .encrypt import (
     EncryptReport,
     KeySchedule,
     XorSite,
-    derive_sbj,
     encrypt,
     load_config,
     load_schedule,

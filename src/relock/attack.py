@@ -87,15 +87,10 @@ def _lane_dip(nl: Netlist, prefix, key_len: int, gap: int, rng: random.Random):
     gap outputs differ from lane ``L + i``, or None if no lane pair differs.
     """
     n_in, lanes = len(nl.inputs), _DIP_LANES
-    full = (1 << 2 * lanes) - 1
     keys = [[rng.getrandbits(2 * lanes) for _ in range(n_in)] for _ in range(key_len)]
     probes = [[rng.getrandbits(lanes) for _ in range(n_in)] for _ in range(gap)]
-    inputs = [
-        *([full if (word >> i) & 1 else 0 for i in range(n_in)] for word in prefix),
-        *keys,
-        *([p | p << lanes for p in row] for row in probes),
-    ]
-    run = list(run_from_reset(nl, inputs, 2 * lanes))
+    rows = [*keys, *([p | p << lanes for p in row] for row in probes)]
+    run = list(run_from_reset(nl, (*prefix, *(None,) * len(rows)), rows, 2 * lanes))
     state = {q: bool(v & 1) for (q, _d), v in zip(nl.dffs, run[len(prefix)][1])}
     differ = 0
     for outs, _state in run[len(prefix) + key_len :]:
@@ -407,10 +402,8 @@ def _replay_verify(enc, oracle, starts, keys, seed, verify_vectors):
     answers = [oracle.query(workload) for workload in workloads]
 
     # rank r of every pass's workload is one cycle of lane words
-    full = (1 << passes) - 1
     free_in = (_transpose(column, n_in) for column in zip(*workloads))
-    inputs = (next(free_in) if key is None else [full if (key >> b) & 1 else 0 for b in range(n_in)] for key in plan)
-    outs = [outs for outs, _state in run_from_reset(enc, inputs, passes)]
+    outs = [outs for outs, _state in run_from_reset(enc, plan, free_in, passes)]
     ok = all(list(outs[t]) == _transpose(column, n_out) for t, column in zip(free, zip(*answers)))
     return ok, passes * len(free)
 

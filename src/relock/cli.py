@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
-from contextlib import contextmanager
 from decimal import Decimal
 from pathlib import Path
 
@@ -26,8 +26,8 @@ from .attack import (
     derive_window_starts,
     recover_key_sequences,
 )
-from .bench import BenchError, load_bench, save_bench
-from .encrypt import EncryptConfig, KeySchedule, _is_int, encrypt, load_config, load_schedule, save_schedule
+from .bench import BenchError, emit_bench, load_bench
+from .encrypt import EncryptConfig, KeySchedule, _is_int, encrypt, load_config, load_schedule
 from .evaluate import (
     Case,
     brute_force_effort,
@@ -46,49 +46,53 @@ EXIT_BUDGET = 3
 DEFAULT_CLI_SEED = 0
 
 
-class _InputError(Exception):
-    pass
-
-
-def _fail(msg: str) -> "_InputError":
-    return _InputError(msg)
-
-
 def _load_bench(path: str):
     try:
         return load_bench(path)
     except OSError as e:
-        raise _fail(f"cannot read '{path}': {e.strerror or e}") from e
+        raise ValueError(f"cannot read '{path}': {e.strerror or e}") from e
     except UnicodeDecodeError as e:
-        raise _fail(f"{path}: not UTF-8 text: {e}") from e
+        raise ValueError(f"{path}: not UTF-8 text: {e}") from e
     except BenchError as e:
-        raise _fail(f"{path}: {e}") from e
+        raise ValueError(f"{path}: {e}") from e
 
 
 def _load_schedule(path: str) -> KeySchedule:
     try:
         return load_schedule(path)
     except OSError as e:
-        raise _fail(f"cannot read '{path}': {e.strerror or e}") from e
+        raise ValueError(f"cannot read '{path}': {e.strerror or e}") from e
     except (ValueError, KeyError, json.JSONDecodeError) as e:
-        raise _fail(f"{path}: bad key schedule: {e}") from e
+        raise ValueError(f"{path}: bad key schedule: {e}") from e
 
 
-@contextmanager
-def _writing(path: str):
-    """Report an OSError raised while writing ``path`` as bad input."""
+def _write_outputs(*outputs) -> None:
+    """Write each ``(path, newline, write)`` output file, ``write`` taking
+    the open text file.
+
+    Called before a command prints, so a failed write leaves stdout empty.
+    An OSError is reported as bad input after every file this call
+    created, the failed one included, is removed again.
+    """
+    created: list[str] = []
     try:
-        yield
+        for path, newline, write in outputs:
+            if not os.path.lexists(path):
+                created.append(path)
+            with open(path, "w", newline=newline) as fh:
+                write(fh)
     except OSError as e:
-        raise _fail(f"cannot write '{path}': {e.strerror or e}") from e
+        for made in created:
+            Path(made).unlink(missing_ok=True)
+        raise ValueError(f"cannot write '{path}': {e.strerror or e}") from e
 
 
 def _check_schedule(sched: KeySchedule, nl, path: str) -> None:
     """The schedule must be for this (unlocked) netlist."""
     if sched.circuit != nl.name:
-        raise _fail(f"{path}: schedule is for circuit '{sched.circuit}', netlist is '{nl.name}'")
+        raise ValueError(f"{path}: schedule is for circuit '{sched.circuit}', netlist is '{nl.name}'")
     if sched.n_inputs != len(nl.inputs):
-        raise _fail(f"{path}: schedule is for {sched.n_inputs} inputs, netlist has {len(nl.inputs)}")
+        raise ValueError(f"{path}: schedule is for {sched.n_inputs} inputs, netlist has {len(nl.inputs)}")
 
 
 def sci(value: int, digits: int = 3) -> str:
@@ -112,19 +116,19 @@ def _cmd_encrypt(args) -> int:
         try:
             cfg = load_config(args.config)
         except OSError as e:
-            raise _fail(f"cannot read '{args.config}': {e.strerror or e}") from e
+            raise ValueError(f"cannot read '{args.config}': {e.strerror or e}") from e
         except (ValueError, KeyError, TypeError) as e:
-            raise _fail(f"{args.config}: bad config: {e}") from e
+            raise ValueError(f"{args.config}: bad config: {e}") from e
     else:
         cfg = EncryptConfig()
     try:
         design = encrypt(nl, cfg)
     except ValueError as e:
-        raise _fail(f"encrypt failed: {e}") from e
-    with _writing(args.out):
-        save_bench(design.netlist, args.out)
-    with _writing(args.keys):
-        save_schedule(design.schedule, args.keys)
+        raise ValueError(f"encrypt failed: {e}") from e
+    _write_outputs(
+        (args.out, "\n", lambda fh: fh.write(emit_bench(design.netlist))),
+        (args.keys, None, lambda fh: fh.write(design.schedule.to_json())),
+    )
     r = design.report
     print(
         f"{nl.name}: +{r.added_gates} gates, +{r.added_dffs} DFFs, "
@@ -136,32 +140,31 @@ def _cmd_encrypt(args) -> int:
 def _cmd_simulate(args) -> int:
     nl = _load_bench(args.bench)
     if (args.keys is None) != (args.case is None):
-        raise _fail("--keys and --case must be given together")
+        raise ValueError("--keys and --case must be given together")
     if args.cycles < 0:
-        raise _fail(f"--cycles must be >= 0, got {args.cycles}")
+        raise ValueError(f"--cycles must be >= 0, got {args.cycles}")
     n_in = len(nl.inputs)
     if args.keys is not None:
         sched = _load_schedule(args.keys)
         if sched.n_inputs != n_in:
-            raise _fail(f"schedule is for {sched.n_inputs} inputs, netlist has {n_in}")
+            raise ValueError(f"schedule is for {sched.n_inputs} inputs, netlist has {n_in}")
         plan = case_plan(sched, args.case, args.cycles)
     else:
         plan = (None,) * args.cycles
     rng = random.Random(f"{args.seed}/cli/simulate")
     workload = [rng.getrandbits(n_in) for _ in range(args.cycles)]
     trace = simulate(nl, plan_stimulus(plan, workload, n_in))
-    write_columnar(trace, sys.stdout)
     if args.vcd is not None:
-        with _writing(args.vcd), open(args.vcd, "w", newline="\n") as fh:
-            write_vcd(trace, fh, design=nl.name)
+        _write_outputs((args.vcd, "\n", lambda fh: write_vcd(trace, fh, design=nl.name)))
+    write_columnar(trace, sys.stdout)
     return EXIT_OK
 
 
 def _cmd_eval_hd(args) -> int:
     if args.vectors < 1:
-        raise _fail(f"--vectors must be >= 1, got {args.vectors}")
+        raise ValueError(f"--vectors must be >= 1, got {args.vectors}")
     if args.cycles < 0:
-        raise _fail(f"--cycles must be >= 0, got {args.cycles}")
+        raise ValueError(f"--cycles must be >= 0, got {args.cycles}")
     orig = _load_bench(args.orig)
     enc = _load_bench(args.enc)
     sched = _load_schedule(args.keys)
@@ -169,20 +172,20 @@ def _cmd_eval_hd(args) -> int:
     try:
         cases = [Case(int(tok)) for tok in args.cases.split(",") if tok]
     except ValueError as e:
-        raise _fail(f"bad --cases '{args.cases}': {e}") from e
+        raise ValueError(f"bad --cases '{args.cases}': {e}") from e
     if not cases:
-        raise _fail("no cases requested")
+        raise ValueError("no cases requested")
     reports = []
     for case in cases:
         try:
             rep = run_case(orig, (enc, sched), case, n_vectors=args.vectors, cycles=args.cycles, seed=args.seed)
         except ValueError as e:
-            raise _fail(f"eval-hd failed: {e}") from e
+            raise ValueError(f"eval-hd failed: {e}") from e
         reports.append(rep)
-        print(f"case {int(case)}: mean HD {rep.mean_hd:.6f} over {rep.mask_size} workload cycles x {rep.n_vectors} vectors")
     if args.csv is not None:
-        with _writing(args.csv), open(args.csv, "w", newline="") as fh:
-            write_hd_csv(reports, fh)
+        _write_outputs((args.csv, "", lambda fh: write_hd_csv(reports, fh)))
+    for rep in reports:
+        print(f"case {int(rep.case)}: mean HD {rep.mean_hd:.6f} over {rep.mask_size} workload cycles x {rep.n_vectors} vectors")
     return EXIT_OK
 
 
@@ -197,30 +200,30 @@ def _load_timing(args, key_len_hint: int | None, oracle_nl):
     spec = args.keys_timing
     if spec == "derive":
         if args.keys is None:
-            raise _fail("--keys-timing derive needs --keys <schedule file>")
+            raise ValueError("--keys-timing derive needs --keys <schedule file>")
         return _schedule_timing(args.keys, args.max_seq, oracle_nl)
     path = Path(spec)
     try:
         doc = json.loads(path.read_text())
     except OSError as e:
-        raise _fail(f"cannot read '{spec}': {e.strerror or e}") from e
+        raise ValueError(f"cannot read '{spec}': {e.strerror or e}") from e
     except UnicodeDecodeError as e:
-        raise _fail(f"{spec}: not UTF-8 text: {e}") from e
+        raise ValueError(f"{spec}: not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
-        raise _fail(f"{spec}: bad JSON: {e}") from e
+        raise ValueError(f"{spec}: bad JSON: {e}") from e
     if isinstance(doc, dict) and "key_table" in doc:
         return _schedule_timing(spec, args.max_seq, oracle_nl)
     if isinstance(doc, dict) and "starts" in doc:
         starts = doc["starts"]
         c = doc.get("c", key_len_hint)
         if c is None:
-            raise _fail(f"{spec}: timing file needs a 'c' entry (patterns per window)")
+            raise ValueError(f"{spec}: timing file needs a 'c' entry (patterns per window)")
         if not isinstance(starts, list) or not all(_is_int(s) and s >= 0 for s in starts):
-            raise _fail(f"{spec}: 'starts' must be a list of non-negative integers")
+            raise ValueError(f"{spec}: 'starts' must be a list of non-negative integers")
         if not (_is_int(c) and c > 0):
-            raise _fail(f"{spec}: 'c' must be a positive integer")
+            raise ValueError(f"{spec}: 'c' must be a positive integer")
         return tuple(starts), c
-    raise _fail(f"{spec}: expected a key schedule or an object with 'starts'")
+    raise ValueError(f"{spec}: expected a key schedule or an object with 'starts'")
 
 
 def _cmd_attack(args) -> int:
@@ -239,7 +242,7 @@ def _cmd_attack(args) -> int:
             seed=args.seed,
         )
     except ValueError as e:
-        raise _fail(f"attack failed: {e}") from e
+        raise ValueError(f"attack failed: {e}") from e
     sys.stdout.write(result.report())
     if result.status == STATUS_BUDGET:
         print("conflict budget exhausted; attack truncated", file=sys.stderr)
@@ -347,9 +350,6 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except _InputError as e:
-        print(f"relock: error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as e:
         print(f"relock: error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -150,32 +150,17 @@ def load_config(path: str | Path) -> EncryptConfig:
     return cfg
 
 
-@dataclass(frozen=True)
-class _EncFsmSpec:
-    """Behavioral controller spec before gate lowering.
+def _build_enc_fsm(n_inputs: int, cfg: EncryptConfig, rng: random.Random):
+    """Draw the secret key table and corruption words of a validated config.
 
-    ``key_table[s][p]`` is the input pattern expected at progress ``p`` of
-    chain ``s``; ``enc_out_table[s][p]`` is the corruption word emitted while
-    the controller sits in that encrypted-mode state.  The functional mode
-    emits the implicit all-zeros word.
-    """
-
-    n_inputs: int
-    enc_out_width: int
-    key_table: tuple[tuple[int, ...], ...]
-    enc_out_table: tuple[tuple[int, ...], ...]
-
-
-def _build_enc_fsm(n_inputs: int, cfg: EncryptConfig, rng: random.Random) -> _EncFsmSpec:
-    """Draw the secret key table and corruption words.
-
+    Returns ``(key_table, enc_out_table)``: ``key_table[s][p]`` is the input
+    pattern expected at progress ``p`` of chain ``s``, and
+    ``enc_out_table[s][p]`` the corruption word emitted while the controller
+    sits in that encrypted-mode state (functional mode emits all zeros).
     Corruption words are nonzero and no two consecutive states of a chain
     share a word, so the corruption signal visibly switches every cycle of a
     pending authentication.
     """
-    cfg.validate()
-    if n_inputs < 1:
-        raise ValueError("need at least one primary input")
     chains = 1 << cfg.sbj_bits
     key_table = tuple(
         tuple(rng.getrandbits(n_inputs) for _ in range(cfg.key_len))
@@ -192,16 +177,7 @@ def _build_enc_fsm(n_inputs: int, cfg: EncryptConfig, rng: random.Random) -> _En
             row.append(w)
             prev = w
         enc_rows.append(tuple(row))
-    return _EncFsmSpec(n_inputs, cfg.enc_out_width, key_table, tuple(enc_rows))
-
-
-def derive_sbj(r: int, sbj_bits: int) -> int:
-    """Next chain selector: the low ``sbj_bits`` bits of PRNG output ``r``."""
-    if sbj_bits < 1:
-        raise ValueError("sbj_bits must be >= 1")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    return r & ((1 << sbj_bits) - 1)
+    return key_table, tuple(enc_rows)
 
 
 @dataclass(frozen=True)
@@ -233,12 +209,9 @@ def _xor_gates(
     reader sees the corrupted value.  Corruption bits are assigned round
     robin and read nets named ``<prefix>corrupt<j>``, which the caller
     drives; tying them all to zero restores the original function exactly.
+    ``enc_out_width`` and ``coverage`` come from a validated config.
     Returns the rewritten gates, unvalidated, and the sites.
     """
-    if enc_out_width < 1:
-        raise ValueError("enc_out_width must be >= 1")
-    if not 0 < coverage <= 1:
-        raise ValueError(f"coverage must be in (0, 1], got {coverage}")
     if not nl.gates:
         raise ValueError(f"netlist '{nl.name}' has no gates to corrupt")
     k = min(math.ceil(coverage * len(nl.gates)), len(nl.gates))
@@ -386,17 +359,6 @@ class EncryptReport:
     added_gates: int
     added_dffs: int
 
-    def as_dict(self) -> dict:
-        return {
-            "prefix": self.prefix,
-            "n_sites": len(self.sites),
-            "sites": [{"net": s.net, "enc_bit": s.enc_bit} for s in self.sites],
-            "requested_coverage": self.requested_coverage,
-            "achieved_coverage": self.achieved_coverage,
-            "added_gates": self.added_gates,
-            "added_dffs": self.added_dffs,
-        }
-
 
 @dataclass(frozen=True)
 class EncryptedDesign:
@@ -437,8 +399,8 @@ class _NetFactory:
     def and2(self, a: str, b: str, out: str | None = None) -> str:
         return self.emit("AND", (a, b), out)
 
-    def or2(self, a: str, b: str, out: str | None = None) -> str:
-        return self.emit("OR", (a, b), out)
+    def or2(self, a: str, b: str) -> str:
+        return self.emit("OR", (a, b))
 
     def xor2(self, a: str, b: str) -> str:
         return self.emit("XOR", (a, b))
@@ -451,23 +413,17 @@ class _NetFactory:
             self._const0 = self.emit("XOR", (self.anchor, self.anchor))
         return self._const0
 
-    def and_tree(self, terms: list[str], out: str | None = None) -> str:
-        if not terms:
-            raise ValueError("empty AND")
-        if len(terms) == 1:
-            return terms[0] if out is None else self.emit("BUFF", terms, out)
-        return self.emit("AND", terms, out)
+    def and_tree(self, terms: list[str]) -> str:
+        return terms[0] if len(terms) == 1 else self.emit("AND", terms)
 
-    def or_tree(self, terms: list[str], out: str | None = None) -> str:
+    def or_tree(self, terms: list[str]) -> str:
         if not terms:
-            return self.const0() if out is None else self.emit("BUFF", (self.const0(),), out)
-        if len(terms) == 1:
-            return terms[0] if out is None else self.emit("BUFF", terms, out)
-        return self.emit("OR", terms, out)
+            return self.const0()
+        return terms[0] if len(terms) == 1 else self.emit("OR", terms)
 
-    def mux(self, sel: str, a: str, b: str, out: str | None = None) -> str:
+    def mux(self, sel: str, a: str, b: str) -> str:
         """sel ? a : b"""
-        return self.or2(self.and2(sel, a), self.and2(self.inv(sel), b), out)
+        return self.or2(self.and2(sel, a), self.and2(self.inv(sel), b))
 
     def fold_xnor(self, nets: list[str]) -> str:
         cur = nets[0]
@@ -509,7 +465,7 @@ def encrypt(nl: Netlist, cfg: EncryptConfig) -> EncryptedDesign:
     rng_sites = random.Random(f"{cfg.master_seed}/sites")
     prefix = _fresh_prefix(nl)
 
-    fsm = _build_enc_fsm(n_in, cfg, rng_fsm)
+    key_table, enc_out_table = _build_enc_fsm(n_in, cfg, rng_fsm)
     gates, sites = _xor_gates(nl, cfg.enc_out_width, cfg.coverage, rng_sites, prefix)
 
     n = cfg.lfsr_width
@@ -540,7 +496,7 @@ def encrypt(nl: Netlist, cfg: EncryptConfig) -> EncryptedDesign:
     match_terms = []
     for v in range(chains):
         for u in range(c):
-            match_terms.append(f.and2(pair[v][u], f.eq_const(x, fsm.key_table[v][u])))
+            match_terms.append(f.and2(pair[v][u], f.eq_const(x, key_table[v][u])))
     match = f.or_tree(match_terms)
     last = dec_p[c - 1]
     m_na = f.and2(not_auth, match)
@@ -558,10 +514,9 @@ def encrypt(nl: Netlist, cfg: EncryptConfig) -> EncryptedDesign:
             pair[v][u]
             for v in range(chains)
             for u in range(c)
-            if (fsm.enc_out_table[v][u] >> j) & 1
+            if (enc_out_table[v][u] >> j) & 1
         ]
-        word = f.or_tree(terms) if terms else f.const0()
-        f.and2(not_auth, word, out=f"{prefix}corrupt{j}")
+        f.and2(not_auth, f.or_tree(terms), out=f"{prefix}corrupt{j}")
 
     new_dffs: list[tuple[str, str]] = []
     # design flip-flops: restored from shadow at the authentication edge
@@ -610,7 +565,7 @@ def encrypt(nl: Netlist, cfg: EncryptConfig) -> EncryptedDesign:
         key_len=c,
         sbj_bits=cfg.sbj_bits,
         n_inputs=n_in,
-        key_table=fsm.key_table,
+        key_table=key_table,
         master_seed=cfg.master_seed,
         config=cfg,
     )

@@ -98,17 +98,14 @@ def run_case(
     # corruption from stream misalignment: trusted workload cycle t is
     # compared with golden cycle rank[t], its rank among the free cycles
     plan = case_plan(sched, case, cycles)
-    full = (1 << n_vectors) - 1
-    lanes = iter(wl)
-    enc_in = (next(lanes) if key is None else [full if (key >> b) & 1 else 0 for b in range(n_in)] for key in plan)
     free = [t for t, key in enumerate(plan) if key is None]
     rank = {t: j for j, t in enumerate(free)}
-    gold_out = [outs for outs, _ in run_from_reset(orig, wl[: len(free)], n_vectors)]
+    gold_out = [outs for outs, _ in run_from_reset(orig, (None,) * len(free), wl, n_vectors)]
 
     # the encrypted run is streamed: each cycle's output differences are
     # tallied as the cycle comes out, all lanes at once
     scored = set(mask)
-    enc_out = enumerate(run_from_reset(enc_nl, enc_in, n_vectors))
+    enc_out = enumerate(run_from_reset(enc_nl, plan, wl, n_vectors))
     diffs = (e ^ g for t, (eo, _) in enc_out if t in scored for e, g in zip(eo, gold_out[rank[t]]))
     counts = _lane_counts(diffs, n_vectors)
 

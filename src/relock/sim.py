@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .bench import Netlist
-from .encrypt import KeySchedule, derive_sbj
+from .encrypt import KeySchedule
 from .lfsr import _shift, new_lfsr
 
 
@@ -66,7 +66,8 @@ def replay_windows(sched: KeySchedule, cycles: float = math.inf):
 
     start = 0
     while start < cycles:
-        chain = derive_sbj(state_at(start), sched.sbj_bits) if start else 0
+        # the next chain is selected by the PRNG's low sbj_bits bits
+        chain = state_at(start) & ((1 << sched.sbj_bits) - 1) if start else 0
         t_func = max(state_at(start + c), 1)
         yield AuthWindow(start=start, chain=chain, t_func=t_func)
         start += c + t_func
@@ -219,16 +220,22 @@ class Trace:
         return (self.states[t] >> self.state_names.index(name)) & 1
 
 
-def run_from_reset(nl: Netlist, inputs, width: int = 1):
-    """Run ``nl`` from reset, one ``CompiledCircuit.eval`` per cycle.
+def run_from_reset(nl: Netlist, plan, rows=(), width: int = 1):
+    """Run ``nl`` from reset through a key plan, one ``CompiledCircuit.eval``
+    per cycle on ``width`` lanes.
 
-    ``inputs`` yields one word per primary input for each cycle, each word
-    ``width`` lanes wide.  Yields ``(outputs, state)`` per cycle, where
-    ``state`` is the flip-flop state during that cycle.
+    A pattern cycle of ``plan`` drives its packed pattern on every lane (bit
+    ``b`` to input ``b``); a None cycle takes the next row of ``rows``, one
+    lane word per primary input.  Yields ``(outputs, state)`` per cycle,
+    where ``state`` is the flip-flop state during that cycle.
     """
     cc = nl.compiled
+    n_in = len(nl.inputs)
+    full = (1 << width) - 1
+    rows = iter(rows)
     state = (0,) * len(nl.dffs)
-    for words in inputs:
+    for key in plan:
+        words = next(rows) if key is None else [full if (key >> b) & 1 else 0 for b in range(n_in)]
         outs, nxt = cc.eval(words, state, width=width)
         yield outs, state
         state = nxt
@@ -249,7 +256,7 @@ def simulate(nl: Netlist, stim: Stimulus, cycles: int | None = None) -> Trace:
             raise ValueError(f"cycle {t}: input vector {word:#x} does not fit {n_in} inputs")
     outputs: list[int] = []
     states: list[int] = []
-    for outs, state in run_from_reset(nl, ([(word >> b) & 1 for b in range(n_in)] for word in inputs)):
+    for outs, state in run_from_reset(nl, inputs):
         outputs.append(_pack(outs))
         states.append(_pack(state))
     return Trace(

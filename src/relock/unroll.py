@@ -1,12 +1,14 @@
 """Time-frame expansion and CNF encoding of sequential netlists.
 
-``gate_clauses`` is the one Tseitin table.  ``CnfBuilder`` is the one
-encoder: it encodes a netlist one clock frame at a time into one growing
-clause set, with the flip-flop outputs pinned to the previous frame's
-next-state values, and folds constants on the fly, so frames with mostly
-pinned inputs shrink to almost nothing.  Every gate it does not fold goes
-through ``gate_clauses``.  ``CnfBuilder.encode_frames`` steps the frames;
-``to_dimacs`` writes a builder's formula as DIMACS text.
+``CnfBuilder`` is the one encoder: it encodes a netlist one clock frame at
+a time into one growing clause set, with the flip-flop outputs pinned to the
+previous frame's next-state values, and folds constants on the fly, so
+frames with mostly pinned inputs shrink to almost nothing.  NOT and BUFF
+only set a literal's sign; every other gate it does not fold takes one of
+two Tseitin forms: an AND over literals (``_and_clauses``, with NAND, OR and
+NOR inverting its inputs or output) or a chain of two-input XORs
+(``_xor2``, with XNOR inverting the result).  ``CnfBuilder.encode_frames``
+steps the frames; ``to_dimacs`` writes a builder's formula as DIMACS text.
 """
 
 from __future__ import annotations
@@ -14,43 +16,13 @@ from __future__ import annotations
 from .bench import Netlist
 
 
-def gate_clauses(kind: str, y: int, ins: list[int], new_aux) -> list[tuple[int, ...]]:
-    """Tseitin clauses for ``y <-> kind(ins)`` over signed literals.
-
-    ``new_aux`` allocates a fresh variable for XOR/XNOR chains of arity
-    above two.
-    """
-    if kind == "AND":
-        return [(-y, a) for a in ins] + [tuple([y] + [-a for a in ins])]
-    if kind == "NAND":
-        return [(y, a) for a in ins] + [tuple([-y] + [-a for a in ins])]
-    if kind == "OR":
-        return [(y, -a) for a in ins] + [tuple([-y] + list(ins))]
-    if kind == "NOR":
-        return [(-y, -a) for a in ins] + [tuple([y] + list(ins))]
-    if kind == "NOT":
-        (a,) = ins
-        return [(y, a), (-y, -a)]
-    if kind == "BUFF":
-        (a,) = ins
-        return [(y, -a), (-y, a)]
-    if kind in ("XOR", "XNOR"):
-        clauses: list[tuple[int, ...]] = []
-        cur = ins[0]
-        for a in ins[1:-1]:
-            aux = new_aux()
-            clauses += _xor2(aux, cur, a)
-            cur = aux
-        last = ins[-1]
-        if kind == "XOR":
-            clauses += _xor2(y, cur, last)
-        else:
-            clauses += _xor2(-y, cur, last)
-        return clauses
-    raise ValueError(f"unknown gate kind {kind!r}")
+def _and_clauses(y: int, lits: list[int]) -> list[tuple[int, ...]]:
+    """Tseitin clauses for ``y <-> AND(lits)`` over signed literals."""
+    return [(-y, a) for a in lits] + [(y, *(-a for a in lits))]
 
 
 def _xor2(y: int, a: int, b: int) -> list[tuple[int, ...]]:
+    """Tseitin clauses for ``y <-> a XOR b`` over signed literals."""
     return [(-y, a, b), (-y, -a, -b), (y, -a, b), (y, a, -b)]
 
 
@@ -170,7 +142,7 @@ class CnfBuilder:
                 y = lits[0]
             else:
                 y = self.new_var()
-                self.clauses += gate_clauses("AND", y, lits, self.new_var)
+                self.clauses += _and_clauses(y, lits)
             return -y if invert_out else y
 
         if kind in ("XOR", "XNOR"):
@@ -194,7 +166,7 @@ class CnfBuilder:
             cur = lits[0]
             for a in lits[1:]:
                 aux = self.new_var()
-                self.clauses += gate_clauses("XOR", aux, [cur, a], self.new_var)
+                self.clauses += _xor2(aux, cur, a)
                 cur = aux
             return -cur if phase else cur
 

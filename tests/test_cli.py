@@ -286,9 +286,32 @@ def test_unwritable_output_path_exits_2(capsys, workdir, tmp_path, flag):
         "--vcd": ["simulate", s27, "--cycles", "3", "--vcd", bad],
         "--csv": ["eval-hd", s27, enc, "--keys", keys, "--cases", "1", "--vectors", "5", "--cycles", "20", "--csv", bad],
     }[flag]
-    rc, _, err = run(capsys, *argv)
+    rc, out, err = run(capsys, *argv)
     assert rc == EXIT_INPUT
     assert err == f"relock: error: cannot write '{bad}': No such file or directory\n"
+    # no partial result: nothing on stdout, and no file written (with --keys,
+    # the --out netlist written first is removed again)
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_encrypt_keeps_a_file_it_did_not_create(capsys, tmp_path):
+    enc, bad = tmp_path / "enc.bench", tmp_path / "no-such-dir" / "keys.json"
+    enc.write_text("old")
+    rc, _, _ = run(capsys, "encrypt", str(bench_path("s27")), "--out", str(enc), "--keys", str(bad))
+    assert rc == EXIT_INPUT
+    assert enc.exists()
+
+
+def test_encrypt_of_a_netlist_without_inputs_exits_2(capsys, tmp_path):
+    src = tmp_path / "inputless.bench"
+    src.write_text("OUTPUT(y)\nq = DFF(n)\nn = NOT(q)\ny = BUFF(q)\n")
+    out_path = tmp_path / "enc.bench"
+    rc, out, err = run(capsys, "encrypt", str(src), "--out", str(out_path), "--keys", str(tmp_path / "k.json"))
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert err == "relock: error: encrypt failed: netlist 'inputless' has no primary inputs\n"
+    assert not out_path.exists()
 
 
 # -- attack ------------------------------------------------------------------

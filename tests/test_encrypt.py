@@ -11,7 +11,6 @@ from relock import (
     EncryptedDesign,
     KeySchedule,
     Netlist,
-    derive_sbj,
     emit_bench,
     encrypt,
     parse_bench,
@@ -78,41 +77,23 @@ def test_config_dict_round_trip():
 
 def test_enc_fsm_words_nonzero_and_switching():
     rng = random.Random(5)
-    spec = _build_enc_fsm(8, EncryptConfig(enc_out_width=3, key_len=8), rng)
-    for row in spec.enc_out_table:
+    _key_table, enc_out_table = _build_enc_fsm(8, EncryptConfig(enc_out_width=3, key_len=8), rng)
+    for row in enc_out_table:
         assert all(w != 0 for w in row)
         assert all(a != b for a, b in zip(row, row[1:]))
 
 
 def test_enc_fsm_key_table_shape():
     cfg = EncryptConfig(sbj_bits=2, key_len=8)
-    spec = _build_enc_fsm(14, cfg, random.Random(1))
-    assert len(spec.key_table) == 4
-    assert all(len(row) == 8 for row in spec.key_table)
-    assert all(0 <= p < 2**14 for row in spec.key_table for p in row)
+    key_table, _enc_out_table = _build_enc_fsm(14, cfg, random.Random(1))
+    assert len(key_table) == 4
+    assert all(len(row) == 8 for row in key_table)
+    assert all(0 <= p < 2**14 for row in key_table for p in row)
 
 
 def test_enc_fsm_deterministic_in_seed():
     cfg = EncryptConfig()
-    a = _build_enc_fsm(6, cfg, random.Random(42))
-    b = _build_enc_fsm(6, cfg, random.Random(42))
-    assert a.key_table == b.key_table
-    assert a.enc_out_table == b.enc_out_table
-
-
-# -- chain selector -----------------------------------------------------------------
-
-def test_derive_sbj_examples():
-    assert derive_sbj(0b1101, 2) == 1
-    assert derive_sbj(0b1101, 4) == 0b1101  # full-width slice is identity
-    assert derive_sbj(0, 7) == 0
-
-
-def test_derive_sbj_rejects_bad_args():
-    with pytest.raises(ValueError):
-        derive_sbj(3, 0)
-    with pytest.raises(ValueError):
-        derive_sbj(-1, 2)
+    assert _build_enc_fsm(6, cfg, random.Random(42)) == _build_enc_fsm(6, cfg, random.Random(42))
 
 
 # -- XOR tap insertion ----------------------------------------------------------------
@@ -183,6 +164,16 @@ def test_insert_xor_set_bit_complements_its_sites():
 def test_insert_xor_rejects_gateless_netlist():
     nl = parse_bench("INPUT(a)\nOUTPUT(a)")
     with pytest.raises(ValueError, match="no gates"):
+        encrypt(nl, EncryptConfig())
+
+
+# a toggle register: gates and a flip-flop, but no INPUT line
+INPUTLESS_TEXT = "OUTPUT(y)\nq = DFF(n)\nn = NOT(q)\ny = BUFF(q)\n"
+
+
+def test_encrypt_rejects_a_netlist_without_inputs():
+    nl = parse_bench(INPUTLESS_TEXT, name="inputless")
+    with pytest.raises(ValueError, match="'inputless' has no primary inputs"):
         encrypt(nl, EncryptConfig())
 
 

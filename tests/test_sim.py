@@ -20,7 +20,7 @@ from relock import (
     write_columnar,
     write_vcd,
 )
-from relock.sim import Case, case_plan, key_plan, plan_stimulus
+from relock.sim import Case, case_plan, key_plan, plan_stimulus, run_from_reset
 
 TOGGLE_TEXT = "OUTPUT(y)\nq = DFF(y)\ny = NOT(q)"
 
@@ -93,6 +93,48 @@ def test_simulate_agrees_with_manual_stepping(s27):
         assert tr.outputs[t] == outs[0]
         assert tr.states[t] == sum(s << k for k, s in enumerate(state))
         state = list(nxt)
+
+
+# -- run_from_reset: the one place a key plan becomes lane words ---------------
+
+def lane(words, k):
+    """Lane ``k`` of a sequence of lane words, as 0/1 values."""
+    return [(w >> k) & 1 for w in words]
+
+
+def test_run_from_reset_drives_a_pattern_on_every_lane(s27):
+    rng = random.Random(3)
+    plan = tuple(rng.getrandbits(4) for _ in range(20))
+    trace = simulate(s27, workload_stimulus(plan))
+    full = (1 << 5) - 1
+    run = list(run_from_reset(s27, plan, width=5))
+    assert len(run) == len(plan)
+    for (outs, state), out_word, state_word in zip(run, trace.outputs, trace.states):
+        assert list(outs) == [full if (out_word >> j) & 1 else 0 for j in range(len(s27.outputs))]
+        assert list(state) == [full if (state_word >> k) & 1 else 0 for k in range(len(s27.dffs))]
+
+
+def test_run_from_reset_takes_the_next_row_on_each_none_cycle(s27):
+    # None cycles take rows 0, 1, 2 in order; row 3 is never asked for
+    rows = iter([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 1, 1], "unused"])
+    plan = (None, 0b1001, None, None, 0b0010)
+    run = [list(outs) for outs, _state in run_from_reset(s27, plan, rows)]
+    trace = simulate(s27, workload_stimulus([0b0101, 0b1001, 0b0110, 0b1111, 0b0010]))
+    assert run == [[w] for w in trace.outputs]  # s27 has one output
+    assert next(rows) == "unused"
+
+
+def test_run_from_reset_lanes_are_independent_width_1_runs(s27):
+    rng = random.Random(8)
+    width, cycles = 6, 25
+    plan = tuple(None if rng.random() < 0.6 else rng.getrandbits(4) for _ in range(cycles))
+    rows = [[rng.getrandbits(width) for _ in range(4)] for _ in range(plan.count(None))]
+    wide = list(run_from_reset(s27, plan, rows, width))
+    for k in range(width):
+        narrow = run_from_reset(s27, plan, [lane(row, k) for row in rows])
+        assert [(list(outs), list(state)) for outs, state in narrow] == [
+            (lane(outs, k), lane(state, k)) for outs, state in wide
+        ]
 
 
 def test_simulate_rejects_short_stimulus(s27):

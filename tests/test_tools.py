@@ -44,7 +44,7 @@ PUBLIC_API = [
     "OverheadReport", "SAT", "STATUS_BUDGET", "STATUS_NO_KEY", "STATUS_RECOVERED",
     "STATUS_VERIFY_FAILED", "SequenceOracle", "SolveResult", "Solver", "Stimulus", "Trace",
     "UNKNOWN", "UNSAT", "WindowRecovery", "XorSite", "authentication_schedule",
-    "brute_force_effort", "cycle_delay_overhead", "cycle_delay_sweep", "derive_sbj",
+    "brute_force_effort", "cycle_delay_overhead", "cycle_delay_sweep",
     "derive_window_starts", "emit_bench", "encrypt", "load_bench", "load_config",
     "load_schedule", "new_lfsr", "overhead_report", "parse_bench", "period",
     "recover_key_sequences", "run_case", "save_bench", "save_schedule", "simulate", "solve",
@@ -57,3 +57,19 @@ def test_public_api_is_pinned():
     import relock
 
     assert sorted(relock.__all__) == PUBLIC_API
+
+
+def test_unrun_lines_reports_what_a_call_never_reached():
+    from relock.lfsr import new_lfsr, period
+
+    source = (TOOLS.parent / "src" / "relock" / "lfsr.py").read_text().splitlines()
+
+    def line_of(text):
+        (line,) = [k for k, s in enumerate(source, 1) if s.strip() == text]
+        return line
+
+    result, unrun = load_tool("unrun_lines").unrun_lines(period, new_lfsr(3))
+    assert result == 7
+    assert line_of('raise ValueError(f"period enumeration capped at width {_PERIOD_WIDTH_LIMIT}")') in unrun["lfsr.py"]
+    assert line_of("cur = _shift(cur, mask, g.taps)") not in unrun["lfsr.py"]
+    assert line_of("def period(g: Lfsr) -> int:") not in unrun["lfsr.py"]
