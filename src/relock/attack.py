@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .bench import Netlist
 from .sat import UNKNOWN, UNSAT, solve
@@ -137,8 +137,7 @@ def _model_word(model: dict, lits: list[int]) -> int:
     return word
 
 
-@dataclass(frozen=True)
-class WindowRecovery:
+class WindowRecovery(NamedTuple):
     """Outcome and effort for one authentication window."""
 
     index: int
@@ -156,8 +155,7 @@ class WindowRecovery:
     wall_time: float
 
 
-@dataclass(frozen=True)
-class AttackResult:
+class AttackResult(NamedTuple):
     circuit: str
     key_len: int
     windows: tuple[WindowRecovery, ...]

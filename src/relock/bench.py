@@ -17,12 +17,12 @@ import re
 import warnings
 from array import array
 from copy import copy
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
 from sys import intern
+from typing import NamedTuple
 
 GATE_KINDS = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUFF")
 
@@ -48,8 +48,7 @@ class DanglingNetWarning(UserWarning):
     """A gate output that no gate, flip-flop, or primary output consumes."""
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
+class Gate(NamedTuple):
     """One primitive gate: ``out = kind(ins...)``."""
 
     out: str
@@ -57,15 +56,13 @@ class Gate:
     ins: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CircuitStats:
+class CircuitStats(NamedTuple):
     n_inputs: int
     n_outputs: int
     n_dffs: int
     n_gates: int
 
 
-@dataclass(frozen=True)
 class Netlist:
     """An immutable parsed netlist.
 
@@ -83,6 +80,9 @@ class Netlist:
     topo_order : tuple of int
         Gate indices in dependency order, set by validation, which raises
         BenchError on a combinational cycle.
+
+    Equality, hashing and ``repr`` cover the five declared fields only.
+    Attributes cannot be set or deleted.
     """
 
     name: str
@@ -90,13 +90,36 @@ class Netlist:
     outputs: tuple[str, ...]
     gates: tuple[Gate, ...]
     dffs: tuple[tuple[str, str], ...]
-    topo_order: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _reads: tuple[int, ...] = field(init=False, repr=False, compare=False)  # gate inputs reading each gate
+    topo_order: tuple[int, ...]
+    _reads: tuple[int, ...]  # gate inputs reading each gate
 
-    def __post_init__(self) -> None:
-        order, reads = self._validate()
-        object.__setattr__(self, "topo_order", order)
-        object.__setattr__(self, "_reads", reads)
+    def __init__(self, name: str, inputs, outputs, gates, dffs) -> None:
+        d = self.__dict__  # written directly: assignment raises
+        d.update(name=name, inputs=inputs, outputs=outputs, gates=gates, dffs=dffs)
+        d["topo_order"], d["_reads"] = self._validate()
+
+    def _key(self) -> tuple:
+        return (self.name, self.inputs, self.outputs, self.gates, self.dffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Netlist(name={self.name!r}, inputs={self.inputs!r}, outputs={self.outputs!r}, "
+            f"gates={self.gates!r}, dffs={self.dffs!r})"
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field '{name}'")
 
     # -- validation -------------------------------------------------------
 
@@ -113,17 +136,17 @@ class Netlist:
             if q in driver:
                 raise BenchError(f"duplicate definition of net '{q}'")
             driver[q] = -1
-        for i, g in zip(ids, self.gates):
-            if g.out in driver:
-                raise BenchError(f"duplicate definition of net '{g.out}'")
-            driver[g.out] = i
-            if g.kind not in GATE_KINDS:
-                raise BenchError(f"unknown gate kind '{g.kind}' for net '{g.out}'")
-            if g.kind in _UNARY_KINDS:
-                if len(g.ins) != 1:
-                    raise BenchError(f"{g.kind} gate '{g.out}' takes exactly one input, got {len(g.ins)}")
-            elif len(g.ins) < 2:
-                raise BenchError(f"{g.kind} gate '{g.out}' takes at least two inputs, got {len(g.ins)}")
+        for i, (out, kind, ins) in zip(ids, self.gates):
+            if out in driver:
+                raise BenchError(f"duplicate definition of net '{out}'")
+            driver[out] = i
+            if kind not in GATE_KINDS:
+                raise BenchError(f"unknown gate kind '{kind}' for net '{out}'")
+            if kind in _UNARY_KINDS:
+                if len(ins) != 1:
+                    raise BenchError(f"{kind} gate '{out}' takes exactly one input, got {len(ins)}")
+            elif len(ins) < 2:
+                raise BenchError(f"{kind} gate '{out}' takes at least two inputs, got {len(ins)}")
 
         # one pass over the gate inputs: undefined nets, readers per gate and
         # the gate-to-gate edges, driver src[k] read by gate dst[k]
@@ -357,13 +380,13 @@ class CompiledCircuit:
         inline = {g.out for g, r in zip(nl.gates, nl._reads) if r == 1}.difference(nl.outputs, (d for _q, d in nl.dffs))
         pending = {}  # inlined net -> (expression, precedence, gate inputs, operators)
         for i in nl.topo_order:
-            g = nl.gates[i]
-            op, inv = _KERNEL_OPS[g.kind]
-            n_in = len(g.ins)
+            out, kind, ins = nl.gates[i]
+            op, inv = _KERNEL_OPS[kind]
+            n_in = len(ins)
             n_op = (n_in - 1 if op else 0) + inv
             p = _PREC[op] if op else 0  # the least precedence an operand needs
             terms = []
-            for a in g.ins:
+            for a in ins:
                 e = pending.pop(a, None)
                 if e is not None and n_in + n_op + e[2] + e[3] > _CHUNK:
                     yield f"v[{slot[a]}] = {e[0]}", e[2]
@@ -382,10 +405,10 @@ class CompiledCircuit:
                 text, p = terms[0], q
             if inv:
                 text, p = (text if p >= _PREC["^"] else f"({text})") + " ^ m", _PREC["^"]
-            if g.out in inline:
-                pending[g.out] = (text, p, n_in, n_op)
+            if out in inline:
+                pending[out] = (text, p, n_in, n_op)
             else:
-                yield f"v[{slot[g.out]}] = {text}", n_in
+                yield f"v[{slot[out]}] = {text}", n_in
 
     @cached_property
     def _kernel(self) -> tuple:

@@ -27,8 +27,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .bench import Gate, Netlist
 from .lfsr import MAXIMAL_TAPS, new_lfsr
@@ -57,8 +57,7 @@ def _hex_word(value, what: str) -> int:
     return int(value, 16)
 
 
-@dataclass(frozen=True)
-class EncryptConfig:
+class EncryptConfig(NamedTuple):
     """Encryption parameters.
 
     lfsr_width : PRNG register width in bits.
@@ -138,7 +137,7 @@ class EncryptConfig:
         taps = kwargs.get("lfsr_taps")
         if taps is not None:
             kwargs["lfsr_taps"] = tuple(_json_list(taps, "lfsr_taps"))
-        unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
+        unknown = set(kwargs).difference(cls._fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**kwargs)
@@ -180,8 +179,7 @@ def _build_enc_fsm(n_inputs: int, cfg: EncryptConfig, rng: random.Random):
     return key_table, tuple(enc_rows)
 
 
-@dataclass(frozen=True)
-class XorSite:
+class XorSite(NamedTuple):
     """One corrupted net: ``net`` is cut and re-driven by XOR(raw_net, enc bit)."""
 
     net: str
@@ -229,8 +227,7 @@ def _xor_gates(
     return new_gates + xor_gates, tuple(sites)
 
 
-@dataclass(frozen=True)
-class KeySchedule:
+class KeySchedule(NamedTuple):
     """Everything the trusted key manager needs to drive an encrypted design."""
 
     circuit: str
@@ -350,8 +347,7 @@ def save_schedule(sched: KeySchedule, path: str | Path) -> None:
     Path(path).write_text(sched.to_json())
 
 
-@dataclass(frozen=True)
-class EncryptReport:
+class EncryptReport(NamedTuple):
     prefix: str
     sites: tuple[XorSite, ...]
     requested_coverage: float
@@ -360,8 +356,7 @@ class EncryptReport:
     added_dffs: int
 
 
-@dataclass(frozen=True)
-class EncryptedDesign:
+class EncryptedDesign(NamedTuple):
     netlist: Netlist
     schedule: KeySchedule
     report: EncryptReport

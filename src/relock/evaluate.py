@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import asdict, dataclass
+from copy import deepcopy
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bench import Netlist
 from .encrypt import EncryptedDesign
@@ -36,8 +37,7 @@ from .sim import Case, case_plan, run_from_reset, workload_cycle_mask
 from .sim import authentication_schedule  # noqa: F401
 
 
-@dataclass(frozen=True)
-class HdReport:
+class HdReport(NamedTuple):
     circuit: str
     case: Case
     n_vectors: int
@@ -50,7 +50,12 @@ class HdReport:
     config: dict
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "case": int(self.case), "per_run": list(self.per_run)}
+        return {
+            **self._asdict(),
+            "case": int(self.case),
+            "per_run": list(self.per_run),
+            "config": deepcopy(self.config),  # so the report cannot be changed through it
+        }
 
 
 def run_case(
@@ -198,8 +203,7 @@ def cycle_delay_sweep(auth_cycles=(8, 16, 64, 128), widths=range(5, 16)):
     ]
 
 
-@dataclass(frozen=True)
-class OverheadReport:
+class OverheadReport(NamedTuple):
     circuit: str
     orig_gates: int
     enc_gates: int

@@ -16,7 +16,7 @@ the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MAXIMAL_TAPS: dict[int, tuple[int, ...]] = {
     2: (2, 1),
@@ -39,30 +39,38 @@ MAXIMAL_TAPS: dict[int, tuple[int, ...]] = {
 _PERIOD_WIDTH_LIMIT = 22
 
 
-@dataclass(frozen=True)
-class Lfsr:
-    """An LFSR configuration plus its current state."""
-
+class _LfsrFields(NamedTuple):
     width: int
     taps: tuple[int, ...]
     state: int
 
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
-        if not self.taps:
+
+class Lfsr(_LfsrFields):
+    """An LFSR configuration plus its current state, validated on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, width: int, taps: tuple[int, ...], state: int):
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
+        if not taps:
             raise ValueError("tap set must be nonempty")
-        if len(set(self.taps)) != len(self.taps):
-            raise ValueError(f"repeated tap in {self.taps}")
-        if any(t < 1 or t > self.width for t in self.taps):
-            raise ValueError(f"taps {self.taps} out of range for width {self.width}")
-        if max(self.taps) != self.width:
-            raise ValueError(f"highest tap must equal the width, got {self.taps}")
-        mask = (1 << self.width) - 1
-        if not 0 <= self.state <= mask:
-            raise ValueError(f"state {self.state:#x} does not fit in {self.width} bits")
-        if self.state == mask:
+        if len(set(taps)) != len(taps):
+            raise ValueError(f"repeated tap in {taps}")
+        if any(t < 1 or t > width for t in taps):
+            raise ValueError(f"taps {taps} out of range for width {width}")
+        if max(taps) != width:
+            raise ValueError(f"highest tap must equal the width, got {taps}")
+        mask = (1 << width) - 1
+        if not 0 <= state <= mask:
+            raise ValueError(f"state {state:#x} does not fit in {width} bits")
+        if state == mask:
             raise ValueError("all-ones is the absorbing state and not a valid seed")
+        return super().__new__(cls, width, taps, state)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace validates too
+        return cls(*iterable)
 
 
 def new_lfsr(width: int, taps=None, seed: int = 0) -> Lfsr:

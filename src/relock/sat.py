@@ -19,7 +19,7 @@ lists are plain lists indexed by literal.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -34,8 +34,7 @@ _ACT_LIMIT = 1e100
 _FALSE, _TRUE, _FREE = 0, 1, 2
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     status: str
     model: dict[int, bool] | None
     conflicts: int

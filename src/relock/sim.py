@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bench import Netlist
 from .encrypt import KeySchedule
 from .lfsr import _shift, new_lfsr
 
 
-@dataclass(frozen=True)
-class AuthWindow:
+class AuthWindow(NamedTuple):
     """One authentication: ``key_len`` cycles starting at ``start``.
 
     ``chain`` selects the key table row the user must play; ``t_func`` is the
@@ -85,27 +84,35 @@ def authentication_schedule(sched: KeySchedule, cycles: int) -> tuple[AuthWindow
     return tuple(replay_windows(sched, cycles))
 
 
-@dataclass(frozen=True)
-class Stimulus:
-    """Per-cycle input vectors.
+class _StimulusFields(NamedTuple):
+    vectors: tuple[int, ...]
+    tags: tuple[int | None, ...]
+
+
+class Stimulus(_StimulusFields):
+    """Per-cycle input vectors, validated on construction.
 
     ``vectors[t]`` is the packed input word for cycle ``t``.  ``tags[t]`` is
     None for an authentication cycle and the workload index otherwise.
     """
 
-    vectors: tuple[int, ...]
-    tags: tuple[int | None, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.vectors) != len(self.tags):
+    def __new__(cls, vectors: tuple[int, ...], tags: tuple[int | None, ...]):
+        if len(vectors) != len(tags):
             raise ValueError("vectors and tags must have equal length")
         expect = 0
-        for tag in self.tags:
+        for tag in tags:
             if tag is None:
                 continue
             if tag != expect:
                 raise ValueError(f"workload indices must be consecutive from 0, saw {tag} after {expect - 1}")
             expect += 1
+        return super().__new__(cls, vectors, tags)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace validates too
+        return cls(*iterable)
 
     @property
     def n_workload(self) -> int:
@@ -198,14 +205,7 @@ def workload_stimulus(vectors) -> Stimulus:
     return Stimulus(vs, tuple(range(len(vs))))
 
 
-@dataclass(frozen=True)
-class Trace:
-    """Recorded run: packed per-cycle inputs, outputs, and post-edge state.
-
-    ``states[t]`` is the flip-flop state *during* cycle ``t`` (so
-    ``states[0]`` is the reset state, all zeros).
-    """
-
+class _TraceFields(NamedTuple):
     input_names: tuple[str, ...]
     output_names: tuple[str, ...]
     state_names: tuple[str, ...]
@@ -213,8 +213,23 @@ class Trace:
     outputs: tuple[int, ...]
     states: tuple[int, ...]
 
+
+class Trace(_TraceFields):
+    """Recorded run: packed per-cycle inputs, outputs, and post-edge state.
+
+    ``states[t]`` is the flip-flop state *during* cycle ``t`` (so
+    ``states[0]`` is the reset state, all zeros).  ``len(trace)`` is the
+    cycle count, not the field count.
+    """
+
+    __slots__ = ()
+
     def __len__(self) -> int:
         return len(self.inputs)
+
+    @classmethod
+    def _make(cls, iterable):  # the inherited one checks len() against the field count
+        return cls(*iterable)
 
     def state_bit(self, t: int, name: str) -> int:
         return (self.states[t] >> self.state_names.index(name)) & 1

@@ -85,8 +85,8 @@ class CnfBuilder:
                 raise ValueError(f"pin for '{x}' is 0; use False for a constant")
             val[x] = v
         for i in nl.topo_order:
-            g = nl.gates[i]
-            val[g.out] = self._encode_gate(g.kind, [val[a] for a in g.ins])
+            out, kind, ins = nl.gates[i]
+            val[out] = self._encode_gate(kind, [val[a] for a in ins])
         return val
 
     def encode_frames(self, nl: Netlist, state: dict, rows):

@@ -1,6 +1,5 @@
 """Netlist parsing, emission, and combinational evaluation."""
 
-import dataclasses
 import gc
 import itertools
 import random
@@ -204,16 +203,22 @@ def netlists(draw, min_gates=1, max_gates=12, max_arity=3):
     inputs = tuple(names)
     dff_qs = [f"q{k}" for k in range(n_dffs)]
     names += dff_qs  # DFF outputs usable as sources before their D is picked
+
+    def pick():
+        # an index into the growing list: sampled_from would copy it per draw
+        return names[draw(st.integers(0, len(names) - 1))]
+
     gates = []
     for k in range(n_gates):
         kind = draw(st.sampled_from(GATE_KINDS))
         arity = 1 if kind in ("NOT", "BUFF") else draw(st.integers(2, max_arity))
-        ins = tuple(draw(st.sampled_from(names)) for _ in range(arity))
+        ins = tuple(pick() for _ in range(arity))
         out = f"g{k}"
         gates.append(Gate(out=out, kind=kind, ins=ins))
         names.append(out)
-    dffs = tuple((q, draw(st.sampled_from(names))) for q in dff_qs)
-    outputs = tuple(draw(st.permutations(names))[: draw(st.integers(1, 3))])
+    dffs = tuple((q, pick()) for q in dff_qs)
+    picks = draw(st.lists(st.integers(0, len(names) - 1), min_size=1, max_size=3, unique=True))
+    outputs = tuple(names[i] for i in picks)
     return Netlist(
         name="fuzz",
         inputs=inputs,
@@ -422,7 +427,8 @@ def kind_arity_netlist(rng, n_in=5, n_dffs=3):
 def assert_kernel_matches_naive(nl, rng, width):
     # a copy whose outputs list every net stores every net, so its eval
     # shows each one; the original's eval runs the inlining kernel
-    every = dataclasses.replace(nl, outputs=(*nl.inputs, *(q for q, _d in nl.dffs), *(g.out for g in nl.gates)))
+    all_nets = (*nl.inputs, *(q for q, _d in nl.dffs), *(g.out for g in nl.gates))
+    every = Netlist(nl.name, nl.inputs, all_nets, nl.gates, nl.dffs)
     assert set(every.outputs) == nl.net_names
     # words carry junk above the lane mask, which evaluation must ignore
     in_words = [rng.getrandbits(width + 9) for _ in nl.inputs]

@@ -182,11 +182,9 @@ def test_schedule_windows_tile_the_horizon(toy):
 def test_schedule_replay_stops_at_the_horizon(toy, monkeypatch):
     """A wide PRNG's first functional span runs far past a short horizon;
     the replay must not step the PRNG out to the window beyond it."""
-    import dataclasses
-
     import relock.sim
 
-    sched = dataclasses.replace(toy.schedule, lfsr_width=40, lfsr_taps=(40, 1))
+    sched = toy.schedule._replace(lfsr_width=40, lfsr_taps=(40, 1))
     cycles = 200
     limit = cycles + sched.key_len
     steps = 0
@@ -209,12 +207,10 @@ def test_schedule_replay_stops_at_the_horizon(toy, monkeypatch):
 def test_derive_window_starts_steps_only_to_the_last_window(toy, monkeypatch):
     """Deriving the first windows replays the PRNG only as far as the last
     derived window's key cycles, not out to a guessed horizon."""
-    import dataclasses
-
     import relock.sim
     from relock import MAXIMAL_TAPS, derive_window_starts
 
-    sched = dataclasses.replace(toy.schedule, lfsr_width=14, lfsr_taps=MAXIMAL_TAPS[14])
+    sched = toy.schedule._replace(lfsr_width=14, lfsr_taps=MAXIMAL_TAPS[14])
     steps = 0
     real_shift = relock.sim._shift
 
@@ -232,12 +228,11 @@ def test_derive_window_starts_steps_only_to_the_last_window(toy, monkeypatch):
 def test_schedule_replay_memory_does_not_grow_with_the_horizon(toy):
     """The replay keeps the current PRNG state only: deriving the window
     starts of a width-14 lock walks a ~41k-cycle horizon in bounded memory."""
-    import dataclasses
     import tracemalloc
 
     from relock import MAXIMAL_TAPS, derive_window_starts
 
-    sched = dataclasses.replace(toy.schedule, lfsr_width=14, lfsr_taps=MAXIMAL_TAPS[14])
+    sched = toy.schedule._replace(lfsr_width=14, lfsr_taps=MAXIMAL_TAPS[14])
     tracemalloc.start()
     try:
         starts = derive_window_starts(sched, 3)

@@ -31,9 +31,21 @@ def test_make_benchmarks_reproduces_committed_bench(name):
 def test_code_size_counts_the_public_names():
     import relock
 
-    size = load_tool("code_size").measure()
+    code_size = load_tool("code_size")
+    size = code_size.measure()
     assert size["public_names"] == len(relock.__all__)
     assert size["src_lines"] > 0
+    modules = code_size.imported_modules()
+    assert size["import_modules"] == len(modules)
+    assert {"relock", "relock.cli", "relock.bench"} <= set(modules)
+
+
+def test_importing_relock_loads_neither_dataclasses_nor_inspect():
+    # each costs start-up time in every CLI call and sweep worker:
+    # dataclasses builds its classes through exec, and imports inspect
+    modules = set(load_tool("code_size").imported_modules())
+    assert "relock.cli" in modules
+    assert not modules & {"dataclasses", "inspect"}
 
 
 # every public name, so adding or removing one shows up in this file's diff
