@@ -29,7 +29,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .bench import Netlist
-from .sat import UNKNOWN, UNSAT, solve
+from .sat import SAT, UNKNOWN, solve
 from .sim import key_plan, plan_stimulus, replay_windows, run_from_reset, simulate, workload_stimulus
 from .unroll import CnfBuilder
 
@@ -42,6 +42,8 @@ DEFAULT_CONFLICT_BUDGET = 2_000_000
 
 # key pairs tried at once when looking for a window's first DIP by simulation
 _DIP_LANES = 64
+# locked-versus-unlocked output comparisons the replay check makes at least
+_VERIFY_COMPARISONS = 1000
 
 
 class SequenceOracle:
@@ -130,11 +132,7 @@ def _encode_copy(b: CnfBuilder, nl: Netlist, state: dict, key_rows, gap_rows, or
 
 
 def _model_word(model: dict, lits: list[int]) -> int:
-    word = 0
-    for i, v in enumerate(lits):
-        if model[v]:
-            word |= 1 << i
-    return word
+    return sum(1 << i for i, v in enumerate(lits) if model[v])
 
 
 class WindowRecovery(NamedTuple):
@@ -186,6 +184,82 @@ class AttackResult(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
+class _Window:
+    """One window's DIP search: a miter of two key copies, ``k_a`` and
+    ``k_b``, that share the gap's probe variables, encoded from the state the
+    committed prefix reaches, and the effort its solver calls took."""
+
+    def __init__(self, enc: Netlist, prefix, key_len: int, gap: int, rng, conflict_budget: int) -> None:
+        n_in = len(enc.inputs)
+        self.enc, self.budget = enc, conflict_budget
+        self.b = b = CnfBuilder()
+        self.k_a = [[b.new_var() for _ in range(n_in)] for _ in range(key_len)]
+        self.k_b = [[b.new_var() for _ in range(n_in)] for _ in range(key_len)]
+        self.x_vars = [[b.new_var() for _ in range(n_in)] for _ in range(gap)]
+        # the committed prefix is concrete: one state, shared by all copies
+        self.state, lane_dip = _lane_dip(enc, prefix, key_len, gap, rng)
+        outs = [_encode_copy(b, enc, self.state, keys, self.x_vars) for keys in (self.k_a, self.k_b)]
+        diffs = []
+        for ra, rb in zip(*outs):
+            for va, vb in zip(ra, rb):
+                d = b.xor_value(va, vb)
+                if d is True:
+                    # both copies share all non-key inputs, so a constant
+                    # difference would mean the copies are not copies
+                    raise AssertionError("output differs for every key pair")
+                if d is not False:
+                    diffs.append(d)
+        # if no output can differ, the empty clause sets the contradiction flag
+        b.add_clause(diffs)
+        # a probe that tells two simulated keys apart is a DIP as good as
+        # one the solver finds, so the solver starts with a constraint
+        self._lane_probe = None if lane_dip is None else lane_dip[2]
+        self.learned: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.status = STATUS_RECOVERED
+        self.calls = self.conflicts = self.decisions = self.propagations = 0
+
+    def next_dip(self) -> tuple[int, ...] | None:
+        """The next probe on which two keys left in the miter differ, or None."""
+        probe, self._lane_probe = self._lane_probe, None
+        return self._solve(self.b, self.x_vars) if probe is None else probe
+
+    def learn(self, probe, answer) -> None:
+        """Pin both key copies to the oracle's gap outputs ``answer`` on ``probe``."""
+        self.learned.append((probe, answer))
+        for keys in (self.k_a, self.k_b):
+            _encode_copy(self.b, self.enc, self.state, keys, probe, answer)
+
+    def key(self) -> tuple[int, ...] | None:
+        """A key consistent with every learned probe, or None with ``status`` set."""
+        if self.status != STATUS_RECOVERED:
+            return None
+        # a fresh formula over one key copy and the learned DIPs only
+        e = CnfBuilder()
+        k_e = [[e.new_var() for _ in row] for row in self.k_a]
+        for probe, answer in self.learned:
+            _encode_copy(e, self.enc, self.state, k_e, probe, answer)
+        key = self._solve(e, k_e)
+        if key is None and self.status == STATUS_RECOVERED:
+            self.status = STATUS_NO_KEY
+        return key
+
+    def _solve(self, cnf: CnfBuilder, rows) -> tuple[int, ...] | None:
+        """The model's word for each row of ``rows``; None if ``cnf`` is
+        unsatisfiable, or if the budget runs out, which sets ``status``."""
+        if cnf.contradiction:
+            return None
+        res = solve(cnf, conflict_budget=self.budget)
+        self.calls += 1
+        self.conflicts += res.conflicts
+        self.decisions += res.decisions
+        self.propagations += res.propagations
+        if res.status == UNKNOWN:
+            self.status = STATUS_BUDGET
+        if res.status != SAT:
+            return None
+        return tuple(_model_word(res.model, row) for row in rows)
+
+
 def recover_key_sequences(
     enc: Netlist,
     oracle: SequenceOracle,
@@ -195,7 +269,6 @@ def recover_key_sequences(
     *,
     conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
     seed: int = 0,
-    verify_vectors: int = 1000,
 ) -> AttackResult:
     """Recover the first ``max_seq`` window key sequences of a locked design.
 
@@ -207,9 +280,9 @@ def recover_key_sequences(
     oracle : SequenceOracle
         Reset-per-query access to the unlocked design.
     known_timing : sequence of int
-        Start cycles of the authentication windows, strictly increasing,
-        at least ``max_seq + 1`` entries.  Entry ``max_seq`` bounds the
-        last probed gap.
+        Start cycles of the authentication windows, each more than
+        ``key_len`` after the last, at least ``max_seq + 1`` entries.
+        Entry ``max_seq`` bounds the last probed gap.
     key_len : int
         Patterns per window.
     max_seq : int
@@ -237,8 +310,12 @@ def recover_key_sequences(
     if starts[0] < 0:
         raise ValueError("window start cycles must be nonnegative")
     for a, b in zip(starts, starts[1:]):
+        if b < a:
+            raise ValueError(f"window starts {a} and {b} are out of order")
         if b < a + key_len:
-            raise ValueError("window start cycles overlap or are out of order")
+            raise ValueError(f"window at {b} overlaps the {key_len}-cycle window at {a}")
+        if b == a + key_len:
+            raise ValueError(f"windows at {a} and {b} leave no cycle between them to probe")
 
     n_in = len(enc.inputs)
     rng = random.Random(f"{seed}/attack/probes")
@@ -253,118 +330,43 @@ def recover_key_sequences(
         w_t0 = time.perf_counter()
         start = starts[q]
         gap = starts[q + 1] - start - key_len
-        frames = starts[q + 1]
-        conflicts = decisions = propagations = 0
         queries_before = oracle.queries
-
-        b = CnfBuilder()
-        k_a = [[b.new_var() for _ in range(n_in)] for _ in range(key_len)]
-        k_b = [[b.new_var() for _ in range(n_in)] for _ in range(key_len)]
-        x_vars = [[b.new_var() for _ in range(n_in)] for _ in range(gap)]
 
         # committed keys in their windows, probes on every other cycle
         committed = plan_stimulus(key_plan(zip(starts, keys), start), probes, n_in)
-        prefix_probe = probes[: committed.n_workload]
-
-        # the committed prefix is concrete: one state, shared by all copies
+        prefix_probe = tuple(probes[: committed.n_workload])
         dip_rng = random.Random(f"{seed}/attack/dip/{q}")
-        base_state, lane_dip = _lane_dip(enc, committed.vectors, key_len, gap, dip_rng)
-        outs_a = _encode_copy(b, enc, base_state, k_a, x_vars)
-        outs_b = _encode_copy(b, enc, base_state, k_b, x_vars)
-
-        diffs = []
-        for ra, rb in zip(outs_a, outs_b):
-            for va, vb in zip(ra, rb):
-                d = b.xor_value(va, vb)
-                if d is True:
-                    # both copies share all non-key inputs, so a constant
-                    # difference would mean the copies are not copies
-                    raise AssertionError("output differs for every key pair")
-                if d is not False:
-                    diffs.append(d)
-        if diffs:
-            b.add_clause(diffs)
-
-        iterations = 0
-        solver_calls = 0
-        win_status = STATUS_RECOVERED
-        learned: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-        if diffs:
-            # a probe that tells two simulated keys apart is a DIP as good
-            # as one the solver finds, so the solver starts with a constraint
-            probe_words = None if lane_dip is None else lane_dip[2]
-            while True:
-                if probe_words is None:
-                    if b.contradiction:
-                        break
-                    res = solve(b.clauses, n_vars=b.n_vars, conflict_budget=conflict_budget)
-                    solver_calls += 1
-                    conflicts += res.conflicts
-                    decisions += res.decisions
-                    propagations += res.propagations
-                    if res.status == UNKNOWN:
-                        win_status = STATUS_BUDGET
-                        break
-                    if res.status == UNSAT:
-                        break
-                    probe_words = tuple(_model_word(res.model, row) for row in x_vars)
-                answer = oracle.query(tuple(prefix_probe) + probe_words)
-                oracle_out = tuple(answer[len(prefix_probe):])
-                learned.append((probe_words, oracle_out))
-                iterations += 1
-                _encode_copy(b, enc, base_state, k_a, probe_words, oracle_out)
-                _encode_copy(b, enc, base_state, k_b, probe_words, oracle_out)
-                probe_words = None
-
-        key = None
-        if win_status == STATUS_RECOVERED:
-            # a fresh formula over one key copy and the learned DIPs only
-            e = CnfBuilder()
-            k_e = [[e.new_var() for _ in range(n_in)] for _ in range(key_len)]
-            for probe_words, oracle_out in learned:
-                _encode_copy(e, enc, base_state, k_e, probe_words, oracle_out)
-            if e.contradiction:
-                win_status = STATUS_NO_KEY
-            else:
-                res = solve(e.clauses, n_vars=e.n_vars, conflict_budget=conflict_budget)
-                solver_calls += 1
-                conflicts += res.conflicts
-                decisions += res.decisions
-                propagations += res.propagations
-                if res.status == UNKNOWN:
-                    win_status = STATUS_BUDGET
-                elif res.status == UNSAT:
-                    win_status = STATUS_NO_KEY
-                else:
-                    key = tuple(_model_word(res.model, row) for row in k_e)
+        w = _Window(enc, committed.vectors, key_len, gap, dip_rng, conflict_budget)
+        while (probe := w.next_dip()) is not None:
+            w.learn(probe, oracle.query(prefix_probe + probe)[len(prefix_probe):])
+        key = w.key()
 
         windows.append(
             WindowRecovery(
                 index=q,
                 start=start,
                 gap=gap,
-                frames=frames,
-                status=win_status,
+                frames=starts[q + 1],
+                status=w.status,
                 key=key,
-                iterations=iterations,
-                solver_calls=solver_calls,
-                conflicts=conflicts,
-                decisions=decisions,
-                propagations=propagations,
+                iterations=len(w.learned),
+                solver_calls=w.calls,
+                conflicts=w.conflicts,
+                decisions=w.decisions,
+                propagations=w.propagations,
                 oracle_queries=oracle.queries - queries_before,
                 wall_time=time.perf_counter() - w_t0,
             )
         )
-        if win_status != STATUS_RECOVERED:
-            status = win_status
+        if w.status != STATUS_RECOVERED:
+            status = w.status
             break
         keys.append(key)
 
     verified = False
     comparisons = 0
     if keys:
-        verified, comparisons = _replay_verify(enc, oracle, starts, keys, seed, verify_vectors)
+        verified, comparisons = _replay_verify(enc, oracle, starts, keys, seed, _VERIFY_COMPARISONS)
         if status == STATUS_RECOVERED and not verified:
             status = STATUS_VERIFY_FAILED
 
@@ -391,8 +393,6 @@ def _replay_verify(enc, oracle, starts, keys, seed, verify_vectors):
     """
     plan = key_plan(zip(starts, keys), starts[len(keys)])
     free = [t for t, key in enumerate(plan) if key is None]
-    if not free:
-        return True, 0
     n_in, n_out = len(enc.inputs), len(enc.outputs)
     rng = random.Random(f"{seed}/attack/verify")
     passes = max(1, math.ceil(verify_vectors / len(free)))

@@ -195,7 +195,7 @@ def _schedule_timing(path: str, max_seq: int, oracle_nl):
     return derive_window_starts(sched, max_seq), sched.key_len
 
 
-def _load_timing(args, key_len_hint: int | None, oracle_nl):
+def _load_timing(args, oracle_nl):
     """Window starts and key length from --keys-timing / --keys flags."""
     spec = args.keys_timing
     if spec == "derive":
@@ -215,7 +215,7 @@ def _load_timing(args, key_len_hint: int | None, oracle_nl):
         return _schedule_timing(spec, args.max_seq, oracle_nl)
     if isinstance(doc, dict) and "starts" in doc:
         starts = doc["starts"]
-        c = doc.get("c", key_len_hint)
+        c = doc.get("c")
         if c is None:
             raise ValueError(f"{spec}: timing file needs a 'c' entry (patterns per window)")
         if not isinstance(starts, list) or not all(_is_int(s) and s >= 0 for s in starts):
@@ -229,7 +229,7 @@ def _load_timing(args, key_len_hint: int | None, oracle_nl):
 def _cmd_attack(args) -> int:
     enc = _load_bench(args.enc)
     orig = _load_bench(args.oracle)
-    starts, key_len = _load_timing(args, None, orig)
+    starts, key_len = _load_timing(args, orig)
     oracle = SequenceOracle(orig)
     try:
         result = recover_key_sequences(

@@ -74,7 +74,7 @@ def test_recovers_the_scheduled_keys(toy, run_toy):
 
 
 def test_replay_verification_passes(run_toy):
-    res, _ = run_toy(verify_vectors=1000)
+    res, _ = run_toy()
     assert res.verified
     assert res.verify_comparisons >= 1000
 
@@ -329,6 +329,21 @@ def test_degenerate_arguments_raise(toy, kw):
         recover_key_sequences(
             enc.netlist, SequenceOracle(nl), starts, args["key_len"], args["max_seq"]
         )
+
+
+@pytest.mark.parametrize(
+    "starts, message",
+    [
+        ((-1, 4, 10, 18), "nonnegative"),
+        ((0, 1, 10, 18), "overlap"),  # window 1 starts inside window 0
+        ((0, 10, 4, 18), "out of order"),
+        ((0, 2, 4, 6), "no cycle between"),  # zero-cycle gaps: nothing to probe
+    ],
+)
+def test_window_starts_must_leave_a_cycle_between_windows(toy, starts, message):
+    nl, enc, _, _ = toy
+    with pytest.raises(ValueError, match=message):
+        recover_key_sequences(enc.netlist, SequenceOracle(nl), starts, TOY_CFG.key_len, N_WINDOWS)
 
 
 def test_derive_window_starts_matches_controller_replay(toy):

@@ -418,6 +418,16 @@ def test_attack_starts_file_wrong_types(capsys, workdir, tmp_path, doc):
     assert "Traceback" not in err and out == ""
 
 
+def test_attack_rejects_zero_cycle_gaps(capsys, workdir, tmp_path):
+    # back-to-back windows leave no cycle to probe, so no key is checked
+    timing = tmp_path / "timing.json"
+    timing.write_text(json.dumps({"starts": [0, 2, 4, 6], "c": 2}))
+    rc, out, err = run(capsys, *attack_argv(workdir, str(timing)))
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert "no cycle between" in err and "Traceback" not in err
+
+
 def test_attack_undecodable_timing_names_the_file(capsys, workdir, tmp_path):
     timing = not_utf8(tmp_path, "timing.json")
     rc, out, err = run(capsys, *attack_argv(workdir, str(timing)))

@@ -1,6 +1,7 @@
 """The generator scripts under tools/ reproduce the committed data."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -85,3 +86,34 @@ def test_unrun_lines_reports_what_a_call_never_reached():
     assert line_of('raise ValueError(f"period enumeration capped at width {_PERIOD_WIDTH_LIMIT}")') in unrun["lfsr.py"]
     assert line_of("cur = _shift(cur, mask, g.taps)") not in unrun["lfsr.py"]
     assert line_of("def period(g: Lfsr) -> int:") not in unrun["lfsr.py"]
+
+
+# Every formula, solver result and attack report of tools/attack_digest.py's
+# locks.  Re-record only for an intended change to the attack's search, and
+# say why in CHANGES.md.
+ATTACK_DIGEST = "0dbdee9a48e704dbfee03260451c427fece394c54da691ce28a420a2794cc02a"
+
+
+def test_attack_digest_is_pinned():
+    sha, statuses = load_tool("attack_digest").digest()
+    # the last two locks commit a wrong window-2 key that the replay catches
+    assert statuses == ["recovered"] * 5 + ["verify-failed"] * 2
+    assert sha == ATTACK_DIGEST
+
+
+def test_committed_bench_records_follow_the_schema():
+    bench = load_tool("bench")
+    spec = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in spec["workloads"]}
+    records = sorted(TOOLS.parent.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        assert tuple(record) == bench.KEYS and record["schema"] == bench.SCHEMA, path.name
+        assert set(record["env"]) == {"python", "nproc"}
+        assert set(record["end_to_end"]) == set(record["layers"]) == workloads
+        for entry in record["end_to_end"].values():
+            assert set(entry) == {"correct", "failed_ratio", *(m["name"] for m in spec["end_to_end"])}
+        for entry in record["layers"].values():
+            assert set(entry) == {"correct", *(m["name"] for m in spec["per_layer"])}
+        assert set(record["code"]) == set(load_tool("code_size").measure())

@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 over everything the SAT attack asks and answers, as JSON.
+
+The digest covers, in call order, every formula handed to ``relock.sat.Solver``
+(variable count and clauses), every result its ``solve`` returns (status,
+model and search counts) and the ``report()`` of every attack, over a fixed
+set of locks:
+
+- the s27 toy lock of ``tests/test_attack.py``;
+- the four ``attack-s298`` pool locks of ``perfbench/`` (master seeds
+  ``DEFAULT_SEED`` + 0..3);
+- two s27 locks, master seed 1001, whose window-2 key fails the replay check.
+
+Every attack runs at seed 0.  A refactor of the attack that is meant to keep
+its search must leave the digest unchanged; ``tests/test_tools.py`` pins it.
+The solver is patched from outside, so nothing under ``src/`` changes::
+
+    python tools/attack_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import relock.sat  # noqa: E402
+from relock import (  # noqa: E402
+    DEFAULT_SEED,
+    EncryptConfig,
+    SequenceOracle,
+    derive_window_starts,
+    encrypt,
+    load_bench,
+    recover_key_sequences,
+)
+
+WINDOWS = 3
+_S298 = dict(lfsr_width=4, enc_out_width=3, key_len=4, sbj_bits=1, coverage=0.3)
+# (circuit, encrypt config) of every lock the digest covers
+LOCKS = (
+    ("s27", EncryptConfig(lfsr_width=3, lfsr_taps=(3, 1), enc_out_width=3, key_len=2,
+                          sbj_bits=1, coverage=0.5, master_seed=24302)),
+    *(("s298", EncryptConfig(**_S298, master_seed=DEFAULT_SEED + k)) for k in range(4)),
+    ("s27", EncryptConfig(lfsr_width=3, key_len=4, sbj_bits=1, coverage=0.3, master_seed=1001)),
+    ("s27", EncryptConfig(lfsr_width=4, key_len=2, sbj_bits=1, coverage=0.3, master_seed=1001)),
+)
+
+
+def digest() -> tuple[str, list[str]]:
+    """The SHA-256 hex digest, and each attack's status in ``LOCKS`` order."""
+    h = hashlib.sha256()
+    solver = relock.sat.Solver
+    init, solve = solver.__init__, solver.solve
+
+    def traced_init(self, n_vars, clauses):
+        h.update(f"formula {n_vars} {[tuple(cl) for cl in clauses]}\n".encode())
+        init(self, n_vars, clauses)
+
+    def traced_solve(self, *args, **kwargs):
+        res = solve(self, *args, **kwargs)
+        model = None if res.model is None else sorted(res.model.items())
+        h.update(f"result {res._replace(model=model)!r}\n".encode())
+        return res
+
+    statuses = []
+    solver.__init__, solver.solve = traced_init, traced_solve
+    try:
+        for circuit, cfg in LOCKS:
+            orig = load_bench(ROOT / "benchmarks" / f"{circuit}.bench")
+            design = encrypt(orig, cfg)
+            starts = derive_window_starts(design.schedule, WINDOWS)
+            res = recover_key_sequences(
+                design.netlist, SequenceOracle(orig), starts, cfg.key_len, WINDOWS, seed=0
+            )
+            h.update(res.report().encode())
+            statuses.append(res.status)
+    finally:
+        solver.__init__, solver.solve = init, solve
+    return h.hexdigest(), statuses
+
+
+if __name__ == "__main__":
+    sha, statuses = digest()
+    print(json.dumps({"sha256": sha, "statuses": statuses}))
