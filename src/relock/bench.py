@@ -360,10 +360,11 @@ class CompiledCircuit:
     would carry its reader past ``_CHUNK`` gate inputs plus operators is
     stored first, so ``compile()`` stays shallow: no expression that
     inlines anything exceeds that bound (inlined whole, a 3000-gate inverter
-    chain nests past the compiler's recursion limit), and only a gate wider
-    than ``_CHUNK`` makes a statement wider.  Statements are compiled into
-    functions of at most ``_FUNCTION_INPUTS`` gate inputs (or one wider
-    statement), which evaluation calls in order.  To read any net, list it
+    chain nests past the compiler's recursion limit).  A gate wider than
+    ``_CHUNK`` is never inlined: it becomes a chain of statements over its
+    own slot, each reading at most ``_CHUNK`` of its inputs, so no statement
+    is wider.  Statements are compiled into functions of at most
+    ``_FUNCTION_INPUTS`` gate inputs, which evaluation calls in order.  To read any net, list it
     among the outputs: an output is always stored.
     """
 
@@ -399,13 +400,22 @@ class CompiledCircuit:
                     n_op += e[3]
                     q = e[1]
                     terms.append(e[0] if q >= p else f"({e[0]})")
+            wide = len(ins) > _CHUNK
+            if wide:  # so no input was inlined: a chain of statements over the
+                # gate's own slot, _CHUNK inputs each, inverted in the last
+                here = f"v[{slot[out]}]"
+                *head, terms = [terms[k : k + _CHUNK] for k in range(0, len(ins), _CHUNK)]
+                for k, group in enumerate(head):
+                    yield f"{here} = " + f" {op} ".join([here, *group] if k else group), len(group)
+                n_in = len(terms)
+                terms.insert(0, here)
             if op:
                 text = f" {op} ".join(terms)
             else:  # NOT and BUFF take their operand's precedence
                 text, p = terms[0], q
             if inv:
                 text, p = (text if p >= _PREC["^"] else f"({text})") + " ^ m", _PREC["^"]
-            if out in inline:
+            if out in inline and not wide:
                 pending[out] = (text, p, n_in, n_op)
             else:
                 yield f"v[{slot[out]}] = {text}", n_in
@@ -413,8 +423,7 @@ class CompiledCircuit:
     @cached_property
     def _kernel(self) -> tuple:
         """The statements compiled into functions of at most
-        ``_FUNCTION_INPUTS`` gate inputs (or one wider statement) each, in
-        topological order."""
+        ``_FUNCTION_INPUTS`` gate inputs each, in topological order."""
         filename = f"<{self.netlist.name} kernel>"
         chunks, ns = [], {}  # ns: the functions' shared globals; they read none
         lines, size = [], 0

@@ -17,7 +17,7 @@ import json
 import os
 import random
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, Context, Decimal
 from pathlib import Path
 
 from .attack import (
@@ -26,7 +26,7 @@ from .attack import (
     derive_window_starts,
     recover_key_sequences,
 )
-from .bench import BenchError, emit_bench, load_bench
+from .bench import emit_bench, load_bench
 from .encrypt import EncryptConfig, KeySchedule, _is_int, encrypt, load_config, load_schedule
 from .evaluate import (
     Case,
@@ -46,24 +46,17 @@ EXIT_BUDGET = 3
 DEFAULT_CLI_SEED = 0
 
 
-def _load_bench(path: str):
+def _read(path: str, load, what: str = ""):
+    """``load(path)``, with its failures raised as bad input naming ``path``;
+    ``what`` prefixes a rejected file's message."""
     try:
-        return load_bench(path)
+        return load(path)
     except OSError as e:
         raise ValueError(f"cannot read '{path}': {e.strerror or e}") from e
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: not UTF-8 text: {e}") from e
-    except BenchError as e:
-        raise ValueError(f"{path}: {e}") from e
-
-
-def _load_schedule(path: str) -> KeySchedule:
-    try:
-        return load_schedule(path)
-    except OSError as e:
-        raise ValueError(f"cannot read '{path}': {e.strerror or e}") from e
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
-        raise ValueError(f"{path}: bad key schedule: {e}") from e
+    except (ValueError, KeyError, TypeError, RecursionError) as e:
+        raise ValueError(f"{path}: {what}{e}") from e
 
 
 def _write_outputs(*outputs) -> None:
@@ -95,32 +88,29 @@ def _check_schedule(sched: KeySchedule, nl, path: str) -> None:
         raise ValueError(f"{path}: schedule is for {sched.n_inputs} inputs, netlist has {len(nl.inputs)}")
 
 
-def sci(value: int, digits: int = 3) -> str:
-    """Short scientific rendering of an exact integer, e.g. 5.93e+79."""
-    d = Decimal(value)
+def sci(bits: int, digits: int = 3) -> str:
+    """Short scientific rendering of ``2**bits``, e.g. 5.93e+79 for 265.
+
+    The power is rounded to ``digits + 30`` significant digits, so the cost
+    does not grow with ``bits``.
+    """
+    ctx = Context(prec=digits + 30, Emax=MAX_EMAX)
+    d = ctx.power(2, bits)
     exp = d.adjusted()
-    mant = d.scaleb(-exp).quantize(Decimal(1).scaleb(1 - digits))
+    mant = ctx.quantize(ctx.scaleb(d, -exp), Decimal(1).scaleb(1 - digits))
     return f"{mant}e{exp:+d}"
 
 
 def _cmd_stats(args) -> int:
-    nl = _load_bench(args.bench)
+    nl = _read(args.bench, load_bench)
     s = nl.stats()
     print(f"{nl.name}: {s.n_inputs}/{s.n_outputs}/{s.n_dffs}/{s.n_gates} (inputs/outputs/dffs/gates)")
     return EXIT_OK
 
 
 def _cmd_encrypt(args) -> int:
-    nl = _load_bench(args.bench)
-    if args.config is not None:
-        try:
-            cfg = load_config(args.config)
-        except OSError as e:
-            raise ValueError(f"cannot read '{args.config}': {e.strerror or e}") from e
-        except (ValueError, KeyError, TypeError) as e:
-            raise ValueError(f"{args.config}: bad config: {e}") from e
-    else:
-        cfg = EncryptConfig()
+    nl = _read(args.bench, load_bench)
+    cfg = EncryptConfig() if args.config is None else _read(args.config, load_config, "bad config: ")
     try:
         design = encrypt(nl, cfg)
     except ValueError as e:
@@ -138,14 +128,14 @@ def _cmd_encrypt(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    nl = _load_bench(args.bench)
+    nl = _read(args.bench, load_bench)
     if (args.keys is None) != (args.case is None):
         raise ValueError("--keys and --case must be given together")
     if args.cycles < 0:
         raise ValueError(f"--cycles must be >= 0, got {args.cycles}")
     n_in = len(nl.inputs)
     if args.keys is not None:
-        sched = _load_schedule(args.keys)
+        sched = _read(args.keys, load_schedule, "bad key schedule: ")
         if sched.n_inputs != n_in:
             raise ValueError(f"schedule is for {sched.n_inputs} inputs, netlist has {n_in}")
         plan = case_plan(sched, args.case, args.cycles)
@@ -165,9 +155,9 @@ def _cmd_eval_hd(args) -> int:
         raise ValueError(f"--vectors must be >= 1, got {args.vectors}")
     if args.cycles < 0:
         raise ValueError(f"--cycles must be >= 0, got {args.cycles}")
-    orig = _load_bench(args.orig)
-    enc = _load_bench(args.enc)
-    sched = _load_schedule(args.keys)
+    orig = _read(args.orig, load_bench)
+    enc = _read(args.enc, load_bench)
+    sched = _read(args.keys, load_schedule, "bad key schedule: ")
     _check_schedule(sched, orig, args.keys)
     try:
         cases = [Case(int(tok)) for tok in args.cases.split(",") if tok]
@@ -189,30 +179,15 @@ def _cmd_eval_hd(args) -> int:
     return EXIT_OK
 
 
-def _schedule_timing(path: str, max_seq: int, oracle_nl):
-    sched = _load_schedule(path)
-    _check_schedule(sched, oracle_nl, path)
-    return derive_window_starts(sched, max_seq), sched.key_len
-
-
-def _load_timing(args, oracle_nl):
-    """Window starts and key length from --keys-timing / --keys flags."""
-    spec = args.keys_timing
-    if spec == "derive":
-        if args.keys is None:
-            raise ValueError("--keys-timing derive needs --keys <schedule file>")
-        return _schedule_timing(args.keys, args.max_seq, oracle_nl)
-    path = Path(spec)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as e:
-        raise ValueError(f"cannot read '{spec}': {e.strerror or e}") from e
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{spec}: not UTF-8 text: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{spec}: bad JSON: {e}") from e
+def _load_timing(spec: str, max_seq: int, oracle_nl):
+    """Window starts and key length from a --keys-timing file: a key
+    schedule, checked against the oracle's netlist, or an object with
+    'starts' and 'c'."""
+    doc = _read(spec, lambda p: json.loads(Path(p).read_text()), "bad JSON: ")
     if isinstance(doc, dict) and "key_table" in doc:
-        return _schedule_timing(spec, args.max_seq, oracle_nl)
+        sched = _read(spec, load_schedule, "bad key schedule: ")
+        _check_schedule(sched, oracle_nl, spec)
+        return derive_window_starts(sched, max_seq), sched.key_len
     if isinstance(doc, dict) and "starts" in doc:
         starts = doc["starts"]
         c = doc.get("c")
@@ -227,9 +202,9 @@ def _load_timing(args, oracle_nl):
 
 
 def _cmd_attack(args) -> int:
-    enc = _load_bench(args.enc)
-    orig = _load_bench(args.oracle)
-    starts, key_len = _load_timing(args, orig)
+    enc = _read(args.enc, load_bench)
+    orig = _read(args.oracle, load_bench)
+    starts, key_len = _load_timing(args.keys_timing, args.max_seq, orig)
     oracle = SequenceOracle(orig)
     try:
         result = recover_key_sequences(
@@ -252,9 +227,8 @@ def _cmd_attack(args) -> int:
 
 def _cmd_model(args) -> int:
     if args.model == "brute-force":
-        effort = brute_force_effort(args.i, args.c, args.n)
-        bits = effort.bit_length() - 1
-        print(f"expected tries: 2^{bits} = {sci(effort)}")
+        bits = brute_force_effort(args.i, args.c, args.n).bit_length() - 1
+        print(f"expected tries: 2^{bits} = {sci(bits)}")
         return EXIT_OK
     if args.sweep:
         print("t_a n overhead")
@@ -318,9 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--keys-timing",
         required=True,
-        help="window timing: a schedule JSON, a JSON file with 'starts' (and 'c'), or 'derive' with --keys",
+        help="window timing: a key schedule JSON, or a JSON file with 'starts' and 'c'",
     )
-    sp.add_argument("--keys", help="schedule JSON for --keys-timing derive")
     sp.add_argument("--max-seq", type=int, default=3, help="windows to recover")
     sp.add_argument("--budget", type=int, default=2_000_000, help="conflict budget per solver call")
     sp.add_argument("--seed", type=int, default=DEFAULT_CLI_SEED)

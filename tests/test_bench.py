@@ -2,12 +2,14 @@
 
 import gc
 import itertools
+import operator
 import random
 import re
 import tracemalloc
 import warnings
 import weakref
 from collections import Counter
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -615,3 +617,29 @@ def test_long_single_reader_chain_stays_within_bounds(kind):
     for _ in range(n):
         want = step(want, b, m)
     assert cc.eval([a, b], (), width) == ((want,), ())
+
+
+# gate kind -> (the operator folded over its inputs, inverted)
+WIDE_FOLDS = {
+    "AND": (operator.and_, False), "NAND": (operator.and_, True), "OR": (operator.or_, False),
+    "NOR": (operator.or_, True), "XOR": (operator.xor, False), "XNOR": (operator.xor, True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WIDE_FOLDS))
+def test_gate_wider_than_a_statement_is_chained(kind):
+    # one expression over 3000 inputs nests past compile()'s recursion limit;
+    # the gate is read once, so it would be inlined into the NOT if it could be
+    n = 4096
+    ins = tuple(f"i{k}" for k in range(n))
+    nl = Netlist("wide", ins, ("y",), (Gate("w", kind, ins), Gate("y", "NOT", ("w",))), ())
+    assert max(n_in for _src, n_in in nl.compiled._statements()) <= _CHUNK
+    assert_kernel_matches_naive(nl, random.Random(kind), 8)
+    # lane k flips input k alone away from the value that decides an AND or
+    # an OR, so an input dropped or read twice changes the output
+    width = n + 1
+    full = (1 << width) - 1
+    words = [(full if kind in ("AND", "NAND") else 0) ^ (1 << k) for k in range(n)]
+    fold, inv = WIDE_FOLDS[kind]
+    want = reduce(fold, words) ^ (0 if inv else full)
+    assert nl.compiled.eval(words, (), width) == ((want,), ())

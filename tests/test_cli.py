@@ -1,10 +1,12 @@
 """End-to-end CLI coverage: every subcommand, every exit code."""
 
 import json
+import time
+from decimal import Decimal
 
 import pytest
 
-from relock.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from relock.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main, sci
 
 from conftest import bench_path
 
@@ -342,19 +344,6 @@ def test_attack_with_starts_file(capsys, workdir, tmp_path):
     assert "status: recovered" in out
 
 
-def test_attack_with_derived_timing(capsys, workdir):
-    rc = main(attack_argv(workdir, "derive", "--keys", str(workdir / "s27_keys.json")))
-    out = capsys.readouterr().out
-    assert rc == EXIT_OK
-    assert "status: recovered" in out
-
-
-def test_attack_derive_needs_keys(capsys, workdir):
-    rc, _, err = run(capsys, *attack_argv(workdir, "derive"))
-    assert rc == EXIT_INPUT
-    assert "--keys" in err
-
-
 def test_attack_report_is_deterministic(capsys, workdir):
     argv = attack_argv(workdir, str(workdir / "s27_keys.json"))
     _, a, _ = run(capsys, *argv)
@@ -507,14 +496,54 @@ def test_eval_hd_checks_schedule_inputs(capsys, workdir, tmp_path):
     ("circuit", "s28", "circuit 's28'"),
     ("i", 5, "5 inputs, netlist has 4"),
 ])
-@pytest.mark.parametrize("timing", ["derive", "schedule"])
-def test_attack_checks_schedule_against_oracle(capsys, workdir, tmp_path, field, value, message, timing):
+def test_attack_checks_schedule_against_oracle(capsys, workdir, tmp_path, field, value, message):
     keys = edited_schedule(workdir, tmp_path, lambda d: d.update({field: value}))
-    extra = ("derive", "--keys", keys) if timing == "derive" else (keys,)
-    rc, out, err = run(capsys, *attack_argv(workdir, *extra))
+    rc, out, err = run(capsys, *attack_argv(workdir, keys))
     assert rc == EXIT_INPUT
     assert out == ""
     assert message in err
+
+
+# -- every file argument -------------------------------------------------------
+
+# each defect turns a valid file's text into the bytes written, None: no file
+FILE_DEFECTS = {
+    "missing": None,
+    "empty": lambda text: b"",
+    "truncated": lambda text: text[: len(text) // 2].encode(),
+    "top-level-list": lambda text: f"[{text}]".encode(),
+    "nested-100000-deep": lambda text: ("[" * 100_000 + text + "]" * 100_000).encode(),
+    "not-utf8": lambda text: b"\xff" + text.encode(),
+}
+
+
+def file_argument(workdir, tmp_path, target, path):
+    """The valid text of ``target``'s file and the argv that reads it from ``path``."""
+    enc, s27 = str(workdir / "s27_enc.bench"), str(bench_path("s27"))
+    schedule = (workdir / "s27_keys.json").read_text()
+    return {
+        "encrypt --config": (json.dumps(TOY_CONFIG), [
+            "encrypt", s27, "--config", path, "--out", str(tmp_path / "enc.bench"), "--keys", str(tmp_path / "k.json"),
+        ]),
+        "simulate --keys": (schedule, ["simulate", enc, "--keys", path, "--case", "1", "--cycles", "5"]),
+        "eval-hd --keys": (schedule, ["eval-hd", s27, enc, "--keys", path, "--vectors", "5", "--cycles", "20"]),
+        "attack schedule": (schedule, attack_argv(workdir, path)),
+        "attack starts": (json.dumps({"starts": [0, 4, 10, 18], "c": 2}), attack_argv(workdir, path)),
+    }[target]
+
+
+@pytest.mark.parametrize("defect", list(FILE_DEFECTS))
+@pytest.mark.parametrize("target", ["encrypt --config", "simulate --keys", "eval-hd --keys", "attack schedule", "attack starts"])
+def test_bad_file_argument_exits_2_and_names_it(capsys, workdir, tmp_path, target, defect):
+    path = tmp_path / "arg.json"
+    text, argv = file_argument(workdir, tmp_path, target, str(path))
+    if FILE_DEFECTS[defect] is not None:
+        path.write_bytes(FILE_DEFECTS[defect](text))
+    rc, out, err = run(capsys, *argv)
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert str(path) in err and "Traceback" not in err
+    assert not (tmp_path / "enc.bench").exists() and not (tmp_path / "k.json").exists()
 
 
 # -- model -------------------------------------------------------------------
@@ -523,6 +552,27 @@ def test_model_brute_force_headline(capsys):
     rc, out, _ = run(capsys, "model", "brute-force", "--i", "32", "--c", "8", "--n", "10")
     assert rc == EXIT_OK
     assert out == "expected tries: 2^265 = 5.93e+79\n"
+
+
+def exact_sci(value: int, digits: int = 3) -> str:
+    """The formatter ``sci`` replaced: it converts the whole integer, so its
+    cost grows with the value."""
+    d = Decimal(value)
+    exp = d.adjusted()
+    mant = d.scaleb(-exp).quantize(Decimal(1).scaleb(1 - digits))
+    return f"{mant}e{exp:+d}"
+
+
+def test_sci_matches_the_exact_formatter():
+    assert [sci(bits) for bits in range(4001)] == [exact_sci(1 << bits) for bits in range(4001)]
+
+
+def test_model_brute_force_wide_register_is_fast(capsys):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "model", "brute-force", "--i", "1", "--c", "1", "--n", "10000000")
+    assert time.perf_counter() - start < 1
+    assert rc == EXIT_OK and err == ""
+    assert out == "expected tries: 2^10000000 = 9.05e+3010299\n"
 
 
 def test_model_cycle_delay_point(capsys):

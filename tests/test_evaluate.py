@@ -140,6 +140,14 @@ def test_run_case_accepts_netlist_schedule_pair(s27, enc27, tmp_path):
     assert a.per_run == b.per_run
 
 
+def test_run_case_on_a_lock_with_a_4096_input_gate(s27):
+    # 2**sbj_bits * key_len = 4096 controller states, the most a config
+    # allows; the OR gate over all of them compiles as a chain
+    design = encrypt(s27, EncryptConfig(lfsr_width=10, sbj_bits=9, key_len=8, coverage=0.5))
+    assert max(len(g.ins) for g in design.netlist.gates) == 4096
+    assert run_case(s27, design, 1, n_vectors=10, cycles=50).mean_hd == 0
+
+
 def test_run_case_is_deterministic(s27, enc27):
     a = run_case(s27, enc27, 2, n_vectors=15, cycles=150, seed=9)
     b = run_case(s27, enc27, 2, n_vectors=15, cycles=150, seed=9)

@@ -163,7 +163,7 @@ def record_toy_attack(run: Runner) -> dict:
     Path(cfg).write_text(json.dumps(TOY_CONFIG))
     s27 = str(ROOT / "benchmarks" / "s27.bench")
     run.cli("encrypt", s27, "--config", cfg, "--out", enc, "--keys", keys)
-    rc, out, err = run.cli("attack", enc, "--oracle", s27, "--keys-timing", "derive", "--keys", keys, "--max-seq", 3)
+    rc, out, err = run.cli("attack", enc, "--oracle", s27, "--keys-timing", keys, "--max-seq", 3)
     return {"attack": [rc, out, err]}
 
 
