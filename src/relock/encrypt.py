@@ -197,6 +197,11 @@ def _fresh_prefix(nl: Netlist) -> str:
     return cand
 
 
+def _site_count(coverage: float, n_gates: int) -> int:
+    """How many of ``n_gates`` gate outputs a lock at ``coverage`` corrupts."""
+    return min(math.ceil(coverage * n_gates), n_gates)
+
+
 def _xor_gates(
     nl: Netlist, enc_out_width: int, coverage: float, rng: random.Random, prefix: str
 ) -> tuple[list[Gate], tuple[XorSite, ...]]:
@@ -212,8 +217,7 @@ def _xor_gates(
     """
     if not nl.gates:
         raise ValueError(f"netlist '{nl.name}' has no gates to corrupt")
-    k = min(math.ceil(coverage * len(nl.gates)), len(nl.gates))
-    picks = rng.sample(range(len(nl.gates)), k)
+    picks = rng.sample(range(len(nl.gates)), _site_count(coverage, len(nl.gates)))
     new_gates = list(nl.gates)
     xor_gates: list[Gate] = []
     sites: list[XorSite] = []

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bench import Netlist
-from .encrypt import EncryptedDesign
+from .encrypt import EncryptedDesign, _site_count
 from .sim import Case, case_plan, run_from_reset, workload_cycle_mask
 
 # perfbench/tracing.py wraps this module attribute by name
@@ -72,14 +72,13 @@ def run_case(
     through both the encrypted and the original design, and averages the
     per-workload Hamming distance over the workload-cycle mask.  ``enc`` is
     an EncryptedDesign or a plain ``(netlist, schedule)`` pair, e.g. when
-    both were loaded from files.
+    both were loaded from files; either way the reported coverage is the
+    share of ``orig``'s gates that the schedule's config corrupts.
     """
     case = Case(case)
-    if isinstance(enc, EncryptedDesign):
-        enc_nl, sched, coverage = enc.netlist, enc.schedule, enc.report.achieved_coverage
-    else:
-        enc_nl, sched = enc
-        coverage = sched.config.coverage
+    enc_nl, sched = enc[:2]
+    if not orig.gates:
+        raise ValueError(f"netlist '{orig.name}' has no gates to corrupt")
     if orig.name != sched.circuit:
         raise ValueError(f"schedule is for '{sched.circuit}', netlist is '{orig.name}'")
     if tuple(orig.inputs) != tuple(enc_nl.inputs):
@@ -127,7 +126,7 @@ def run_case(
         mean_hd=mean_hd,
         per_run=per_run,
         seed=seed,
-        coverage=coverage,
+        coverage=_site_count(sched.config.coverage, len(orig.gates)) / len(orig.gates),
         config=sched.config.to_dict(),
     )
 

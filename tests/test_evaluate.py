@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from relock import (
     Case,
     EncryptConfig,
+    Netlist,
     brute_force_effort,
     cycle_delay_overhead,
     cycle_delay_sweep,
@@ -129,15 +130,22 @@ def test_case_accepts_plain_ints(s27, enc27):
     assert a == b
 
 
-def test_run_case_accepts_netlist_schedule_pair(s27, enc27, tmp_path):
-    # loading both halves from disk must reproduce the in-memory result
-    save_bench(enc27.netlist, tmp_path / "enc.bench")
-    save_schedule(enc27.schedule, tmp_path / "enc.keys.json")
+def test_run_case_accepts_netlist_schedule_pair(s298, tmp_path):
+    # loading both halves from disk must reproduce the in-memory report, its
+    # coverage included: 36 of s298's 119 gates, not the requested 0.3
+    design = encrypt(s298, CFG)
+    save_bench(design.netlist, tmp_path / "enc.bench")
+    save_schedule(design.schedule, tmp_path / "enc.keys.json")
     pair = (load_bench(tmp_path / "enc.bench"), load_schedule(tmp_path / "enc.keys.json"))
-    a = run_case(s27, pair, 2, n_vectors=20, cycles=150, seed=1)
-    b = run_case(s27, enc27, 2, n_vectors=20, cycles=150, seed=1)
-    assert a.mean_hd == b.mean_hd
-    assert a.per_run == b.per_run
+    a = run_case(s298, pair, 2, n_vectors=20, cycles=150, seed=1)
+    b = run_case(s298, design, 2, n_vectors=20, cycles=150, seed=1)
+    assert a == b
+    assert a.coverage == design.report.achieved_coverage == 36 / 119
+
+
+def test_run_case_rejects_an_original_without_gates(enc27):
+    with pytest.raises(ValueError, match="no gates"):
+        run_case(Netlist("s27", ("a",), ("a",), (), ()), enc27, 1)
 
 
 def test_run_case_on_a_lock_with_a_4096_input_gate(s27):
