@@ -364,8 +364,8 @@ class CompiledCircuit:
     ``_CHUNK`` is never inlined: it becomes a chain of statements over its
     own slot, each reading at most ``_CHUNK`` of its inputs, so no statement
     is wider.  Statements are compiled into functions of at most
-    ``_FUNCTION_INPUTS`` gate inputs, which evaluation calls in order.  To read any net, list it
-    among the outputs: an output is always stored.
+    ``_FUNCTION_INPUTS`` gate inputs, which evaluation calls in order.  To
+    read any net, list it among the outputs: an output is always stored.
     """
 
     def __init__(self, nl: Netlist):
@@ -401,8 +401,8 @@ class CompiledCircuit:
                     q = e[1]
                     terms.append(e[0] if q >= p else f"({e[0]})")
             wide = len(ins) > _CHUNK
-            if wide:  # so no input was inlined: a chain of statements over the
-                # gate's own slot, _CHUNK inputs each, inverted in the last
+            if wide:  # every input was stored above: chain statements over the
+                # gate's own slot, _CHUNK inputs each, and invert in the last
                 here = f"v[{slot[out]}]"
                 *head, terms = [terms[k : k + _CHUNK] for k in range(0, len(ins), _CHUNK)]
                 for k, group in enumerate(head):
