@@ -26,6 +26,7 @@ import math
 import random
 import time
 from itertools import islice
+from operator import neg
 from typing import NamedTuple
 
 from .bench import Netlist
@@ -84,16 +85,17 @@ def _lane_dip(nl: Netlist, prefix, key_len: int, gap: int, rng: random.Random):
     ``[0, L)``, copy B on lanes ``[L, 2L)``), then random gap probes that
     lanes ``i`` and ``L + i`` share, with ``L`` = ``_DIP_LANES``.
 
-    Returns the flip-flop values after ``prefix`` as bools (every lane has
-    the same), and ``(key_a, key_b, probe)`` of the lowest lane ``i`` whose
-    gap outputs differ from lane ``L + i``, or None if no lane pair differs.
+    Returns the flip-flop values after ``prefix`` as bools in declaration
+    order (every lane has the same), and ``(key_a, key_b, probe)`` of the
+    lowest lane ``i`` whose gap outputs differ from lane ``L + i``, or None
+    if no lane pair differs.
     """
     n_in, lanes = len(nl.inputs), _DIP_LANES
     keys = [[rng.getrandbits(2 * lanes) for _ in range(n_in)] for _ in range(key_len)]
     probes = [[rng.getrandbits(lanes) for _ in range(n_in)] for _ in range(gap)]
     rows = [*keys, *([p | p << lanes for p in row] for row in probes)]
     run = list(run_from_reset(nl, (*prefix, *(None,) * len(rows)), rows, 2 * lanes))
-    state = {q: bool(v & 1) for (q, _d), v in zip(nl.dffs, run[len(prefix)][1])}
+    state = [bool(v & 1) for v in run[len(prefix)][1]]
     differ = 0
     for outs, _state in run[len(prefix) + key_len :]:
         for v in outs:
@@ -115,20 +117,46 @@ def _transpose(words, width: int) -> list[int]:
     return [sum(((w >> b) & 1) << p for p, w in enumerate(words)) for b in range(width)]
 
 
-def _encode_copy(b: CnfBuilder, nl: Netlist, state: dict, key_rows, gap_rows, oracle_out=None):
-    """Encode one copy of ``nl`` from flip-flop values ``state`` over a
-    window's key cycles and the gap after it, one frame per cycle.
+def _encode_copy(b: CnfBuilder, nl: Netlist, state, keys, gap_rows, oracle_out=None):
+    """Encode one copy of ``nl`` per entry of ``keys`` from flip-flop values
+    ``state`` over a window's key cycles and the gap after it, one frame per
+    cycle.  Each entry of ``keys`` holds one copy's key rows, of variables
+    that no other argument holds.
 
-    Returns the gap outputs, one list of output values per cycle.  With
-    ``oracle_out``, each gap cycle's outputs are pinned to its packed word
-    as the cycle is encoded, and nothing is returned.
+    Only the first copy is encoded.  Every other copy appends the first
+    copy's clauses renamed: its key variables to the copy's own and the
+    variables the first copy allocated to the next free ones, in order.
+    That equals a fresh encode, since folding depends only on constants and
+    on which literals are equal or opposite, which a one-to-one renaming
+    keeps.
+
+    Returns each copy's gap outputs, one list of output values per cycle.
+    With ``oracle_out``, each gap cycle's outputs are also pinned to its
+    packed word as the cycle is encoded.
     """
-    gap_outs = islice(b.encode_frames(nl, state, (*key_rows, *gap_rows)), len(key_rows), None)
-    if oracle_out is None:
-        return list(gap_outs)
-    for outs, word in zip(gap_outs, oracle_out):
-        for i, v in enumerate(outs):
-            b.pin(v, (word >> i) & 1)
+    first, *others = keys
+    n0, c0 = b.n_vars, len(b.clauses)
+    outs = []
+    for t, frame in enumerate(islice(b.encode_frames(nl, state, (*first, *gap_rows)), len(first), None)):
+        outs.append(frame)
+        if oracle_out is not None:
+            for i, v in enumerate(frame):
+                b.pin(v, (oracle_out[t] >> i) & 1)
+    n1, clauses = b.n_vars, b.clauses[c0:]
+    copies = [outs]
+    for rows in others:
+        # the renaming as a table over literals -n1..n1, a negative one
+        # indexing from the end
+        pos = list(range(n1 + 1))
+        pos[n0 + 1 :] = range(b.n_vars + 1, b.n_vars + 1 + n1 - n0)
+        for row_a, row in zip(first, rows):
+            for v, w in zip(row_a, row):
+                pos[v] = w
+        table = pos + [*map(neg, reversed(pos[1:]))]
+        b.clauses += [tuple(map(table.__getitem__, cl)) for cl in clauses]
+        b.n_vars += n1 - n0
+        copies.append([[v if v is True or v is False else table[v] for v in frame] for frame in outs])
+    return copies
 
 
 def _model_word(model: dict, lits: list[int]) -> int:
@@ -198,7 +226,7 @@ class _Window:
         self.x_vars = [[b.new_var() for _ in range(n_in)] for _ in range(gap)]
         # the committed prefix is concrete: one state, shared by all copies
         self.state, lane_dip = _lane_dip(enc, prefix, key_len, gap, rng)
-        outs = [_encode_copy(b, enc, self.state, keys, self.x_vars) for keys in (self.k_a, self.k_b)]
+        outs = _encode_copy(b, enc, self.state, (self.k_a, self.k_b), self.x_vars)
         diffs = []
         for ra, rb in zip(*outs):
             for va, vb in zip(ra, rb):
@@ -226,8 +254,7 @@ class _Window:
     def learn(self, probe, answer) -> None:
         """Pin both key copies to the oracle's gap outputs ``answer`` on ``probe``."""
         self.learned.append((probe, answer))
-        for keys in (self.k_a, self.k_b):
-            _encode_copy(self.b, self.enc, self.state, keys, probe, answer)
+        _encode_copy(self.b, self.enc, self.state, (self.k_a, self.k_b), probe, answer)
 
     def key(self) -> tuple[int, ...] | None:
         """A key consistent with every learned probe, or None with ``status`` set."""
@@ -237,7 +264,7 @@ class _Window:
         e = CnfBuilder()
         k_e = [[e.new_var() for _ in row] for row in self.k_a]
         for probe, answer in self.learned:
-            _encode_copy(e, self.enc, self.state, k_e, probe, answer)
+            _encode_copy(e, self.enc, self.state, (k_e,), probe, answer)
         key = self._solve(e, k_e)
         if key is None and self.status == STATUS_RECOVERED:
             self.status = STATUS_NO_KEY

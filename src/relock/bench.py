@@ -222,6 +222,19 @@ class Netlist:
         return frozenset(names)
 
     @cached_property
+    def frame_program(self) -> tuple:
+        """``(gates, outputs, next_state)`` over the net slots of ``compiled.slot``.
+
+        ``gates`` holds ``(kind, input slots)`` per gate in topological order;
+        gate ``k`` writes slot ``len(inputs) + len(dffs) + k``.  ``outputs`` and
+        ``next_state`` are the slots of the primary outputs and of the
+        flip-flop inputs.  ``CnfBuilder`` steps it once per clock frame.
+        """
+        slot = self.compiled.slot
+        gates = tuple((g.kind, tuple(slot[a] for a in g.ins)) for g in map(self.gates.__getitem__, self.topo_order))
+        return gates, tuple(slot[y] for y in self.outputs), tuple(slot[d] for _q, d in self.dffs)
+
+    @cached_property
     def compiled(self) -> "CompiledCircuit":
         # built on a shallow copy, which caches no circuit: with no reference
         # cycle, a dropped netlist and its kernel are freed at once, not by

@@ -17,7 +17,6 @@ import json
 import os
 import random
 import sys
-from decimal import MAX_EMAX, Context, Decimal
 from pathlib import Path
 
 from .attack import (
@@ -94,6 +93,8 @@ def sci(bits: int, digits: int = 3) -> str:
     The power is rounded to ``digits + 30`` significant digits, so the cost
     does not grow with ``bits``.
     """
+    from decimal import MAX_EMAX, Context, Decimal  # here: only this subcommand needs it
+
     ctx = Context(prec=digits + 30, Emax=MAX_EMAX)
     d = ctx.power(2, bits)
     exp = d.adjusted()
@@ -137,7 +138,7 @@ def _cmd_simulate(args) -> int:
     if args.keys is not None:
         sched = _read(args.keys, load_schedule, "bad key schedule: ")
         if sched.n_inputs != n_in:
-            raise ValueError(f"schedule is for {sched.n_inputs} inputs, netlist has {n_in}")
+            raise ValueError(f"{args.keys}: schedule is for {sched.n_inputs} inputs, netlist has {n_in}")
         plan = case_plan(sched, args.case, args.cycles)
     else:
         plan = (None,) * args.cycles

@@ -23,10 +23,8 @@ int and ``cycle_delay_overhead`` a Fraction.
 
 from __future__ import annotations
 
-import csv
 import random
 from copy import deepcopy
-from fractions import Fraction
 from typing import NamedTuple
 
 from .bench import Netlist
@@ -150,6 +148,8 @@ def _lane_counts(words, n_lanes: int) -> list[int]:
 
 def write_hd_csv(reports, fh) -> None:
     """Flat CSV for sweep plots: one row per (circuit, coverage, case) report."""
+    import csv  # here, not at the top: most callers never write a CSV
+
     w = csv.writer(fh)
     w.writerow(["circuit", "coverage", "case", "n_vectors", "cycles", "mask_size", "mean_hd"])
     for r in reports:
@@ -190,6 +190,8 @@ def cycle_delay_overhead(auth_cycles: int, lfsr_width: int) -> Fraction:
         raise ValueError("auth_cycles must be >= 0")
     if lfsr_width < 1:
         raise ValueError("lfsr_width must be >= 1")
+    from fractions import Fraction  # here: it imports decimal, which few callers need
+
     return Fraction(auth_cycles, 1 << (lfsr_width - 1))
 
 

@@ -13,7 +13,10 @@ Clauses come in and models go out in DIMACS form (nonzero ints, ``-v`` for
 "not v").  Inside the solver, as in MiniSat (Een & Sorensson, SAT 2003),
 variable v is the literal index ``2v`` when true and ``2v + 1`` when false,
 so negation is ``lit ^ 1`` and the variable is ``lit >> 1``; values and watch
-lists are plain lists indexed by literal.
+lists are plain lists indexed by literal.  Most clauses a circuit encodes
+have two or three literals: loading maps those through a literal table, and
+propagation scans each watch list in place, rebuilding it only when a clause
+moved its watch.
 """
 
 from __future__ import annotations
@@ -100,8 +103,29 @@ class Solver:
         self.learned = 0
         self.unsat = False
         self._units: list[int] = []
+        self._seen: list[bool] = [False] * (n_vars + 1)  # _analyze's marks, all False between calls
         watches = self.watches
+        # the table path: a 2- or 3-literal clause whose literals are all in
+        # range and whose variables differ is watched as is; any other
+        # clause, including every bad one, takes the general loop below
+        get = {lit: 2 * lit if lit > 0 else 1 - 2 * lit for lit in range(-n_vars, n_vars + 1) if lit}.get
         for lits in clauses:
+            k = len(lits)
+            if k == 2:
+                a, b = lits
+                cl = [get(a), get(b)]
+                if None not in cl and a != b and a != -b:
+                    watches[cl[0]].append(cl)
+                    watches[cl[1]].append(cl)
+                    continue
+            elif k == 3:
+                a, b, c = lits
+                cl = [get(a), get(b), get(c)]
+                # squares differ exactly when variables do
+                if None not in cl and a * a != b * b != c * c != a * a:
+                    watches[cl[0]].append(cl)
+                    watches[cl[1]].append(cl)
+                    continue
             seen = set()
             cl = []
             for lit in lits:
@@ -149,11 +173,10 @@ class Solver:
             falsified = trail[qhead] ^ 1
             qhead += 1
             wl = watches[falsified]
-            if not wl:
-                continue
-            keep: list[list[int]] = []
-            it = iter(wl)
-            for cl in it:
+            # scan in place; a clause that moves its watch leaves the list
+            # afterwards, so the rest keep their order
+            moved = False
+            for cl in wl:
                 # keep the falsified watch in cl[1]
                 first = cl[0]
                 if first == falsified:
@@ -162,7 +185,6 @@ class Solver:
                     cl[1] = falsified
                 vf = val[first]
                 if vf == _TRUE:
-                    keep.append(cl)
                     continue
                 for k in range(2, len(cl)):
                     lk = cl[k]
@@ -170,11 +192,10 @@ class Solver:
                         cl[1] = lk
                         cl[k] = falsified
                         watches[lk].append(cl)
+                        moved = True
                         break
                 else:
-                    keep.append(cl)
                     if vf == _FALSE:
-                        keep.extend(it)
                         confl = cl
                         break
                     val[first] = _TRUE
@@ -182,7 +203,9 @@ class Solver:
                     level[first >> 1] = dl
                     reason[first >> 1] = cl
                     push(first)
-            watches[falsified] = keep
+            if moved:
+                # a clause still watching ``falsified`` holds it in cl[0] or cl[1]
+                watches[falsified] = [cl for cl in wl if cl[1] == falsified or cl[0] == falsified]
             if confl is not None:
                 break
         self.propagations += qhead - start
@@ -203,7 +226,7 @@ class Solver:
         activity = self.activity
         trail = self.trail
         learnt = [0]
-        seen = [False] * (self.n_vars + 1)
+        seen = self._seen
         counter = 0
         lit = None
         idx = len(trail) - 1
@@ -235,6 +258,9 @@ class Solver:
             # reason clauses store the implied literal first
             if reason[0] != lit:
                 reason = [lit] + [q for q in reason if q != lit]
+        # only the literals below the conflict level are still marked
+        for q in learnt[1:]:
+            seen[q >> 1] = False
         if len(learnt) == 1:
             return learnt, 0
         back = max(level[q >> 1] for q in learnt[1:])

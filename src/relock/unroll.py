@@ -3,17 +3,23 @@
 ``CnfBuilder`` is the one encoder: it encodes a netlist one clock frame at
 a time into one growing clause set, with the flip-flop outputs pinned to the
 previous frame's next-state values, and folds constants on the fly, so
-frames with mostly pinned inputs shrink to almost nothing.  NOT and BUFF
-only set a literal's sign; every other gate it does not fold takes one of
-two Tseitin forms: an AND over literals (``_and_clauses``, with NAND, OR and
-NOR inverting its inputs or output) or a chain of two-input XORs
-(``_xor2``, with XNOR inverting the result).  ``CnfBuilder.encode_frames``
-steps the frames; ``to_dimacs`` writes a builder's formula as DIMACS text.
+frames with mostly pinned inputs shrink to almost nothing.  A frame steps
+the netlist's ``frame_program`` (each gate's kind and input slots, in
+topological order) over a list of net values.  NOT and BUFF only set a
+literal's sign; every other gate it does not fold takes one of two Tseitin
+forms: an AND over literals (``_and_clauses``, with NAND, OR and NOR
+inverting its inputs or output) or a chain of two-input XORs (``_xor2``,
+with XNOR inverting the result).  ``CnfBuilder.encode_frames`` steps the
+frames; ``to_dimacs`` writes a builder's formula as DIMACS text.
 """
 
 from __future__ import annotations
 
 from .bench import Netlist
+
+
+# kind -> (invert the inputs, invert the output) of the AND it folds into
+_AND_FORMS = {"AND": (False, False), "NAND": (False, True), "OR": (True, True), "NOR": (True, False)}
 
 
 def _and_clauses(y: int, lits: list[int]) -> list[tuple[int, ...]]:
@@ -61,79 +67,70 @@ class CnfBuilder:
             return
         self.add_clause([value if bit else -value])
 
-    def encode_netlist(self, nl: Netlist, pins: dict) -> dict:
-        """Encode one clock frame of ``nl`` with its sources bound by ``pins``.
+    def encode_netlist(self, nl: Netlist, inputs, state=()) -> list:
+        """Encode one clock frame of ``nl`` from the values of its sources.
 
-        ``pins`` maps every primary input name, and every flip-flop output
-        name of a sequential netlist, to a bool or a signed literal.
-        Returns net name -> value for all nets; the next state is the
-        value of each flip-flop's input net.
+        ``inputs`` holds a bool or a signed literal per primary input and
+        ``state`` one per flip-flop output, both in declaration order.
+        Returns the value of every net, indexed by its slot in
+        ``nl.compiled.slot``: the sources, then the gate outputs in
+        topological order.  ``nl.frame_program`` names the slots of the
+        outputs and of the next state.
         """
-        val: dict[str, int | bool] = {}
-        n_in = len(nl.inputs)
-        for k, x in enumerate((*nl.inputs, *(q for q, _d in nl.dffs))):
-            if x not in pins:
-                if k < n_in:
-                    raise ValueError(f"unpinned primary input '{x}'")
-                raise ValueError(
-                    f"unpinned flip-flop output '{x}': CnfBuilder encodes combinational"
-                    " logic, so a sequential netlist needs its state pinned"
-                )
-            v = pins[x]
-            if not isinstance(v, bool) and v == 0:
+        if (len(inputs), len(state)) != (len(nl.inputs), len(nl.dffs)):
+            raise ValueError(
+                f"{len(inputs)} input and {len(state)} state values for {len(nl.inputs)} inputs and"
+                f" {len(nl.dffs)} flip-flops: a sequential netlist needs its state pinned"
+            )
+        val = [*inputs, *state]
+        for k, v in enumerate(val):
+            if v == 0 and v is not False:
                 # int literals must be nonzero; constants must be bools
+                x = (*nl.inputs, *(q for q, _d in nl.dffs))[k]
                 raise ValueError(f"pin for '{x}' is 0; use False for a constant")
-            val[x] = v
-        for i in nl.topo_order:
-            out, kind, ins = nl.gates[i]
-            val[out] = self._encode_gate(kind, [val[a] for a in ins])
+        fold, get = self._encode_gate, val.__getitem__
+        for kind, slots in nl.frame_program[0]:
+            val.append(fold(kind, [*map(get, slots)]))
         return val
 
-    def encode_frames(self, nl: Netlist, state: dict, rows):
+    def encode_frames(self, nl: Netlist, state, rows):
         """Encode ``nl`` one clock frame per row, starting from ``state``.
 
-        ``state`` maps every flip-flop output to a bool or a literal (all
-        False for reset).  Each row binds the primary inputs of one frame:
-        either a packed word of constants (bit ``i`` drives input ``i``) or
-        a sequence of per-input values.  Yields each frame's output values
+        ``state`` holds a bool or a literal per flip-flop output (all False
+        for reset).  Each row binds the primary inputs of one frame: either
+        a packed word of constants (bit ``i`` drives input ``i``) or a
+        sequence of per-input values.  Yields each frame's output values
         as it is encoded, so clauses a caller adds between frames follow
         that frame's clauses.
         """
+        _gates, outputs, next_state = nl.frame_program
+        n_in = len(nl.inputs)
         for row in rows:
             if isinstance(row, int):
-                pins = {x: bool((row >> i) & 1) for i, x in enumerate(nl.inputs)}
-            else:
-                pins = dict(zip(nl.inputs, row))
-            val = self.encode_netlist(nl, {**pins, **state})
-            state = {q: val[d] for q, d in nl.dffs}
-            yield [val[y] for y in nl.outputs]
+                row = [bool((row >> i) & 1) for i in range(n_in)]
+            val = self.encode_netlist(nl, row, state)
+            state = [val[s] for s in next_state]
+            yield [val[s] for s in outputs]
 
     # -- gate folding ------------------------------------------------------
 
     def _encode_gate(self, kind: str, ins: list):
-        if kind in ("NOT", "BUFF"):
-            a = ins[0]
-            flip = kind == "NOT"
-            if isinstance(a, bool):
-                return a ^ flip
-            return -a if flip else a
-
-        if kind in ("AND", "NAND", "OR", "NOR"):
-            # normalize to an AND over literals, possibly inverted in or out
-            invert_in = kind in ("OR", "NOR")
-            invert_out = kind in ("NAND", "OR")
+        form = _AND_FORMS.get(kind)
+        if form is not None:
+            # an AND over literals, possibly inverted in or out
+            invert_in, invert_out = form
             lits: list[int] = []
             seen: set[int] = set()
             for a in ins:
-                if invert_in:
-                    a = (not a) if isinstance(a, bool) else -a
-                if isinstance(a, bool):
-                    if not a:
-                        return invert_out
+                if a is True or a is False:
+                    if a is invert_in:
+                        return invert_out  # a controlling input
                     continue
-                if -a in seen:
-                    return invert_out
+                if invert_in:
+                    a = -a
                 if a not in seen:
+                    if -a in seen:
+                        return invert_out
                     seen.add(a)
                     lits.append(a)
             if not lits:
@@ -149,7 +146,7 @@ class CnfBuilder:
             phase = kind == "XNOR"
             lits = []
             for a in ins:
-                if isinstance(a, bool):
+                if a is True or a is False:
                     phase ^= a
                 elif -a in lits:
                     # x xor (not x) contributes a constant one
@@ -169,6 +166,12 @@ class CnfBuilder:
                 self.clauses += _xor2(aux, cur, a)
                 cur = aux
             return -cur if phase else cur
+
+        if kind in ("NOT", "BUFF"):
+            a = ins[0]
+            if kind == "BUFF":
+                return a
+            return (not a) if a is True or a is False else -a
 
         raise ValueError(f"unknown gate kind {kind!r}")
 

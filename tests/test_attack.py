@@ -12,9 +12,11 @@ import random
 import pytest
 
 from relock import (
+    DEFAULT_SEED,
     STATUS_BUDGET,
     STATUS_NO_KEY,
     STATUS_RECOVERED,
+    CnfBuilder,
     EncryptConfig,
     SequenceOracle,
     derive_window_starts,
@@ -24,7 +26,7 @@ from relock import (
     simulate,
     workload_stimulus,
 )
-from relock.attack import _lane_dip, _replay_verify
+from relock.attack import _encode_copy, _lane_dip, _replay_verify
 from relock.sim import authentication_schedule, key_plan, plan_stimulus
 
 TOY_CFG = EncryptConfig(
@@ -165,7 +167,7 @@ def test_lane_dip_separates_its_two_keys(toy):
         state, dip = _lane_dip(enc.netlist, prefix, c, gap, random.Random(q))
 
         ref = simulate(enc.netlist, workload_stimulus([*prefix, 0]))
-        assert state == {name: bool(ref.state_bit(len(prefix), name)) for name in ref.state_names}
+        assert state == [bool(ref.state_bit(len(prefix), name)) for name in ref.state_names]
         if dip is None:
             continue
         found += 1
@@ -215,6 +217,40 @@ def test_sat_finds_the_first_dip_when_no_lane_differs():
     # the last extracts the key
     assert w.iterations >= 1
     assert w.solver_calls == w.iterations + 2
+
+
+# the lock of the first attack-s298 benchmark op
+S298_POOL_CFG = EncryptConfig(
+    lfsr_width=4, enc_out_width=3, key_len=4, sbj_bits=1, coverage=0.3, master_seed=DEFAULT_SEED
+)
+
+
+@pytest.mark.parametrize("circuit", ["s27", "s298"])
+def test_renamed_key_copy_equals_a_fresh_encode(circuit, request):
+    """``_encode_copy`` encodes the k_a copy once and renames it into the
+    k_b copy; that gives the variables, clauses and gap outputs of encoding
+    k_b afresh, for the miter's copies and for a learned probe's pinned ones."""
+    cfg = TOY_CFG if circuit == "s27" else S298_POOL_CFG
+    nl = encrypt(request.getfixturevalue(circuit), cfg).netlist
+    n_in, gap = len(nl.inputs), 6
+    rng = random.Random(circuit)
+    state, _dip = _lane_dip(nl, [rng.getrandbits(n_in) for _ in range(9)], cfg.key_len, gap, rng)
+    probe = [rng.getrandbits(n_in) for _ in range(gap)]
+    answer = [rng.getrandbits(len(nl.outputs)) for _ in range(gap)]
+    formulas = []
+    for renamed in (True, False):
+        b = CnfBuilder()
+        k_a, k_b, x = ([[b.new_var() for _ in range(n_in)] for _ in range(k)] for k in (cfg.key_len, cfg.key_len, gap))
+        if renamed:
+            outs = _encode_copy(b, nl, state, (k_a, k_b), x)
+            _encode_copy(b, nl, state, (k_a, k_b), probe, answer)
+        else:
+            outs = [_encode_copy(b, nl, state, (keys,), x)[0] for keys in (k_a, k_b)]
+            for keys in (k_a, k_b):
+                _encode_copy(b, nl, state, (keys,), probe, answer)
+        formulas.append((b.n_vars, b.clauses, b.contradiction, outs))
+    assert formulas[0] == formulas[1]
+    assert formulas[0][0] > (2 * cfg.key_len + gap) * n_in  # the copies allocated variables
 
 
 def _replay_verify_one_lane(enc, oracle, starts, keys, seed, verify_vectors):

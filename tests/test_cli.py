@@ -187,6 +187,14 @@ def test_simulate_schedule_width_check(capsys, workdir):
     assert "inputs" in err
 
 
+def test_simulate_names_the_schedule_with_the_wrong_input_count(capsys, workdir, tmp_path):
+    keys = edited_schedule(workdir, tmp_path, lambda d: d.update(i=5))
+    rc, out, err = run(capsys, "simulate", str(workdir / "s27_enc.bench"), "--keys", keys, "--case", "1")
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert f"{keys}: schedule is for 5 inputs, netlist has 4" in err
+
+
 @pytest.mark.parametrize("case", [None, "1", "2", "3"])
 def test_simulate_rejects_negative_cycles_in_every_mode(capsys, workdir, case):
     keys = [] if case is None else ["--keys", str(workdir / "s27_keys.json"), "--case", case]

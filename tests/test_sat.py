@@ -70,6 +70,55 @@ def test_duplicate_and_tautological_clauses():
     assert check_model([(1, 2), (-2,)], res.model)
 
 
+def general_load(n_vars, clauses):
+    """``Solver.__init__``'s clause loop without its table path, as
+    ``(watches, units, unsat)``: the reference the table path must match."""
+    watches = [[] for _ in range(2 * n_vars + 2)]
+    units, unsat = [], False
+    for lits in clauses:
+        seen, cl = set(), []
+        for lit in lits:
+            if lit == 0 or abs(lit) > n_vars:
+                raise ValueError(f"bad literal {lit}")
+            if -lit in seen:
+                break
+            if lit not in seen:
+                seen.add(lit)
+                cl.append(2 * lit if lit > 0 else 1 - 2 * lit)
+        else:
+            if len(cl) > 1:
+                watches[cl[0]].append(cl)
+                watches[cl[1]].append(cl)
+            elif cl:
+                units.append(cl[0])
+            else:
+                unsat = True
+    return watches, units, unsat
+
+
+def test_clause_table_path_matches_the_general_loop():
+    """2- and 3-literal clauses with a duplicate, a tautology, a 0 or an
+    out-of-range literal load as the general loop loads them, or fail with
+    its message."""
+    rng = random.Random(18)
+    n_vars = 4
+    pool = [0, n_vars + 1, -n_vars - 1, *range(1, n_vars + 1), *range(-n_vars, 0)]
+    shapes = set()
+    for _ in range(3000):
+        clauses = [tuple(rng.choice(pool) for _ in range(rng.randint(0, 4))) for _ in range(3)]
+        try:
+            want = general_load(n_vars, clauses)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{e}$"):
+                relock.sat.Solver(n_vars, clauses)
+            shapes.add("error")
+            continue
+        got = relock.sat.Solver(n_vars, clauses)
+        assert (got.watches, got._units, got.unsat) == want, clauses
+        shapes.update(len(set(map(abs, cl))) < len(cl) for cl in clauses if len(cl) in (2, 3))
+    assert shapes == {"error", True, False}  # repeated variables and clean ones both loaded
+
+
 def test_n_vars_inferred_from_clauses():
     res = solve([(3, -5)])
     assert res.status == SAT
@@ -173,7 +222,7 @@ def test_result_fields_populated():
 def test_solve_accepts_cnf_objects(s27):
     b = CnfBuilder()
     rows = [[b.new_var() for _ in s27.inputs] for _ in range(2)]
-    list(b.encode_frames(s27, {q: False for q, _d in s27.dffs}, rows))
+    list(b.encode_frames(s27, [False] * len(s27.dffs), rows))
     res = solve(b)
     assert res.status == SAT
     assert len(res.model) == b.n_vars

@@ -43,10 +43,11 @@ def test_code_size_counts_the_public_names():
 
 def test_importing_relock_loads_neither_dataclasses_nor_inspect():
     # each costs start-up time in every CLI call and sweep worker:
-    # dataclasses builds its classes through exec, and imports inspect
+    # dataclasses builds its classes through exec, and imports inspect;
+    # fractions, decimal and csv are imported by the few functions using them
     modules = set(load_tool("code_size").imported_modules())
     assert "relock.cli" in modules
-    assert not modules & {"dataclasses", "inspect"}
+    assert not modules & {"dataclasses", "inspect", "fractions", "decimal", "csv"}
 
 
 # every public name, so adding or removing one shows up in this file's diff
@@ -117,3 +118,17 @@ def test_committed_bench_records_follow_the_schema():
         for entry in record["layers"].values():
             assert set(entry) == {"correct", *(m["name"] for m in spec["per_layer"])}
         assert set(record["code"]) == set(load_tool("code_size").measure())
+
+
+def test_bench_diff_prints_every_metric_with_its_change(capsys):
+    bench = load_tool("bench")
+    paths = [str(TOOLS.parent / f"BENCH_{n}.json") for n in (16, 17)]
+    assert bench.main(["--diff", *paths]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    old, new = (json.loads(Path(p).read_text()) for p in paths)
+    assert len(lines) == sum(len(m) for sec in ("end_to_end", "layers") for m in old[sec].values())
+    op_old, op_new = (r["end_to_end"]["attack-s298"]["op_s"] for r in (old, new))
+    want = f"end_to_end attack-s298 op_s {op_old:.4g} -> {op_new:.4g} {(op_new - op_old) / op_old:+.1%}"
+    assert want in lines
+    assert "end_to_end attack-s298 correct True -> True n/a" in lines
+    assert "layers attack-s298 bench.parse_s 0 -> 0 n/a" in lines

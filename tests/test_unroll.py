@@ -25,7 +25,7 @@ TOGGLE_Q = "OUTPUT(q)\nq = DFF(y)\ny = NOT(q)"
 
 
 def reset(nl):
-    return {q: False for q, _d in nl.dffs}
+    return [False] * len(nl.dffs)
 
 
 def value(model, v):
@@ -104,7 +104,7 @@ def encoded(text):
     """A builder holding one frame of ``text`` over fresh input variables."""
     nl = parse_bench(text)
     b = CnfBuilder()
-    (outs,) = b.encode_frames(nl, {}, [[b.new_var() for _ in nl.inputs]])
+    (outs,) = b.encode_frames(nl, [], [[b.new_var() for _ in nl.inputs]])
     return b, outs
 
 
@@ -169,8 +169,8 @@ def test_builder_all_constant_inputs_fold_away():
     nl = _comb(AND_TEXT)
     for a in (False, True):
         for c in (False, True):
-            val = b.encode_netlist(nl, {"a": a, "b": c})
-            assert val["y"] is (a and c)
+            val = b.encode_netlist(nl, [a, c])
+            assert val[nl.compiled.slot["y"]] is (a and c)
     assert b.n_vars == 0
     assert b.clauses == []
 
@@ -188,7 +188,7 @@ def test_builder_symbolic_matches_eval(s27):
     )
     b = CnfBuilder()
     pins = {x: b.new_var() for x in comb.inputs}
-    val = b.encode_netlist(comb, pins)
+    val = b.encode_netlist(comb, list(pins.values()))
     rng = random.Random(12)
     for _ in range(30):
         bits = {x: rng.randrange(2) for x in comb.inputs}
@@ -199,35 +199,60 @@ def test_builder_symbolic_matches_eval(s27):
         assert res.status == SAT
         outs, _ = comb.compiled.eval([bits[x] for x in comb.inputs], [])
         for y, want in zip(comb.outputs, outs):
-            lit = val[y]
+            lit = val[comb.compiled.slot[y]]
             got = res.model[abs(lit)] ^ (lit < 0)
             assert got == bool(want)
 
     # s27 itself, flip-flop outputs pinned, encodes as the same frame
     frame = CnfBuilder()
-    frame_val = frame.encode_netlist(s27, {x: frame.new_var() for x in comb.inputs})
+    sources = [frame.new_var() for _x in comb.inputs]
+    frame_val = frame.encode_netlist(s27, sources[: len(s27.inputs)], sources[len(s27.inputs) :])
     assert frame.clauses == b.clauses
     assert frame.n_vars == b.n_vars
-    assert [frame_val[y] for y in s27.outputs] == [val[y] for y in comb.outputs]
+    assert frame_val == val
+
+
+@given(netlists(max_arity=4), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_encode_netlist_equals_folding_gate_by_gate(nl, rng):
+    """The frame program gives the clauses and net values that folding each
+    gate by name in topological order gives, on sources mixing constants,
+    literals, repeated literals and their negations."""
+    b, ref = CnfBuilder(), CnfBuilder()
+    pool = [b.new_var() for _ in range(3)]
+    ref.n_vars = b.n_vars
+    sources = [
+        rng.choice([True, False, rng.choice(pool), -rng.choice(pool)])
+        for _x in (*nl.inputs, *nl.dffs)
+    ]
+    got = b.encode_netlist(nl, sources[: len(nl.inputs)], sources[len(nl.inputs) :])
+
+    val = dict(zip((*nl.inputs, *(q for q, _d in nl.dffs)), sources))
+    for i in nl.topo_order:
+        out, kind, ins = nl.gates[i]
+        val[out] = ref._encode_gate(kind, [val[a] for a in ins])
+    assert (b.clauses, b.n_vars) == (ref.clauses, ref.n_vars)
+    slot = nl.compiled.slot
+    assert got == [val[net] for net in sorted(slot, key=slot.get)]
 
 
 def test_builder_rejects_int_zero_pin():
     b = CnfBuilder()
     with pytest.raises(ValueError, match="use False"):
-        b.encode_netlist(_comb(NOT_TEXT), {"a": 0})
+        b.encode_netlist(_comb(NOT_TEXT), [0])
 
 
 def test_builder_rejects_sequential_netlists():
     b = CnfBuilder()
     nl = parse_bench("INPUT(a)\nOUTPUT(y)\nq = DFF(a)\ny = AND(a, q)")
-    with pytest.raises(ValueError, match="combinational"):
-        b.encode_netlist(nl, {"a": True})
+    with pytest.raises(ValueError, match="needs its state pinned"):
+        b.encode_netlist(nl, [True])
 
 
 def test_builder_requires_all_pins():
     b = CnfBuilder()
-    with pytest.raises(ValueError, match="unpinned"):
-        b.encode_netlist(_comb(AND_TEXT), {"a": True})
+    with pytest.raises(ValueError, match="1 input and 0 state values for 2 inputs and 0 flip-flops"):
+        b.encode_netlist(_comb(AND_TEXT), [True])
 
 
 def test_builder_pin_contradiction_flag():

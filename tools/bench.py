@@ -10,6 +10,11 @@ rates.  Together with the interpreter version, the CPU count and
 
     python tools/bench.py BENCH_<n>.json
 
+``--diff OLD NEW`` instead prints, for every workload, the relative change
+of each end-to-end and layer metric from record OLD to record NEW::
+
+    python tools/bench.py --diff BENCH_<m>.json BENCH_<n>.json
+
 Nothing under ``perfbench/`` is changed; each run takes about
 ``BENCHMARK.json``'s ``run_seconds`` plus set-up.
 """
@@ -55,11 +60,36 @@ def record() -> dict:
     return dict(zip(KEYS, (SCHEMA, env, end_to_end, layers, json.loads(code))))
 
 
+def diff(old: dict, new: dict) -> list[str]:
+    """One line per metric of two records' ``end_to_end`` and ``layers``:
+    section, workload, metric, old and new value and the relative change,
+    ``n/a`` for a flag or an old value of 0."""
+    lines = []
+    for section in ("end_to_end", "layers"):
+        for workload, metrics in old[section].items():
+            for name, a in metrics.items():
+                b = new[section][workload][name]
+                change = "n/a" if isinstance(a, bool) or not a else f"{(b - a) / a:+.1%}"
+                lines.append(f"{section} {workload} {name} {_show(a)} -> {_show(b)} {change}")
+    return lines
+
+
+def _show(x) -> str:
+    return str(x) if isinstance(x, bool) else f"{x:.4g}"
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("out", type=Path, help="JSON file to write")
+    p.add_argument("out", type=Path, nargs="?", help="JSON file to write")
+    p.add_argument("--diff", type=Path, nargs=2, metavar=("OLD", "NEW"),
+                   help="print the change from record OLD to record NEW instead")
     args = p.parse_args(argv)
-    args.out.write_text(json.dumps(record(), indent=2) + "\n")
+    if args.diff is not None:
+        print("\n".join(diff(*(json.loads(path.read_text()) for path in args.diff))))
+    elif args.out is not None:
+        args.out.write_text(json.dumps(record(), indent=2) + "\n")
+    else:
+        p.error("give OUT or --diff OLD NEW")
     return 0
 
 

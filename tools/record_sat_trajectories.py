@@ -67,10 +67,10 @@ def frames_from_reset(nl, frames):
     frames are stepped here with ``encode_netlist``.
     """
     b = CnfBuilder()
-    state = {q: False for q, _d in nl.dffs}
+    state = [False] * len(nl.dffs)
     for _ in range(frames):
-        val = b.encode_netlist(nl, {**{x: b.new_var() for x in nl.inputs}, **state})
-        state = {q: val[d] for q, d in nl.dffs}
+        val = b.encode_netlist(nl, [b.new_var() for _x in nl.inputs], state)
+        state = [val[s] for s in nl.frame_program[2]]
     return b.n_vars, b.clauses
 
 
