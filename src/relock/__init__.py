@@ -29,7 +29,6 @@ from .encrypt import (
 )
 from .sim import (
     AuthWindow,
-    Stimulus,
     Trace,
     authentication_schedule,
     simulate,

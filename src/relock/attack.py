@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .bench import Netlist
 from .sat import SAT, UNKNOWN, solve
-from .sim import key_plan, plan_stimulus, replay_windows, run_from_reset, simulate, workload_stimulus
+from .sim import key_plan, plan_stimulus, replay_windows, run_from_reset, simulate
 from .unroll import CnfBuilder
 
 STATUS_RECOVERED = "recovered"
@@ -67,15 +67,13 @@ class SequenceOracle:
         return len(self._nl.outputs)
 
     def query(self, vectors) -> tuple[int, ...]:
-        """Apply packed input words from reset; return packed output words."""
-        limit = 1 << self.n_inputs
-        for v in vectors:
-            if not 0 <= v < limit:
-                raise ValueError(f"input vector {v:#x} does not fit {self.n_inputs} inputs")
+        """Apply packed input words from reset; return packed output words.
+
+        A query that ``simulate`` rejects is not counted.
+        """
+        outputs = simulate(self._nl, vectors).outputs
         self.queries += 1
-        if not vectors:
-            return ()
-        return simulate(self._nl, workload_stimulus(vectors)).outputs
+        return outputs
 
 
 def _lane_dip(nl: Netlist, prefix, key_len: int, gap: int, rng: random.Random):
@@ -360,10 +358,10 @@ def recover_key_sequences(
         queries_before = oracle.queries
 
         # committed keys in their windows, probes on every other cycle
-        committed = plan_stimulus(key_plan(zip(starts, keys), start), probes, n_in)
-        prefix_probe = tuple(probes[: committed.n_workload])
+        plan = key_plan(zip(starts, keys), start)
+        prefix_probe = tuple(probes[: plan.count(None)])
         dip_rng = random.Random(f"{seed}/attack/dip/{q}")
-        w = _Window(enc, committed.vectors, key_len, gap, dip_rng, conflict_budget)
+        w = _Window(enc, plan_stimulus(plan, probes, n_in), key_len, gap, dip_rng, conflict_budget)
         while (probe := w.next_dip()) is not None:
             w.learn(probe, oracle.query(prefix_probe + probe)[len(prefix_probe):])
         key = w.key()

@@ -87,18 +87,18 @@ def _check_schedule(sched: KeySchedule, nl, path: str) -> None:
         raise ValueError(f"{path}: schedule is for {sched.n_inputs} inputs, netlist has {len(nl.inputs)}")
 
 
-def sci(bits: int, digits: int = 3) -> str:
-    """Short scientific rendering of ``2**bits``, e.g. 5.93e+79 for 265.
+def sci(bits: int) -> str:
+    """Three-digit scientific rendering of ``2**bits``, e.g. 5.93e+79 for 265.
 
-    The power is rounded to ``digits + 30`` significant digits, so the cost
-    does not grow with ``bits``.
+    The power is rounded to 33 significant digits, so the cost does not
+    grow with ``bits``.
     """
     from decimal import MAX_EMAX, Context, Decimal  # here: only this subcommand needs it
 
-    ctx = Context(prec=digits + 30, Emax=MAX_EMAX)
+    ctx = Context(prec=33, Emax=MAX_EMAX)
     d = ctx.power(2, bits)
     exp = d.adjusted()
-    mant = ctx.quantize(ctx.scaleb(d, -exp), Decimal(1).scaleb(1 - digits))
+    mant = ctx.quantize(ctx.scaleb(d, -exp), Decimal("0.01"))
     return f"{mant}e{exp:+d}"
 
 
@@ -184,9 +184,11 @@ def _load_timing(spec: str, max_seq: int, oracle_nl):
     """Window starts and key length from a --keys-timing file: a key
     schedule, checked against the oracle's netlist, or an object with
     'starts' and 'c'."""
-    doc = _read(spec, lambda p: json.loads(Path(p).read_text()), "bad JSON: ")
+    # read once: a pipe such as /dev/stdin cannot be read a second time
+    text = _read(spec, lambda p: Path(p).read_text())
+    doc = _read(spec, lambda _p: json.loads(text), "bad JSON: ")
     if isinstance(doc, dict) and "key_table" in doc:
-        sched = _read(spec, load_schedule, "bad key schedule: ")
+        sched = _read(spec, lambda _p: KeySchedule.from_json(text), "bad key schedule: ")
         _check_schedule(sched, oracle_nl, spec)
         return derive_window_starts(sched, max_seq), sched.key_len
     if isinstance(doc, dict) and "starts" in doc:

@@ -89,7 +89,6 @@ def run_case(
     mask = workload_cycle_mask(sched, cycles)
     if not mask:
         raise ValueError(f"no workload cycles in a {cycles}-cycle horizon")
-    n_workload = len(mask)
 
     rng = random.Random(f"{seed}/hd/{int(case)}")
     # wl[j][b]: lane word for workload vector j, input bit b
@@ -112,7 +111,7 @@ def run_case(
     counts = _lane_counts(diffs, n_vectors)
 
     width = len(orig.outputs)
-    denom = width * n_workload
+    denom = width * len(mask)
     per_run = tuple(cnt / denom for cnt in counts)
     mean_hd = sum(counts) / (n_vectors * denom)
     return HdReport(
@@ -120,7 +119,7 @@ def run_case(
         case=case,
         n_vectors=n_vectors,
         cycles=cycles,
-        mask_size=n_workload,
+        mask_size=len(mask),
         mean_hd=mean_hd,
         per_run=per_run,
         seed=seed,

@@ -254,10 +254,9 @@ class Solver:
             if counter == 0:
                 learnt[0] = lit ^ 1
                 break
+            # a reason clause holds its implied literal in reason[0]:
+            # propagation puts it there and never moves a true cl[0]
             reason = self.reason[v]
-            # reason clauses store the implied literal first
-            if reason[0] != lit:
-                reason = [lit] + [q for q in reason if q != lit]
         # only the literals below the conflict level are still marked
         for q in learnt[1:]:
             seen[q >> 1] = False
@@ -338,8 +337,8 @@ class Solver:
                 learnt, back = self._analyze(confl)
                 self._cancel_until(back)
                 if len(learnt) == 1:
-                    if not self._enqueue(learnt[0], None):
-                        return self._result(UNSAT)
+                    # back is 0, so cancelling to it freed the UIP's variable
+                    self._enqueue(learnt[0], None)
                 else:
                     self.learned += 1
                     self.watches[learnt[0]].append(learnt)

@@ -6,7 +6,9 @@ corresponding name list (LSB first).  Outputs are sampled combinationally in
 the same cycle as the inputs that produce them.
 
 Every access level is a *key plan*: the tuple of the key pattern each cycle
-applies, with None on workload cycles.  The trusted user plays every chain
+applies, with None on workload cycles.  A stimulus is the tuple of packed
+input words that filling a plan's None cycles with workload gives; the plan
+alone says which cycles carry workload.  The trusted user plays every chain
 a :class:`~relock.encrypt.KeySchedule` schedules: the design starts
 encrypted, so the user first plays chain 0, then feeds workload vectors while
 the design is functional, re-authenticating with the scheduled chain each
@@ -84,41 +86,6 @@ def authentication_schedule(sched: KeySchedule, cycles: int) -> tuple[AuthWindow
     return tuple(replay_windows(sched, cycles))
 
 
-class _StimulusFields(NamedTuple):
-    vectors: tuple[int, ...]
-    tags: tuple[int | None, ...]
-
-
-class Stimulus(_StimulusFields):
-    """Per-cycle input vectors, validated on construction.
-
-    ``vectors[t]`` is the packed input word for cycle ``t``.  ``tags[t]`` is
-    None for an authentication cycle and the workload index otherwise.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, vectors: tuple[int, ...], tags: tuple[int | None, ...]):
-        if len(vectors) != len(tags):
-            raise ValueError("vectors and tags must have equal length")
-        expect = 0
-        for tag in tags:
-            if tag is None:
-                continue
-            if tag != expect:
-                raise ValueError(f"workload indices must be consecutive from 0, saw {tag} after {expect - 1}")
-            expect += 1
-        return super().__new__(cls, vectors, tags)
-
-    @classmethod
-    def _make(cls, iterable):  # so _replace validates too
-        return cls(*iterable)
-
-    @property
-    def n_workload(self) -> int:
-        return sum(1 for t in self.tags if t is not None)
-
-
 class Case(enum.IntEnum):
     """Access levels: which chains a user plays."""
 
@@ -158,20 +125,18 @@ def case_plan(sched: KeySchedule, case: Case | int, cycles: int) -> tuple[int | 
     return key_plan(chains, cycles)
 
 
-def plan_stimulus(plan, workload, n_inputs: int) -> Stimulus:
+def plan_stimulus(plan, workload, n_inputs: int) -> tuple[int, ...]:
     """Fill the None cycles of a key plan with ``workload`` vectors, in order.
 
-    Raises ValueError if the workload is too short or a vector does not fit
-    ``n_inputs`` inputs.
+    Returns the packed input word of every cycle.  Raises ValueError if the
+    workload is too short or a vector does not fit ``n_inputs`` inputs.
     """
     limit = 1 << n_inputs
     vectors: list[int] = []
-    tags: list[int | None] = []
     wi = 0
     for key in plan:
         if key is not None:
             vectors.append(key)
-            tags.append(None)
             continue
         if wi >= len(workload):
             raise ValueError(f"workload has {len(workload)} vectors but the horizon needs {wi + 1} or more")
@@ -179,9 +144,8 @@ def plan_stimulus(plan, workload, n_inputs: int) -> Stimulus:
         if not 0 <= v < limit:
             raise ValueError(f"workload vector {v:#x} does not fit {n_inputs} inputs")
         vectors.append(v)
-        tags.append(wi)
         wi += 1
-    return Stimulus(tuple(vectors), tuple(tags))
+    return tuple(vectors)
 
 
 def workload_cycle_mask(sched: KeySchedule, cycles: int) -> tuple[int, ...]:
@@ -189,7 +153,7 @@ def workload_cycle_mask(sched: KeySchedule, cycles: int) -> tuple[int, ...]:
     return tuple(t for t, key in enumerate(case_plan(sched, Case.TRUSTED, cycles)) if key is None)
 
 
-def trusted_user_stimulus(sched: KeySchedule, workload, cycles: int) -> Stimulus:
+def trusted_user_stimulus(sched: KeySchedule, workload, cycles: int) -> tuple[int, ...]:
     """Interleave scheduled authentication chains with workload vectors.
 
     ``workload`` is a sequence of packed input words; it must cover every
@@ -199,10 +163,9 @@ def trusted_user_stimulus(sched: KeySchedule, workload, cycles: int) -> Stimulus
     return plan_stimulus(case_plan(sched, Case.TRUSTED, cycles), workload, sched.n_inputs)
 
 
-def workload_stimulus(vectors) -> Stimulus:
+def workload_stimulus(vectors) -> tuple[int, ...]:
     """A stimulus that is pure workload (no authentication cycles)."""
-    vs = tuple(vectors)
-    return Stimulus(vs, tuple(range(len(vs))))
+    return tuple(vectors)
 
 
 class _TraceFields(NamedTuple):
@@ -256,16 +219,10 @@ def run_from_reset(nl: Netlist, plan, rows=(), width: int = 1):
         state = nxt
 
 
-def simulate(nl: Netlist, stim: Stimulus, cycles: int | None = None) -> Trace:
-    """Run ``nl`` from reset for ``cycles`` cycles (default: whole stimulus)."""
-    if cycles is None:
-        cycles = len(stim.vectors)
-    if cycles < 0:
-        raise ValueError("cycles must be nonnegative")
-    if cycles > len(stim.vectors):
-        raise ValueError(f"stimulus has {len(stim.vectors)} cycles, asked for {cycles}")
+def simulate(nl: Netlist, vectors) -> Trace:
+    """Run ``nl`` from reset, one cycle per packed input word of ``vectors``."""
     n_in = len(nl.inputs)
-    inputs = stim.vectors[:cycles]
+    inputs = tuple(vectors)
     for t, word in enumerate(inputs):
         if not 0 <= word < (1 << n_in):
             raise ValueError(f"cycle {t}: input vector {word:#x} does not fit {n_in} inputs")
@@ -302,8 +259,8 @@ def write_columnar(trace: Trace, fh) -> None:
         fh.write(f"{t:6d} {trace.inputs[t]:0{iw}x} {trace.outputs[t]:0{ow}x} {trace.states[t]:0{sw}x}\n")
 
 
-def write_vcd(trace: Trace, fh, design: str = "design", timescale: str = "1ns") -> None:
-    """Dump a trace in VCD form, one scalar wire per net."""
+def write_vcd(trace: Trace, fh, design: str = "design") -> None:
+    """Dump a trace in VCD form, one scalar wire per net, one cycle per 1 ns."""
     nets: list[tuple[str, str, str]] = []  # (group, name, id)
     code = 33  # printable VCD id chars start at '!'
 
@@ -323,7 +280,7 @@ def write_vcd(trace: Trace, fh, design: str = "design", timescale: str = "1ns") 
         for name in names:
             nets.append((group, name, next_id()))
 
-    fh.write(f"$timescale {timescale} $end\n$scope module {design} $end\n")
+    fh.write(f"$timescale 1ns $end\n$scope module {design} $end\n")
     for group, name, vid in nets:
         fh.write(f"$var wire 1 {vid} {group}.{name} $end\n")
     fh.write("$upscope $end\n$enddefinitions $end\n")

@@ -144,24 +144,25 @@ class CnfBuilder:
 
         if kind in ("XOR", "XNOR"):
             phase = kind == "XNOR"
-            lits = []
+            # the live literals in first-seen order; a dict removes in O(1)
+            live: dict[int, None] = {}
             for a in ins:
                 if a is True or a is False:
                     phase ^= a
-                elif -a in lits:
+                elif -a in live:
                     # x xor (not x) contributes a constant one
-                    lits.remove(-a)
+                    del live[-a]
                     phase = not phase
-                elif a in lits:
-                    lits.remove(a)
+                elif a in live:
+                    del live[a]
                 else:
-                    lits.append(a)
-            if not lits:
+                    live[a] = None
+            if not live:
                 return phase
-            if len(lits) == 1:
-                return -lits[0] if phase else lits[0]
-            cur = lits[0]
-            for a in lits[1:]:
+            cur, *rest = live
+            if not rest:
+                return -cur if phase else cur
+            for a in rest:
                 aux = self.new_var()
                 self.clauses += _xor2(aux, cur, a)
                 cur = aux

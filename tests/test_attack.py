@@ -162,7 +162,7 @@ def test_lane_dip_separates_its_two_keys(toy):
     for q in range(N_WINDOWS):
         # earlier windows get their true keys, every other cycle a random word
         plan = key_plan(zip(starts, truth[:q]), starts[q])
-        prefix = plan_stimulus(plan, [rng.getrandbits(n_in) for _ in plan], n_in).vectors
+        prefix = plan_stimulus(plan, [rng.getrandbits(n_in) for _ in plan], n_in)
         gap = starts[q + 1] - starts[q] - c
         state, dip = _lane_dip(enc.netlist, prefix, c, gap, random.Random(q))
 
@@ -332,6 +332,7 @@ def test_oracle_rejects_oversized_vectors(s27):
     oracle = SequenceOracle(s27)
     with pytest.raises(ValueError, match="does not fit"):
         oracle.query([1 << len(s27.inputs)])
+    assert oracle.queries == 0  # a rejected query is not counted
 
 
 def test_oracle_empty_query(s27):

@@ -1,8 +1,10 @@
 """End-to-end CLI coverage: every subcommand, every exit code."""
 
 import json
+import os
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -343,6 +345,20 @@ def test_attack_with_schedule_timing(capsys, workdir):
     assert "verified: yes" in out
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+def test_attack_reads_a_piped_schedule(capsys, workdir):
+    """A pipe, as with ``--keys-timing /dev/stdin``, gives its text to one read only."""
+    r, w = os.pipe()
+    with os.fdopen(w, "wb") as fh:
+        fh.write((workdir / "s27_keys.json").read_bytes())  # well inside a pipe's buffer
+    try:
+        rc, out, err = run(capsys, *attack_argv(workdir, f"/dev/fd/{r}"))
+    finally:
+        os.close(r)
+    assert (rc, err) == (EXIT_OK, "")
+    assert "windows recovered: 3/3" in out
+
+
 def test_attack_with_starts_file(capsys, workdir, tmp_path):
     timing = tmp_path / "timing.json"
     timing.write_text(json.dumps({"starts": [0, 4, 10, 18], "c": 2}))
@@ -524,15 +540,39 @@ FILE_DEFECTS = {
     "not-utf8": lambda text: b"\xff" + text.encode(),
 }
 
+# the same for a .bench file; every appended line reads nets both s27 and its lock have
+BENCH_DEFECTS = {
+    "missing": None,
+    "not-utf8": FILE_DEFECTS["not-utf8"],
+    "unrecognized-line": lambda text: (text + "G0 NOT(G1)\n").encode(),
+    "duplicate-net": lambda text: (text + "G0 = NOT(G1)\n").encode(),
+    "dff-two-inputs": lambda text: (text + "D9 = DFF(G0, G1)\n").encode(),
+    "undefined-net": lambda text: (text + "OUTPUT(NOWHERE)\n").encode(),
+    "combinational-cycle": lambda text: (text + "C1 = NOT(C2)\nC2 = NOT(C1)\nOUTPUT(C1)\n").encode(),
+}
+
+JSON_TARGETS = ["encrypt --config", "simulate --keys", "eval-hd --keys", "attack schedule", "attack starts"]
+BENCH_TARGETS = ["stats", "encrypt", "simulate", "eval-hd orig", "eval-hd enc", "attack", "attack --oracle"]
+FILE_CASES = [(t, d) for t in JSON_TARGETS for d in FILE_DEFECTS] + [(t, d) for t in BENCH_TARGETS for d in BENCH_DEFECTS]
+
 
 def file_argument(workdir, tmp_path, target, path):
     """The valid text of ``target``'s file and the argv that reads it from ``path``."""
     enc, s27 = str(workdir / "s27_enc.bench"), str(bench_path("s27"))
-    schedule = (workdir / "s27_keys.json").read_text()
+    keys = str(workdir / "s27_keys.json")
+    schedule = Path(keys).read_text()
+    enc_text, s27_text = Path(enc).read_text(), Path(s27).read_text()
+    out = ["--out", str(tmp_path / "enc.bench"), "--keys", str(tmp_path / "k.json")]
+    hd = ["--keys", keys, "--vectors", "5", "--cycles", "20"]
     return {
-        "encrypt --config": (json.dumps(TOY_CONFIG), [
-            "encrypt", s27, "--config", path, "--out", str(tmp_path / "enc.bench"), "--keys", str(tmp_path / "k.json"),
-        ]),
+        "stats": (s27_text, ["stats", path]),
+        "encrypt": (s27_text, ["encrypt", path, *out]),
+        "simulate": (enc_text, ["simulate", path, "--cycles", "5"]),
+        "eval-hd orig": (s27_text, ["eval-hd", path, enc, *hd]),
+        "eval-hd enc": (enc_text, ["eval-hd", s27, path, *hd]),
+        "attack": (enc_text, ["attack", path, "--oracle", s27, "--keys-timing", keys]),
+        "attack --oracle": (s27_text, ["attack", enc, "--oracle", path, "--keys-timing", keys]),
+        "encrypt --config": (json.dumps(TOY_CONFIG), ["encrypt", s27, "--config", path, *out]),
         "simulate --keys": (schedule, ["simulate", enc, "--keys", path, "--case", "1", "--cycles", "5"]),
         "eval-hd --keys": (schedule, ["eval-hd", s27, enc, "--keys", path, "--vectors", "5", "--cycles", "20"]),
         "attack schedule": (schedule, attack_argv(workdir, path)),
@@ -540,13 +580,14 @@ def file_argument(workdir, tmp_path, target, path):
     }[target]
 
 
-@pytest.mark.parametrize("defect", list(FILE_DEFECTS))
-@pytest.mark.parametrize("target", ["encrypt --config", "simulate --keys", "eval-hd --keys", "attack schedule", "attack starts"])
+@pytest.mark.parametrize("target, defect", FILE_CASES, ids=[f"{t}-{d}" for t, d in FILE_CASES])
 def test_bad_file_argument_exits_2_and_names_it(capsys, workdir, tmp_path, target, defect):
-    path = tmp_path / "arg.json"
+    is_bench = target in BENCH_TARGETS
+    path = tmp_path / ("arg.bench" if is_bench else "arg.json")
     text, argv = file_argument(workdir, tmp_path, target, str(path))
-    if FILE_DEFECTS[defect] is not None:
-        path.write_bytes(FILE_DEFECTS[defect](text))
+    make = (BENCH_DEFECTS if is_bench else FILE_DEFECTS)[defect]
+    if make is not None:
+        path.write_bytes(make(text))
     rc, out, err = run(capsys, *argv)
     assert rc == EXIT_INPUT
     assert out == ""

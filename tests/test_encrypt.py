@@ -16,9 +16,11 @@ from relock import (
     parse_bench,
     simulate,
     trusted_user_stimulus,
+    workload_cycle_mask,
 )
 from relock.bench import GATE_KINDS
 from relock.encrypt import DEFAULT_SEED, _build_enc_fsm, _xor_gates
+from relock.sim import Case, case_plan, plan_stimulus
 
 TOY_CFG = EncryptConfig(
     lfsr_width=3,
@@ -311,9 +313,8 @@ def test_trusted_stimulus_restores_golden_behavior(s27):
     stim = trusted_user_stimulus(sched, workload, cycles)
     enc_tr = simulate(enc.netlist, stim)
     golden = simulate(s27, _plain(workload))
-    for t, tag in enumerate(stim.tags):
-        if tag is not None:
-            assert enc_tr.outputs[t] == golden.outputs[tag]
+    for rank, t in enumerate(workload_cycle_mask(sched, cycles)):
+        assert enc_tr.outputs[t] == golden.outputs[rank]
 
 
 def _plain(vectors):
@@ -330,20 +331,13 @@ def test_wrong_keys_never_authenticate(s27):
     rng = random.Random(8)
     cycles = 120
     workload = [rng.getrandbits(len(s27.inputs)) for _ in range(cycles)]
-    stim = trusted_user_stimulus(sched, workload, cycles)
-    bad = tuple(
-        v ^ 1 if tag is None else v for v, tag in zip(stim.vectors, stim.tags)
-    )
-    from relock import Stimulus
-
-    enc_tr = simulate(enc.netlist, Stimulus(bad, stim.tags))
+    plan = case_plan(sched, Case.TRUSTED, cycles)
+    bad = tuple(None if key is None else key ^ 1 for key in plan)
+    enc_tr = simulate(enc.netlist, plan_stimulus(bad, workload, len(s27.inputs)))
     golden = simulate(s27, _plain(workload))
-    diffs = sum(
-        enc_tr.outputs[t] != golden.outputs[tag]
-        for t, tag in enumerate(stim.tags)
-        if tag is not None
-    )
-    assert diffs > stim.n_workload // 4
+    mask = workload_cycle_mask(sched, cycles)
+    diffs = sum(enc_tr.outputs[t] != golden.outputs[rank] for rank, t in enumerate(mask))
+    assert diffs > len(mask) // 4
 
 
 def test_encrypt_larger_circuit_keeps_io(s298):

@@ -18,7 +18,6 @@ from relock import (
     Netlist,
     OverheadReport,
     SolveResult,
-    Stimulus,
     Trace,
     WindowRecovery,
     XorSite,
@@ -57,7 +56,6 @@ RECORDS = {
     OverheadReport: (lambda: OverheadReport("t", 1, 2, 0, 3, 1, 0.5, 1.0), True),
     SolveResult: (lambda: SolveResult("SAT", None, 1, 2, 3, 0, 1), True),
     AuthWindow: (lambda: AuthWindow(0, 1, 3), True),
-    Stimulus: (lambda: Stimulus((1, 2), (None, 0)), True),
     Trace: (lambda: Trace(("a",), ("y",), ("q",), (0, 1, 1), (1, 0, 0), (0, 1, 0)), True),
     Lfsr: (lambda: Lfsr(3, (3, 2), 0), True),
     WindowRecovery: (window, True),
@@ -134,5 +132,3 @@ def test_replace_validates_like_construction():
     with pytest.raises(ValueError, match="absorbing"):
         Lfsr(3, (3, 2), 0)._replace(state=7)
     assert Lfsr(3, (3, 2), 0)._replace(state=5) == Lfsr(3, (3, 2), 5)
-    with pytest.raises(ValueError, match="equal length"):
-        Stimulus((1, 2), (None, 0))._replace(tags=(0,))

@@ -7,7 +7,6 @@ import pytest
 
 from relock import (
     EncryptConfig,
-    Stimulus,
     authentication_schedule,
     encrypt,
     new_lfsr,
@@ -40,32 +39,17 @@ def toy(s27):
     return encrypt(s27, TOY_CFG)
 
 
-# -- stimulus type ------------------------------------------------------------
+# -- stimulus -----------------------------------------------------------------
 
-def test_stimulus_lengths_must_match():
-    with pytest.raises(ValueError, match="equal length"):
-        Stimulus((1, 2), (None,))
-
-
-def test_stimulus_workload_indices_consecutive():
-    Stimulus((1, 2, 3), (None, 0, 1))
-    with pytest.raises(ValueError, match="consecutive"):
-        Stimulus((1, 2, 3), (None, 1, 2))
-    with pytest.raises(ValueError, match="consecutive"):
-        Stimulus((1, 2, 3), (0, 0, 1))
-
-
-def test_workload_stimulus_tags_every_cycle():
-    stim = workload_stimulus([5, 6, 7])
-    assert stim.tags == (0, 1, 2)
-    assert stim.n_workload == 3
+def test_workload_stimulus_is_the_tuple_of_its_vectors():
+    assert workload_stimulus(v for v in (5, 6, 7)) == (5, 6, 7)
 
 
 # -- simulate ------------------------------------------------------------------
 
 def test_toggle_register_alternates():
     nl = parse_bench(TOGGLE_TEXT, name="toggle")
-    tr = simulate(nl, Stimulus((0,) * 6, tuple(range(6))))
+    tr = simulate(nl, (0,) * 6)
     assert tr.outputs == (1, 0, 1, 0, 1, 0)
     assert tr.states == (0, 1, 0, 1, 0, 1)
 
@@ -135,12 +119,6 @@ def test_run_from_reset_lanes_are_independent_width_1_runs(s27):
         assert [(list(outs), list(state)) for outs, state in narrow] == [
             (lane(outs, k), lane(state, k)) for outs, state in wide
         ]
-
-
-def test_simulate_rejects_short_stimulus(s27):
-    stim = workload_stimulus([0, 1])
-    with pytest.raises(ValueError, match="stimulus has 2"):
-        simulate(s27, stim, cycles=3)
 
 
 def test_simulate_rejects_wide_vectors(s27):
@@ -274,17 +252,15 @@ def test_case_plans_of_the_three_access_levels(toy):
 
 
 def test_plan_stimulus_fills_workload_cycles_in_order():
-    stim = plan_stimulus((3, None, None, 2), [9, 10, 11], 4)
-    assert stim.vectors == (3, 9, 10, 2)
-    assert stim.tags == (None, 0, 1, None)
+    assert plan_stimulus((3, None, None, 2), [9, 10, 11], 4) == (3, 9, 10, 2)
 
 
 def test_trusted_stimulus_opens_with_first_chain(toy):
     sched = toy.schedule
     stim = trusted_user_stimulus(sched, [0] * 100, 100)
     c = sched.key_len
-    assert stim.vectors[:c] == sched.key_table[0]
-    assert stim.tags[:c] == (None,) * c
+    assert stim[:c] == sched.key_table[0]
+    assert workload_cycle_mask(sched, 100)[0] == c
 
 
 def test_trusted_stimulus_rejects_short_workload(toy):
@@ -310,21 +286,19 @@ def test_first_backjump_cycle_matches_offline_replay(s27, toy):
     rng = random.Random(5)
     cycles = 40
     workload = [rng.getrandbits(4) for _ in range(cycles)]
-    stim = trusted_user_stimulus(sched, workload, cycles)
+    plan = case_plan(sched, Case.TRUSTED, cycles)
     w0 = authentication_schedule(sched, cycles)[0]
     jump = w0.start + sched.key_len + w0.t_func
     # workload cycles strictly before the jump behave golden even when all
     # later authentications are spoiled
     spoiled = tuple(
-        v ^ 1 if (tag is None and t >= jump) else v
-        for t, (v, tag) in enumerate(zip(stim.vectors, stim.tags))
+        key ^ 1 if key is not None and t >= jump else key for t, key in enumerate(plan)
     )
-    tr = simulate(toy.netlist, Stimulus(spoiled, stim.tags))
+    tr = simulate(toy.netlist, plan_stimulus(spoiled, workload, len(s27.inputs)))
     golden = simulate(s27, workload_stimulus(workload))
-    for t, tag in enumerate(stim.tags):
-        if tag is None or t >= jump:
-            continue
-        assert tr.outputs[t] == golden.outputs[tag]
+    for rank, t in enumerate(workload_cycle_mask(sched, cycles)):
+        if t < jump:
+            assert tr.outputs[t] == golden.outputs[rank]
 
 
 def test_restore_resumes_the_pre_jump_state(s27, toy):
@@ -338,11 +312,9 @@ def test_restore_resumes_the_pre_jump_state(s27, toy):
     golden = simulate(s27, workload_stimulus(workload))
     # the encrypted design's first DFFs are the original ones, same names
     orig_qs = [q for q, _ in s27.dffs]
-    for t, tag in enumerate(stim.tags):
-        if tag is None:
-            continue
+    for rank, t in enumerate(workload_cycle_mask(sched, cycles)):
         got = tuple(tr.state_bit(t, q) for q in orig_qs)
-        want = tuple(golden.state_bit(tag, q) for q in orig_qs)
+        want = tuple(golden.state_bit(rank, q) for q in orig_qs)
         assert got == want
 
 

@@ -56,7 +56,7 @@ PUBLIC_API = [
     "CompiledCircuit", "DEFAULT_SEED", "DanglingNetWarning", "EncryptConfig", "EncryptReport",
     "EncryptedDesign", "Gate", "HdReport", "KeySchedule", "Lfsr", "MAXIMAL_TAPS", "Netlist",
     "OverheadReport", "SAT", "STATUS_BUDGET", "STATUS_NO_KEY", "STATUS_RECOVERED",
-    "STATUS_VERIFY_FAILED", "SequenceOracle", "SolveResult", "Solver", "Stimulus", "Trace",
+    "STATUS_VERIFY_FAILED", "SequenceOracle", "SolveResult", "Solver", "Trace",
     "UNKNOWN", "UNSAT", "WindowRecovery", "XorSite", "authentication_schedule",
     "brute_force_effort", "cycle_delay_overhead", "cycle_delay_sweep",
     "derive_window_starts", "emit_bench", "encrypt", "load_bench", "load_config",

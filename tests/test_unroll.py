@@ -282,6 +282,46 @@ def test_builder_xor_value_folding():
     assert isinstance(w, int) and abs(w) > 2
 
 
+def list_xor_fold(b, kind, ins):
+    """The XOR fold over a list of live literals, quadratic in fan-in: the
+    reference ``CnfBuilder`` must match literal for literal."""
+    phase = kind == "XNOR"
+    lits = []
+    for a in ins:
+        if a is True or a is False:
+            phase ^= a
+        elif -a in lits:
+            lits.remove(-a)
+            phase = not phase
+        elif a in lits:
+            lits.remove(a)
+        else:
+            lits.append(a)
+    if not lits:
+        return phase
+    cur = lits[0]
+    for a in lits[1:]:
+        aux = b.new_var()
+        b.clauses += [(-aux, cur, a), (-aux, -cur, -a), (aux, -cur, a), (aux, cur, -a)]
+        cur = aux
+    return -cur if phase else cur
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_builder_xor_fold_matches_the_list_fold(seed):
+    rng = random.Random(seed)
+    kind = rng.choice(["XOR", "XNOR"])
+    b, ref = CnfBuilder(), CnfBuilder()
+    pool = [b.new_var() for _ in range(rng.randint(1, 12))]
+    ref.n_vars = b.n_vars
+    ins = [
+        rng.choice([True, False, rng.choice(pool), -rng.choice(pool)])
+        for _ in range(rng.choice([1, 2, 3, 5, 17, 200]))
+    ]
+    assert b._encode_gate(kind, ins) == list_xor_fold(ref, kind, ins)
+    assert (b.clauses, b.n_vars) == (ref.clauses, ref.n_vars)
+
+
 def test_builder_and_or_fold_rules():
     b = CnfBuilder()
     v = b.new_var()

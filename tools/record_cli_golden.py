@@ -153,7 +153,9 @@ def record_lock(run: Runner, name: str) -> dict:
     rng = random.Random(f"golden/{name}")
     workload = [rng.getrandbits(sched.n_inputs) for _ in range(len(mask))]
     stim = trusted_user_stimulus(sched, workload, REPLAY_CYCLES)
-    rec["stimulus"] = [list(stim.vectors), list(stim.tags)]
+    # each cycle's input word, and its rank among the workload cycles (None on a key cycle)
+    rank = {t: r for r, t in enumerate(mask)}
+    rec["stimulus"] = [list(stim), [rank.get(t) for t in range(len(stim))]]
     rec["window_starts"] = list(derive_window_starts(sched, 3))
     return rec
 
