@@ -2,18 +2,23 @@
 
 The attacker holds the locked netlist and can run an unlocked chip from
 reset, observing outputs for any input sequence.  Window timing is taken as
-known input; per window, the search encodes two symbolic key candidates
-driving the same probe inputs in the cycles after the window and asks a SAT
-solver for a probe that makes their outputs differ.  A wrong key corrupts
-the outputs, so the window's first such probe usually comes from simulation
-instead: one lane-parallel run from reset plays random key pairs on random
-probes, and a probe on which its pair's outputs differ is distinguishing.
-The solver finds every later probe, and the first one too when no
-simulated pair differs.  Each probe is replayed on the unlocked chip and the observed
-outputs are added as constraints, until no distinguishing probe remains;
-any surviving candidate is then extracted and committed.  Earlier windows
-stay pinned to their committed keys, so instances grow with the window
-index.
+known input.  Per window, the attack collects distinguishing probes (DIPs):
+inputs for the cycles after the window on which two candidate keys give
+different outputs.  Each probe is replayed on the unlocked chip, and the
+observed outputs constrain the keys that survive.
+
+A wrong key corrupts the outputs, so the window's first DIP usually comes
+from simulation: one lane-parallel run from reset plays random key pairs on
+random probes, and a probe on which its pair's outputs differ is
+distinguishing.  After that, each step asks a SAT solver for a key that
+fits every learned probe, then for a second one.  When no second key
+survives, no DIP can exist and the window ends with the one key: the
+unique-completion check of El Massad, Garg & Tripunitara (ICCAD 2017).  Only
+when two keys survive is a miter encoded, two symbolic key copies driving
+the same probe inputs with some output differing, and the solver takes the
+next DIP from it.  If it has none, the surviving keys agree on every probe
+and the window ends with the first.  Earlier windows stay pinned to their
+committed keys, so instances grow with the window index.
 
 Output comparisons are rank aligned: the unlocked chip never sees the
 window cycles, so its cycle ``j`` output is compared against the locked
@@ -211,20 +216,79 @@ class AttackResult(NamedTuple):
 
 
 class _Window:
-    """One window's DIP search: a miter of two key copies, ``k_a`` and
-    ``k_b``, that share the gap's probe variables, encoded from the state the
-    committed prefix reaches, and the effort its solver calls took."""
+    """One window's DIP search from the state the committed prefix reaches,
+    and the effort its solver calls took.
+
+    ``e`` holds one key copy, ``k_e``, pinned to the oracle's answer on every
+    learned probe.  Each step after the lane probe solves it for a key K and
+    then again with K blocked; when no second key survives, the window ends
+    with K.  Only when one does is the miter needed: two key copies, ``k_a``
+    and ``k_b``, sharing the gap's probe variables, with some gap output
+    differing.  It is built on first need and the learned probes are
+    replayed into it in order, so its clauses equal those of a miter built
+    up front and extended by every probe.  When it has no DIP either, the
+    window ends with K too.
+    """
 
     def __init__(self, enc: Netlist, prefix, key_len: int, gap: int, rng, conflict_budget: int) -> None:
-        n_in = len(enc.inputs)
-        self.enc, self.budget = enc, conflict_budget
-        self.b = b = CnfBuilder()
-        self.k_a = [[b.new_var() for _ in range(n_in)] for _ in range(key_len)]
-        self.k_b = [[b.new_var() for _ in range(n_in)] for _ in range(key_len)]
-        self.x_vars = [[b.new_var() for _ in range(n_in)] for _ in range(gap)]
+        self.enc, self.gap, self.budget = enc, gap, conflict_budget
+        self.e = CnfBuilder()
+        self.k_e = [[self.e.new_var() for _ in enc.inputs] for _ in range(key_len)]
         # the committed prefix is concrete: one state, shared by all copies
         self.state, lane_dip = _lane_dip(enc, prefix, key_len, gap, rng)
-        outs = _encode_copy(b, enc, self.state, (self.k_a, self.k_b), self.x_vars)
+        # a probe that tells two simulated keys apart is a DIP as good as
+        # one the solver finds, so the solver starts with a constraint
+        self._lane_probe = None if lane_dip is None else lane_dip[2]
+        self.learned: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.miter: CnfBuilder | None = None
+        self._in_miter = 0  # learned probes replayed into the miter
+        self._key = None
+        self.status = STATUS_RECOVERED
+        self.calls = self.conflicts = self.decisions = self.propagations = 0
+
+    def next_dip(self) -> tuple[int, ...] | None:
+        """The next probe on which two keys that fit every learned probe
+        differ, or None."""
+        probe, self._lane_probe = self._lane_probe, None
+        if probe is not None:
+            return probe
+        self._key = key = self._solve(self.e, self.k_e)
+        if key is None:
+            if self.status == STATUS_RECOVERED:
+                self.status = STATUS_NO_KEY
+            return None
+        # with K the only key left, no probe can tell two surviving keys apart
+        block = [-v if word >> i & 1 else v for row, word in zip(self.k_e, key) for i, v in enumerate(row)]
+        if self._solve(self.e, (), block) is None:
+            return None
+        return self._solve(self._miter(), self.x_vars)
+
+    def learn(self, probe, answer) -> None:
+        """Pin ``e``'s key copy to the oracle's gap outputs ``answer`` on
+        ``probe``; the miter replays it when next needed."""
+        self.learned.append((probe, answer))
+        _encode_copy(self.e, self.enc, self.state, (self.k_e,), probe, answer)
+
+    def key(self) -> tuple[int, ...] | None:
+        """The key the last step found, or None with ``status`` set."""
+        return self._key if self.status == STATUS_RECOVERED else None
+
+    def _miter(self) -> CnfBuilder:
+        """The miter, built on first need, with every learned probe in it."""
+        if self.miter is None:
+            self._new_miter()
+        for probe, answer in self.learned[self._in_miter :]:
+            _encode_copy(self.miter, self.enc, self.state, (self.k_a, self.k_b), probe, answer)
+        self._in_miter = len(self.learned)
+        return self.miter
+
+    def _new_miter(self) -> None:
+        n_in, key_len = len(self.enc.inputs), len(self.k_e)
+        self.miter = b = CnfBuilder()
+        self.k_a = [[b.new_var() for _ in range(n_in)] for _ in range(key_len)]
+        self.k_b = [[b.new_var() for _ in range(n_in)] for _ in range(key_len)]
+        self.x_vars = [[b.new_var() for _ in range(n_in)] for _ in range(self.gap)]
+        outs = _encode_copy(b, self.enc, self.state, (self.k_a, self.k_b), self.x_vars)
         diffs = []
         for ra, rb in zip(*outs):
             for va, vb in zip(ra, rb):
@@ -237,43 +301,15 @@ class _Window:
                     diffs.append(d)
         # if no output can differ, the empty clause sets the contradiction flag
         b.add_clause(diffs)
-        # a probe that tells two simulated keys apart is a DIP as good as
-        # one the solver finds, so the solver starts with a constraint
-        self._lane_probe = None if lane_dip is None else lane_dip[2]
-        self.learned: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        self.status = STATUS_RECOVERED
-        self.calls = self.conflicts = self.decisions = self.propagations = 0
 
-    def next_dip(self) -> tuple[int, ...] | None:
-        """The next probe on which two keys left in the miter differ, or None."""
-        probe, self._lane_probe = self._lane_probe, None
-        return self._solve(self.b, self.x_vars) if probe is None else probe
-
-    def learn(self, probe, answer) -> None:
-        """Pin both key copies to the oracle's gap outputs ``answer`` on ``probe``."""
-        self.learned.append((probe, answer))
-        _encode_copy(self.b, self.enc, self.state, (self.k_a, self.k_b), probe, answer)
-
-    def key(self) -> tuple[int, ...] | None:
-        """A key consistent with every learned probe, or None with ``status`` set."""
-        if self.status != STATUS_RECOVERED:
-            return None
-        # a fresh formula over one key copy and the learned DIPs only
-        e = CnfBuilder()
-        k_e = [[e.new_var() for _ in row] for row in self.k_a]
-        for probe, answer in self.learned:
-            _encode_copy(e, self.enc, self.state, (k_e,), probe, answer)
-        key = self._solve(e, k_e)
-        if key is None and self.status == STATUS_RECOVERED:
-            self.status = STATUS_NO_KEY
-        return key
-
-    def _solve(self, cnf: CnfBuilder, rows) -> tuple[int, ...] | None:
-        """The model's word for each row of ``rows``; None if ``cnf`` is
-        unsatisfiable, or if the budget runs out, which sets ``status``."""
+    def _solve(self, cnf: CnfBuilder, rows, block=None) -> tuple[int, ...] | None:
+        """The model's word for each row of ``rows``; None if ``cnf``, with
+        the clause ``block`` if given, is unsatisfiable, or if the budget
+        runs out, which sets ``status``."""
         if cnf.contradiction:
             return None
-        res = solve(cnf, conflict_budget=self.budget)
+        clauses = cnf.clauses if block is None else [*cnf.clauses, block]
+        res = solve(clauses, cnf.n_vars, conflict_budget=self.budget)
         self.calls += 1
         self.conflicts += res.conflicts
         self.decisions += res.decisions

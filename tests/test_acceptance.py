@@ -293,12 +293,13 @@ def test_criterion_08_solver_conflicts_strictly_increase_over_windows(toy_attack
 
 # per-window (iterations, solver_calls, conflicts, decisions, propagations) of
 # the toy attack, recorded with the solver whose search tests/test_sat.py pins
-# and with each window's first DIP taken from the lane run; criterion 08's
-# rising conflicts rest on these exact numbers
+# with each window's first DIP taken from the lane run, and with each window
+# ending once one key fits its DIPs; criterion 08's rising conflicts rest on
+# these exact numbers
 TOY_WINDOW_EFFORT = (
-    (1, 2, 25, 41, 1367),
-    (2, 3, 175, 295, 16726),
-    (2, 3, 280, 497, 29967),
+    (1, 2, 5, 10, 174),
+    (2, 5, 116, 214, 11743),
+    (2, 5, 139, 315, 16761),
 )
 
 

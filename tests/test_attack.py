@@ -26,7 +26,7 @@ from relock import (
     simulate,
     workload_stimulus,
 )
-from relock.attack import _encode_copy, _lane_dip, _replay_verify
+from relock.attack import _Window, _encode_copy, _lane_dip, _replay_verify
 from relock.sim import authentication_schedule, key_plan, plan_stimulus
 
 TOY_CFG = EncryptConfig(
@@ -213,10 +213,42 @@ def test_sat_finds_the_first_dip_when_no_lane_differs():
     assert res.status == STATUS_RECOVERED and res.verified
     assert res.keys == ((NEEDLE_KEY,),)
     (w,) = res.windows
-    # every DIP came from a solver call; one more proves none is left and
-    # the last extracts the key
+    # every DIP came from the miter, after a key and a second key were
+    # found; the last two calls find the key and show no second one is left
     assert w.iterations >= 1
-    assert w.solver_calls == w.iterations + 2
+    assert w.solver_calls == 3 * w.iterations + 2
+
+
+def test_key_no_output_reads_ends_the_window_on_an_empty_miter():
+    """Every key survives, so the miter gets built, but no gap output can
+    differ: its empty difference clause ends the window without a DIP."""
+    nl = parse_bench("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "stateless")
+    res = recover_key_sequences(nl, SequenceOracle(nl), (0, 3), 2, 1, seed=0)
+    assert res.status == STATUS_RECOVERED and res.verified
+    (w,) = res.windows
+    # a key, a second key, and no call on the contradictory miter
+    assert (w.iterations, w.solver_calls, w.oracle_queries) == (0, 2, 0)
+    assert res.keys == (w.key,) and len(w.key) == 2
+
+
+def test_miter_built_late_equals_one_built_up_front(toy):
+    """The miter replays the probes learned before it was built, so its
+    clauses equal those of a miter built at once and extended by each probe."""
+    nl, enc, starts, _ = toy
+    n_in, gap = len(nl.inputs), starts[1] - TOY_CFG.key_len
+    rng = random.Random(3)
+    oracle = SequenceOracle(nl)
+    early, late = (_Window(enc.netlist, (), TOY_CFG.key_len, gap, random.Random(0), 100) for _ in range(2))
+    early._miter()
+    for _ in range(3):
+        probe = tuple(rng.getrandbits(n_in) for _ in range(gap))
+        answer = oracle.query(probe)
+        for w in (early, late):
+            w.learn(probe, answer)
+        early._miter()
+    built = [(m.n_vars, m.clauses, m.contradiction) for m in (early._miter(), late._miter())]
+    assert built[0] == built[1]
+    assert len(built[0][1]) > 0
 
 
 # the lock of the first attack-s298 benchmark op

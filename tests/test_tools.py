@@ -92,14 +92,18 @@ def test_unrun_lines_reports_what_a_call_never_reached():
 # Every formula, solver result and attack report of tools/attack_digest.py's
 # locks.  Re-record only for an intended change to the attack's search, and
 # say why in CHANGES.md.
-ATTACK_DIGEST = "0dbdee9a48e704dbfee03260451c427fece394c54da691ce28a420a2794cc02a"
+ATTACK_DIGEST = "2473bf0ebe827c14f26a5130877cb8b8f2906e9b79dc03a133e85ebc693be2b4"
+# Every oracle query and answer, key, verdict and per-window outcome of the
+# same attacks, without solver effort: no change to the search may move it.
+ATTACK_OUTCOME_DIGEST = "d231514f809de630468ea80495c3d1685cda7c40fccfa2e0456ca38730794ea2"
 
 
 def test_attack_digest_is_pinned():
-    sha, statuses = load_tool("attack_digest").digest()
+    effort, outcome, statuses = load_tool("attack_digest").digest()
     # the last two locks commit a wrong window-2 key that the replay catches
     assert statuses == ["recovered"] * 5 + ["verify-failed"] * 2
-    assert sha == ATTACK_DIGEST
+    assert outcome == ATTACK_OUTCOME_DIGEST
+    assert effort == ATTACK_DIGEST
 
 
 def test_committed_bench_records_follow_the_schema():
@@ -132,3 +136,27 @@ def test_bench_diff_prints_every_metric_with_its_change(capsys):
     assert want in lines
     assert "end_to_end attack-s298 correct True -> True n/a" in lines
     assert "layers attack-s298 bench.parse_s 0 -> 0 n/a" in lines
+
+
+def test_bench_pairs_alternates_sides_and_counts_wins(monkeypatch, capsys, tmp_path):
+    bench = load_tool("bench")
+    spec = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+    # op_s per run: this checkout wins pairs 0 and 1, ties pair 2, loses pair 3
+    op_s = {tmp_path: [1.0, 1.2, 0.9, 1.1], bench.ROOT: [0.5, 0.6, 0.9, 1.3]}
+    calls = []
+
+    def fake_run(workload, trace, root=bench.ROOT):
+        calls.append(root)
+        value = op_s[root][sum(r == root for r in calls) - 1]
+        return {"correct": root == tmp_path or len(calls) > 2, **{n: value for n in names}}, {}
+
+    monkeypatch.setattr(bench, "run", fake_run)
+    assert bench.main(["--pairs", str(tmp_path), "4", "--workload", "attack-s298"]) == 0
+    assert calls == [tmp_path, bench.ROOT, bench.ROOT, tmp_path] * 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "attack-s298 correct 4/4 -> 3/4"
+    # the other side's quartiles of 0.9, 1.0, 1.1, 1.2 are 0.925 and 1.175
+    assert lines[1:] == [f"attack-s298 {n} 1.05 -> 0.75 other quartiles 0.925..1.175 won 2/4" for n in names]
+    with pytest.raises(SystemExit):
+        bench.main(["--pairs", str(tmp_path), "1", "--workload", "attack-s298"])

@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over everything the SAT attack asks and answers, as JSON.
+"""Print two SHA-256 digests of the SAT attack, effort and outcome, as JSON.
 
-The digest covers, in call order, every formula handed to ``relock.sat.Solver``
-(variable count and clauses), every result its ``solve`` returns (status,
-model and search counts) and the ``report()`` of every attack, over a fixed
-set of locks:
+The effort digest covers, in call order, every formula handed to
+``relock.sat.Solver`` (variable count and clauses), every result its
+``solve`` returns (status, model and search counts) and the ``report()`` of
+every attack.  The outcome digest leaves all solver effort out: it covers
+every ``SequenceOracle.query`` input and answer, each attack's status, keys,
+verdict and verify comparisons, and each window's index, start, gap, frames,
+status, key, iterations and oracle queries.  Both run over a fixed set of
+locks:
 
 - the s27 toy lock of ``tests/test_attack.py``;
 - the four ``attack-s298`` pool locks of ``perfbench/`` (master seeds
@@ -12,8 +16,11 @@ set of locks:
 - two s27 locks, master seed 1001, whose window-2 key fails the replay check.
 
 Every attack runs at seed 0.  A refactor of the attack that is meant to keep
-its search must leave the digest unchanged; ``tests/test_tools.py`` pins it.
-The solver is patched from outside, so nothing under ``src/`` changes::
+its search must leave both digests unchanged.  An intended change to the
+search moves the effort digest; the outcome digest never moves, since the
+DIPs, oracle answers, keys and verdicts do not depend on how the solver got
+to them.  ``tests/test_tools.py`` pins both.  The solver and the oracle are
+patched from outside, so nothing under ``src/`` changes::
 
     python tools/attack_digest.py
 """
@@ -51,11 +58,12 @@ LOCKS = (
 )
 
 
-def digest() -> tuple[str, list[str]]:
-    """The SHA-256 hex digest, and each attack's status in ``LOCKS`` order."""
-    h = hashlib.sha256()
-    solver = relock.sat.Solver
-    init, solve = solver.__init__, solver.solve
+def digest() -> tuple[str, str, list[str]]:
+    """The effort and the outcome SHA-256 hex digests, and each attack's
+    status in ``LOCKS`` order."""
+    h, out = hashlib.sha256(), hashlib.sha256()
+    solver, oracle = relock.sat.Solver, SequenceOracle
+    init, solve, query = solver.__init__, solver.solve, oracle.query
 
     def traced_init(self, n_vars, clauses):
         h.update(f"formula {n_vars} {[tuple(cl) for cl in clauses]}\n".encode())
@@ -67,8 +75,14 @@ def digest() -> tuple[str, list[str]]:
         h.update(f"result {res._replace(model=model)!r}\n".encode())
         return res
 
+    def traced_query(self, vectors):
+        vectors = tuple(vectors)
+        answer = query(self, vectors)
+        out.update(f"query {vectors} {answer}\n".encode())
+        return answer
+
     statuses = []
-    solver.__init__, solver.solve = traced_init, traced_solve
+    solver.__init__, solver.solve, oracle.query = traced_init, traced_solve, traced_query
     try:
         for circuit, cfg in LOCKS:
             orig = load_bench(ROOT / "benchmarks" / f"{circuit}.bench")
@@ -78,12 +92,16 @@ def digest() -> tuple[str, list[str]]:
                 design.netlist, SequenceOracle(orig), starts, cfg.key_len, WINDOWS, seed=0
             )
             h.update(res.report().encode())
+            out.update(f"attack {res.status} {res.keys} {res.verified} {res.verify_comparisons}\n".encode())
+            for w in res.windows:
+                out.update(f"window {w.index} {w.start} {w.gap} {w.frames} {w.status} {w.key} "
+                           f"{w.iterations} {w.oracle_queries}\n".encode())
             statuses.append(res.status)
     finally:
-        solver.__init__, solver.solve = init, solve
-    return h.hexdigest(), statuses
+        solver.__init__, solver.solve, oracle.query = init, solve, query
+    return h.hexdigest(), out.hexdigest(), statuses
 
 
 if __name__ == "__main__":
-    sha, statuses = digest()
-    print(json.dumps({"sha256": sha, "statuses": statuses}))
+    effort, outcome, statuses = digest()
+    print(json.dumps({"sha256": effort, "outcome_sha256": outcome, "statuses": statuses}))

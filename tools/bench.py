@@ -15,6 +15,15 @@ of each end-to-end and layer metric from record OLD to record NEW::
 
     python tools/bench.py --diff BENCH_<m>.json BENCH_<n>.json
 
+Records made at different times differ by host drift as well.  To compare
+two checkouts on one workload, ``--pairs OTHER N --workload W`` runs
+``perfbench/run.py`` untraced N times in checkout OTHER and N times in this
+one, alternating which side runs first, and prints for each end-to-end
+metric both medians, OTHER's quartiles and how many pairs this checkout
+won (ties count for neither side)::
+
+    python tools/bench.py --pairs ../parent 10 --workload attack-s298
+
 Nothing under ``perfbench/`` is changed; each run takes about
 ``BENCHMARK.json``'s ``run_seconds`` plus set-up.
 """
@@ -23,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -33,12 +43,12 @@ SCHEMA = 1
 KEYS = ("schema", "env", "end_to_end", "layers", "code")
 
 
-def run(workload: str, trace: int) -> tuple[dict, dict]:
-    """``correct`` and the value of every metric of one run, and its
-    ``perfbench-info`` object."""
-    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+def run(workload: str, trace: int, root: Path = ROOT) -> tuple[dict, dict]:
+    """``correct`` and the value of every metric of one run in checkout
+    ``root``, and its ``perfbench-info`` object."""
+    cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
            "--seed", "0", "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=1800)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=1800)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(cmd[1:])}: exit {proc.returncode}\n{proc.stderr}")
@@ -74,6 +84,25 @@ def diff(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def pairs(other: Path, n: int, workload: str) -> list[str]:
+    """``n`` untraced runs of ``workload`` in checkout ``other`` and in this
+    one, alternating which runs first; one line per end-to-end metric."""
+    theirs, ours = [], []
+    for i in range(n):
+        sides = [(other, theirs), (ROOT, ours)]
+        for root, runs in sides if i % 2 == 0 else sides[::-1]:
+            runs.append(run(workload, 0, root)[0])
+    lines = [f"{workload} correct {sum(r['correct'] for r in theirs)}/{n} -> {sum(r['correct'] for r in ours)}/{n}"]
+    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        a, b = [r[name] for r in theirs], [r[name] for r in ours]
+        q1, _, q3 = statistics.quantiles(a, n=4)
+        won = sum(sign * (x - y) > 0 for x, y in zip(a, b))
+        lines.append(f"{workload} {name} {_show(statistics.median(a))} -> {_show(statistics.median(b))} "
+                     f"other quartiles {_show(q1)}..{_show(q3)} won {won}/{n}")
+    return lines
+
+
 def _show(x) -> str:
     return str(x) if isinstance(x, bool) else f"{x:.4g}"
 
@@ -83,13 +112,23 @@ def main(argv=None) -> int:
     p.add_argument("out", type=Path, nargs="?", help="JSON file to write")
     p.add_argument("--diff", type=Path, nargs=2, metavar=("OLD", "NEW"),
                    help="print the change from record OLD to record NEW instead")
+    p.add_argument("--pairs", nargs=2, metavar=("OTHER", "N"),
+                   help="compare N alternating untraced runs of checkout OTHER and this one instead")
+    p.add_argument("--workload", help="the workload --pairs runs")
     args = p.parse_args(argv)
-    if args.diff is not None:
+    if args.pairs is not None:
+        other, n = Path(args.pairs[0]).resolve(), args.pairs[1]
+        if not n.isdigit() or int(n) < 2:
+            p.error(f"--pairs needs N >= 2 runs a side, got {n}")
+        if args.workload is None:
+            p.error("--pairs needs --workload")
+        print("\n".join(pairs(other, int(n), args.workload)))
+    elif args.diff is not None:
         print("\n".join(diff(*(json.loads(path.read_text()) for path in args.diff))))
     elif args.out is not None:
         args.out.write_text(json.dumps(record(), indent=2) + "\n")
     else:
-        p.error("give OUT or --diff OLD NEW")
+        p.error("give OUT, --diff OLD NEW or --pairs OTHER N --workload W")
     return 0
 
 
