@@ -11,14 +11,15 @@ A wrong key corrupts the outputs, so the window's first DIP usually comes
 from simulation: one lane-parallel run from reset plays random key pairs on
 random probes, and a probe on which its pair's outputs differ is
 distinguishing.  After that, each step asks a SAT solver for a key that
-fits every learned probe, then for a second one.  When no second key
-survives, no DIP can exist and the window ends with the one key: the
-unique-completion check of El Massad, Garg & Tripunitara (ICCAD 2017).  Only
-when two keys survive is a miter encoded, two symbolic key copies driving
-the same probe inputs with some output differing, and the solver takes the
-next DIP from it.  If it has none, the surviving keys agree on every probe
-and the window ends with the first.  Earlier windows stay pinned to their
-committed keys, so instances grow with the window index.
+fits every learned probe, then, with that key blocked on the same solver,
+for a second one.  When no second key survives, no DIP can exist and the
+window ends with the one key: the unique-completion check of El Massad,
+Garg & Tripunitara (ICCAD 2017).  Only when two keys survive is a miter
+encoded, two symbolic key copies driving the same probe inputs with some
+output differing, and a fresh solver takes the next DIP from it.  If it
+has none, the surviving keys agree on every probe and the window ends with
+the first.  Earlier windows stay pinned to their committed keys, so
+instances grow with the window index.
 
 Output comparisons are rank aligned: the unlocked chip never sees the
 window cycles, so its cycle ``j`` output is compared against the locked
@@ -35,7 +36,7 @@ from operator import neg
 from typing import NamedTuple
 
 from .bench import Netlist
-from .sat import SAT, UNKNOWN, solve
+from .sat import SAT, UNKNOWN, Solver
 from .sim import key_plan, plan_stimulus, replay_windows, run_from_reset, simulate
 from .unroll import CnfBuilder
 
@@ -56,7 +57,9 @@ class SequenceOracle:
     """Black-box input/output access to the unlocked design.
 
     Every query restarts from reset; no internal state is exposed.  The
-    query counter feeds the attack's effort report.
+    query counter feeds the attack's effort report.  ``query_lanes``
+    answers a batch of workloads in one lane-parallel run and counts one
+    query per workload.
     """
 
     def __init__(self, nl: Netlist) -> None:
@@ -78,6 +81,29 @@ class SequenceOracle:
         """
         outputs = simulate(self._nl, vectors).outputs
         self.queries += 1
+        return outputs
+
+    def query_lanes(self, workloads) -> list[tuple[int, ...]]:
+        """Apply equal-length workloads from reset, workload ``p`` on lane ``p``.
+
+        Returns one tuple of output lane words per cycle: bit ``p`` of word
+        ``i`` is output ``i`` under workload ``p``, which is what ``query``
+        gives for that workload.  Counts one query per workload.  A batch
+        holding a vector that ``query`` would reject, or workloads of
+        different lengths, raises and counts nothing.
+        """
+        n_in = self.n_inputs
+        if len({len(w) for w in workloads}) > 1:
+            raise ValueError("workloads differ in length")
+        for p, workload in enumerate(workloads):
+            for t, word in enumerate(workload):
+                if not 0 <= word < (1 << n_in):
+                    raise ValueError(f"workload {p}, cycle {t}: input vector {word:#x} does not fit {n_in} inputs")
+        if not workloads:
+            return []
+        rows = [_transpose(column, n_in) for column in zip(*workloads)]
+        outputs = [outs for outs, _state in run_from_reset(self._nl, (None,) * len(rows), rows, len(workloads))]
+        self.queries += len(workloads)
         return outputs
 
 
@@ -109,7 +135,7 @@ def _lane_dip(nl: Netlist, prefix, key_len: int, gap: int, rng: random.Random):
     lane = (differ & -differ).bit_length() - 1
 
     def pick(rows, k):
-        return tuple(_transpose(row, 2 * lanes)[k] for row in rows)
+        return tuple(sum(((w >> k) & 1) << b for b, w in enumerate(row)) for row in rows)
 
     return state, (pick(keys, lane), pick(keys, lanes + lane), pick(probes, lane))
 
@@ -166,6 +192,11 @@ def _model_word(model: dict, lits: list[int]) -> int:
     return sum(1 << i for i, v in enumerate(lits) if model[v])
 
 
+def _solver(cnf: CnfBuilder) -> Solver | None:
+    """A solver over the builder's clauses; None if it holds the empty clause."""
+    return None if cnf.contradiction else Solver(cnf.n_vars, cnf.clauses)
+
+
 class WindowRecovery(NamedTuple):
     """Outcome and effort for one authentication window."""
 
@@ -220,14 +251,17 @@ class _Window:
     and the effort its solver calls took.
 
     ``e`` holds one key copy, ``k_e``, pinned to the oracle's answer on every
-    learned probe.  Each step after the lane probe solves it for a key K and
-    then again with K blocked; when no second key survives, the window ends
-    with K.  Only when one does is the miter needed: two key copies, ``k_a``
+    learned probe.  Each step after the lane probe hands ``e`` to one
+    ``Solver`` and solves it for a key K, then adds the clause blocking K to
+    that solver and solves again; when no second key survives, the window
+    ends with K.  Only when one does is the miter needed: two key copies, ``k_a``
     and ``k_b``, sharing the gap's probe variables, with some gap output
     differing.  It is built on first need and the learned probes are
     replayed into it in order, so its clauses equal those of a miter built
-    up front and extended by every probe.  When it has no DIP either, the
-    window ends with K too.
+    up front and extended by every probe.  Each miter solve takes a fresh
+    ``Solver``, so the DIPs do not depend on earlier miter searches.  When
+    it has no DIP either, the window ends with K too.  The effort counters
+    add up each call's share of its solver's running totals.
     """
 
     def __init__(self, enc: Netlist, prefix, key_len: int, gap: int, rng, conflict_budget: int) -> None:
@@ -252,16 +286,17 @@ class _Window:
         probe, self._lane_probe = self._lane_probe, None
         if probe is not None:
             return probe
-        self._key = key = self._solve(self.e, self.k_e)
+        solver = _solver(self.e)
+        self._key = key = self._solve(solver, self.k_e)
         if key is None:
             if self.status == STATUS_RECOVERED:
                 self.status = STATUS_NO_KEY
             return None
         # with K the only key left, no probe can tell two surviving keys apart
-        block = [-v if word >> i & 1 else v for row, word in zip(self.k_e, key) for i, v in enumerate(row)]
-        if self._solve(self.e, (), block) is None:
+        solver.add_clause([-v if word >> i & 1 else v for row, word in zip(self.k_e, key) for i, v in enumerate(row)])
+        if self._solve(solver, ()) is None:
             return None
-        return self._solve(self._miter(), self.x_vars)
+        return self._solve(_solver(self._miter()), self.x_vars)
 
     def learn(self, probe, answer) -> None:
         """Pin ``e``'s key copy to the oracle's gap outputs ``answer`` on
@@ -302,18 +337,19 @@ class _Window:
         # if no output can differ, the empty clause sets the contradiction flag
         b.add_clause(diffs)
 
-    def _solve(self, cnf: CnfBuilder, rows, block=None) -> tuple[int, ...] | None:
-        """The model's word for each row of ``rows``; None if ``cnf``, with
-        the clause ``block`` if given, is unsatisfiable, or if the budget
-        runs out, which sets ``status``."""
-        if cnf.contradiction:
+    def _solve(self, solver: Solver | None, rows) -> tuple[int, ...] | None:
+        """Solve once more; the model's word for each row of ``rows``.  None
+        if there is no solver (its builder holds the empty clause), if the
+        formula is unsatisfiable, or if the budget runs out, which sets
+        ``status``."""
+        if solver is None:
             return None
-        clauses = cnf.clauses if block is None else [*cnf.clauses, block]
-        res = solve(clauses, cnf.n_vars, conflict_budget=self.budget)
+        before = solver.conflicts, solver.decisions, solver.propagations
+        res = solver.solve(self.budget)
         self.calls += 1
-        self.conflicts += res.conflicts
-        self.decisions += res.decisions
-        self.propagations += res.propagations
+        self.conflicts += res.conflicts - before[0]
+        self.decisions += res.decisions - before[1]
+        self.propagations += res.propagations - before[2]
         if res.status == UNKNOWN:
             self.status = STATUS_BUDGET
         if res.status != SAT:
@@ -449,21 +485,22 @@ def _replay_verify(enc, oracle, starts, keys, seed, verify_vectors):
 
     Each pass draws a fresh workload and checks every workload-cycle output
     of the locked design, run with the committed keys in their windows,
-    against the unlocked design rank for rank.  The locked side runs every
-    pass at once, one lane per pass; the oracle is queried once per pass.
+    against the unlocked design rank for rank.  Both sides run every pass
+    at once, one lane per pass, and their lane words are compared as they
+    are; the oracle counts one query per pass.
     """
     plan = key_plan(zip(starts, keys), starts[len(keys)])
     free = [t for t, key in enumerate(plan) if key is None]
-    n_in, n_out = len(enc.inputs), len(enc.outputs)
+    n_in = len(enc.inputs)
     rng = random.Random(f"{seed}/attack/verify")
     passes = max(1, math.ceil(verify_vectors / len(free)))
     workloads = [[rng.getrandbits(n_in) for _ in free] for _ in range(passes)]
-    answers = [oracle.query(workload) for workload in workloads]
+    answers = oracle.query_lanes(workloads)
 
     # rank r of every pass's workload is one cycle of lane words
     free_in = (_transpose(column, n_in) for column in zip(*workloads))
     outs = [outs for outs, _state in run_from_reset(enc, plan, free_in, passes)]
-    ok = all(list(outs[t]) == _transpose(column, n_out) for t, column in zip(free, zip(*answers)))
+    ok = all(outs[t] == answer for t, answer in zip(free, answers))
     return ok, passes * len(free)
 
 

@@ -5,9 +5,11 @@ learning, exponentially decayed variable activities, phase saving, and Luby
 restarts.  There is no randomization anywhere, so a formula always produces
 the same run, the same model, and the same statistics.
 
-``solve`` accepts an optional conflict budget; exceeding it aborts the search
-with status ``UNKNOWN`` and the statistics gathered so far, which is how
-callers meter attack effort.
+``Solver.solve`` accepts an optional conflict budget for that call;
+exceeding it aborts the search with status ``UNKNOWN`` and the statistics
+gathered so far, which is how callers meter attack effort.  A solver can
+take more clauses after a solve (``Solver.add_clause``) and solve again,
+keeping what it learned, as in Een & Sorensson's extensible solver.
 
 Clauses come in and models go out in DIMACS form (nonzero ints, ``-v`` for
 "not v").  Inside the solver, as in MiniSat (Een & Sorensson, SAT 2003),
@@ -65,7 +67,14 @@ def _luby(i: int) -> int:
 
 
 class Solver:
-    """One-shot CDCL search over a fixed clause set.
+    """CDCL search over a clause set that can grow between solves.
+
+    ``add_clause`` after a solve backtracks to level 0 and keeps the learned
+    clauses, activities and saved phases, so the next ``solve`` continues
+    from them.  The counters (``conflicts``, ``decisions``, ``propagations``,
+    ``restarts``, ``learned``) are running totals over every call, as is
+    each ``SolveResult``'s; the conflict budget, and the one conflict a root
+    UNSAT counts, apply per call.
 
     Decisions take the free variable of highest activity, ties going to the
     smaller variable.  They come from a lazy ``heapq`` of ``(-activity, v)``
@@ -107,7 +116,7 @@ class Solver:
         watches = self.watches
         # the table path: a 2- or 3-literal clause whose literals are all in
         # range and whose variables differ is watched as is; any other
-        # clause, including every bad one, takes the general loop below
+        # clause, including every bad one, takes the general path below
         get = {lit: 2 * lit if lit > 0 else 1 - 2 * lit for lit in range(-n_vars, n_vars + 1) if lit}.get
         for lits in clauses:
             k = len(lits)
@@ -126,24 +135,39 @@ class Solver:
                     watches[cl[0]].append(cl)
                     watches[cl[1]].append(cl)
                     continue
-            seen = set()
-            cl = []
-            for lit in lits:
-                if lit == 0 or abs(lit) > n_vars:
-                    raise ValueError(f"bad literal {lit}")
-                if -lit in seen:
-                    break  # tautology
-                if lit not in seen:
-                    seen.add(lit)
-                    cl.append(2 * lit if lit > 0 else 1 - 2 * lit)
-            else:
-                if len(cl) > 1:
-                    watches[cl[0]].append(cl)
-                    watches[cl[1]].append(cl)
-                elif cl:
-                    self._units.append(cl[0])
-                else:
-                    self.unsat = True
+            self._add(lits)
+
+    def add_clause(self, lits) -> None:
+        """Add a DIMACS clause, before or after a solve.
+
+        Backtracks to level 0.  Literals false there stay false, so they
+        are dropped: the clause watches two of the rest, becomes a unit
+        when one is left, and makes the formula UNSAT when none is.
+        """
+        self._cancel_until(0)
+        self._add(lits)
+
+    def _add(self, lits) -> None:
+        val = self.val
+        seen = set()
+        cl = []
+        for lit in lits:
+            if lit == 0 or abs(lit) > self.n_vars:
+                raise ValueError(f"bad literal {lit}")
+            if -lit in seen:
+                return  # tautology
+            if lit not in seen:
+                seen.add(lit)
+                x = 2 * lit if lit > 0 else 1 - 2 * lit
+                if val[x]:  # not false at level 0; before a solve, none is
+                    cl.append(x)
+        if len(cl) > 1:
+            self.watches[cl[0]].append(cl)
+            self.watches[cl[1]].append(cl)
+        elif cl:
+            self._units.append(cl[0])
+        else:
+            self.unsat = True
 
     # -- assignment ---------------------------------------------------------
 
@@ -316,12 +340,14 @@ class Solver:
     # -- search -------------------------------------------------------------
 
     def solve(self, conflict_budget: int | None = None) -> SolveResult:
+        """Search from level 0, with at most ``conflict_budget`` conflicts
+        in this call."""
+        self._cancel_until(0)
+        self._call_start = self.conflicts
+        if not self.unsat:
+            # a conflict at level 0 is never undone, so UNSAT is final
+            self.unsat = not all(self._enqueue(lit, None) for lit in self._units) or self._propagate() is not None
         if self.unsat:
-            return self._result(UNSAT)
-        for lit in self._units:
-            if not self._enqueue(lit, None):
-                return self._result(UNSAT)
-        if self._propagate() is not None:
             return self._result(UNSAT)
         limit = _RESTART_BASE * _luby(self.restarts)
         conflicts_here = 0
@@ -330,9 +356,11 @@ class Solver:
             if confl is not None:
                 self.conflicts += 1
                 conflicts_here += 1
-                if conflict_budget is not None and self.conflicts > conflict_budget:
-                    return self._result(UNKNOWN)
                 if not self.trail_lim:
+                    self.unsat = True
+                if conflict_budget is not None and self.conflicts - self._call_start > conflict_budget:
+                    return self._result(UNKNOWN)
+                if self.unsat:
                     return self._result(UNSAT)
                 learnt, back = self._analyze(confl)
                 self._cancel_until(back)
@@ -364,9 +392,9 @@ class Solver:
         if status == SAT:
             val = self.val
             model = {v: val[2 * v] == _TRUE for v in range(1, self.n_vars + 1)}
-        elif status == UNSAT and self.conflicts == 0:
+        elif status == UNSAT and self.conflicts == self._call_start:
             # deriving the empty clause at the root still counts as one
-            self.conflicts = 1
+            self.conflicts += 1
         return SolveResult(
             status=status,
             model=model,

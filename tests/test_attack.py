@@ -367,6 +367,31 @@ def test_oracle_rejects_oversized_vectors(s27):
     assert oracle.queries == 0  # a rejected query is not counted
 
 
+@pytest.mark.parametrize("circuit", ["s27", "s298"])
+def test_query_lanes_answers_each_workload_as_query_does(circuit, request):
+    nl = request.getfixturevalue(circuit)
+    rng = random.Random(circuit)
+    workloads = [[rng.getrandbits(len(nl.inputs)) for _ in range(9)] for _ in range(13)]
+    lanes_oracle, one_oracle = SequenceOracle(nl), SequenceOracle(nl)
+    lanes = lanes_oracle.query_lanes(workloads)
+    assert len(lanes) == 9
+    for p, workload in enumerate(workloads):
+        answer = tuple(sum(((w >> p) & 1) << i for i, w in enumerate(outs)) for outs in lanes)
+        assert answer == one_oracle.query(workload), p
+    assert lanes_oracle.queries == one_oracle.queries == len(workloads)
+
+
+def test_query_lanes_rejects_a_bad_batch_and_counts_nothing(s27):
+    oracle = SequenceOracle(s27)
+    with pytest.raises(ValueError, match="workload 1, cycle 2: .* does not fit"):
+        oracle.query_lanes([[0, 0, 0], [0, 0, 1 << len(s27.inputs)]])
+    with pytest.raises(ValueError, match="differ in length"):
+        oracle.query_lanes([[0, 0, 0], [0, 0]])
+    assert oracle.queries == 0
+    assert oracle.query_lanes([]) == []
+    assert oracle.queries == 0
+
+
 def test_oracle_empty_query(s27):
     oracle = SequenceOracle(s27)
     assert oracle.query([]) == ()

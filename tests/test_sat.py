@@ -177,6 +177,102 @@ def test_pigeonhole_unsat():
     assert res.conflicts > 50  # requires real clause learning, not luck
 
 
+def test_clauses_added_after_a_solve_agree_with_brute_force():
+    """Solve, add the model's blocking clause or a random clause, and solve
+    again on the same solver, some calls under a tiny budget and continued
+    after an UNKNOWN; every status matches the truth table of the clauses
+    so far."""
+    rng = random.Random(2003)
+
+    def random_clause(n_vars):
+        return tuple(rng.choice((1, -1)) * rng.randint(1, n_vars) for _ in range(rng.randint(1, 3)))
+
+    n_sat = n_unsat = n_unknown = 0
+    for _ in range(400):
+        n_vars = rng.randint(1, 4)
+        clauses = [random_clause(n_vars) for _ in range(rng.randint(0, 6))]
+        solver = relock.sat.Solver(n_vars, clauses)
+        for _ in range(6):
+            before = solver.conflicts
+            res = solver.solve(rng.choice((None, None, 0, 1)))
+            if res.status == UNKNOWN:
+                n_unknown += 1
+                res = solver.solve()
+            assert res.conflicts > before or res.status == SAT
+            want = brute_force(n_vars, clauses)
+            assert res.status == (UNSAT if want is None else SAT), clauses
+            if res.status == UNSAT:
+                n_unsat += 1
+                break
+            n_sat += 1
+            assert check_model(clauses, res.model), (clauses, res.model)
+            if rng.random() < 0.5:
+                clause = tuple(-v if res.model[v] else v for v in range(1, n_vars + 1))
+            else:
+                clause = random_clause(n_vars)
+            clauses.append(clause)
+            solver.add_clause(clause)
+    assert n_sat > 300 and n_unsat > 200 and n_unknown > 20
+
+
+def test_blocking_every_model_counts_the_truth_table():
+    rng = random.Random(11)
+    for _ in range(100):
+        n_vars = rng.randint(1, 5)
+        clauses = [
+            tuple(rng.choice((1, -1)) * rng.randint(1, n_vars) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 5))
+        ]
+        solver = relock.sat.Solver(n_vars, clauses)
+        models = set()
+        while (res := solver.solve()).status == SAT:
+            model = tuple(res.model[v] for v in range(1, n_vars + 1))
+            assert model not in models
+            models.add(model)
+            solver.add_clause([-v if res.model[v] else v for v in range(1, n_vars + 1)])
+        want = {
+            bits for bits in itertools.product((False, True), repeat=n_vars)
+            if check_model(clauses, dict(zip(range(1, n_vars + 1), bits)))
+        }
+        assert models == want
+
+
+def test_an_added_clause_false_at_level_0_makes_the_formula_unsat():
+    solver = relock.sat.Solver(3, [(1,), (-1, 2), (2, 3)])
+    assert solver.solve().status == SAT
+    solver.add_clause((-1, -2))
+    assert solver.unsat
+    first = solver.solve()
+    assert first.status == UNSAT
+    # each call that finds UNSAT at the root counts one conflict of its own
+    assert solver.solve().conflicts == first.conflicts + 1
+
+
+def test_an_added_clause_with_one_literal_left_becomes_a_unit():
+    solver = relock.sat.Solver(3, [(1,), (-1, 2, 3)])
+    assert solver.solve().status == SAT
+    solver.add_clause((-1, 2, 2))  # 1 holds at level 0, so only 2 is left
+    res = solver.solve()
+    assert res.status == SAT and res.model[1] and res.model[2]
+    assert solver.level[2] == 0  # set as a unit, not decided
+    solver.add_clause((-2, -1))
+    assert solver.unsat and solver.solve().status == UNSAT
+    with pytest.raises(ValueError, match="bad literal 4"):
+        solver.add_clause((1, 4))
+
+
+def test_a_continued_solver_meters_each_call_on_its_own_budget():
+    n_vars, clauses = pigeonhole(7)
+    solver = relock.sat.Solver(n_vars, clauses)
+    first = solver.solve(20)
+    second = solver.solve(20)
+    assert first.status == second.status == UNKNOWN
+    # a fresh solver stops one conflict past the budget; so does each call
+    assert first.conflicts == 21
+    assert second.conflicts - first.conflicts == 21
+    assert second.decisions > first.decisions and second.propagations > first.propagations
+
+
 # -- budget and determinism ----------------------------------------------------------
 
 def test_conflict_budget_yields_unknown():

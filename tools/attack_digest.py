@@ -2,13 +2,15 @@
 """Print two SHA-256 digests of the SAT attack, effort and outcome, as JSON.
 
 The effort digest covers, in call order, every formula handed to
-``relock.sat.Solver`` (variable count and clauses), every result its
-``solve`` returns (status, model and search counts) and the ``report()`` of
-every attack.  The outcome digest leaves all solver effort out: it covers
-every ``SequenceOracle.query`` input and answer, each attack's status, keys,
-verdict and verify comparisons, and each window's index, start, gap, frames,
-status, key, iterations and oracle queries.  Both run over a fixed set of
-locks:
+``relock.sat.Solver`` (variable count and clauses), every clause added to a
+solver after it was built, every result its ``solve`` returns (status,
+model and search counts) and the ``report()`` of every attack.  The outcome
+digest leaves all solver effort out: it covers every oracle query's input
+and answer, each attack's status, keys, verdict and verify comparisons, and
+each window's index, start, gap, frames, status, key, iterations and oracle
+queries.  A ``SequenceOracle.query_lanes`` batch is written as one query
+per workload, in batch order, the bytes that querying each workload alone
+writes.  Both run over a fixed set of locks:
 
 - the s27 toy lock of ``tests/test_attack.py``;
 - the four ``attack-s298`` pool locks of ``perfbench/`` (master seeds
@@ -63,11 +65,16 @@ def digest() -> tuple[str, str, list[str]]:
     status in ``LOCKS`` order."""
     h, out = hashlib.sha256(), hashlib.sha256()
     solver, oracle = relock.sat.Solver, SequenceOracle
-    init, solve, query = solver.__init__, solver.solve, oracle.query
+    init, add_clause, solve = solver.__init__, solver.add_clause, solver.solve
+    query, query_lanes = oracle.query, oracle.query_lanes
 
     def traced_init(self, n_vars, clauses):
         h.update(f"formula {n_vars} {[tuple(cl) for cl in clauses]}\n".encode())
         init(self, n_vars, clauses)
+
+    def traced_add_clause(self, lits):
+        h.update(f"clause {tuple(lits)}\n".encode())
+        add_clause(self, lits)
 
     def traced_solve(self, *args, **kwargs):
         res = solve(self, *args, **kwargs)
@@ -81,8 +88,17 @@ def digest() -> tuple[str, str, list[str]]:
         out.update(f"query {vectors} {answer}\n".encode())
         return answer
 
+    def traced_query_lanes(self, workloads):
+        workloads = [tuple(w) for w in workloads]
+        lanes = query_lanes(self, workloads)
+        for p, vectors in enumerate(workloads):
+            answer = tuple(sum(((w >> p) & 1) << i for i, w in enumerate(outs)) for outs in lanes)
+            out.update(f"query {vectors} {answer}\n".encode())
+        return lanes
+
     statuses = []
-    solver.__init__, solver.solve, oracle.query = traced_init, traced_solve, traced_query
+    solver.__init__, solver.add_clause, solver.solve = traced_init, traced_add_clause, traced_solve
+    oracle.query, oracle.query_lanes = traced_query, traced_query_lanes
     try:
         for circuit, cfg in LOCKS:
             orig = load_bench(ROOT / "benchmarks" / f"{circuit}.bench")
@@ -98,7 +114,8 @@ def digest() -> tuple[str, str, list[str]]:
                            f"{w.iterations} {w.oracle_queries}\n".encode())
             statuses.append(res.status)
     finally:
-        solver.__init__, solver.solve, oracle.query = init, solve, query
+        solver.__init__, solver.add_clause, solver.solve = init, add_clause, solve
+        oracle.query, oracle.query_lanes = query, query_lanes
     return h.hexdigest(), out.hexdigest(), statuses
 
 
