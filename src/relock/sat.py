@@ -16,9 +16,10 @@ Clauses come in and models go out in DIMACS form (nonzero ints, ``-v`` for
 variable v is the literal index ``2v`` when true and ``2v + 1`` when false,
 so negation is ``lit ^ 1`` and the variable is ``lit >> 1``; values and watch
 lists are plain lists indexed by literal.  Most clauses a circuit encodes
-have two or three literals: loading maps those through a literal table, and
-propagation scans each watch list in place, rebuilding it only when a clause
-moved its watch.
+have two or three literals: loading maps those through two lists indexed
+by the variable, one per sign, so that a literal out of range raises
+instead of reading another literal's entry, and propagation scans each
+watch list in place, rebuilding it only when a clause moved its watch.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class Solver:
         self.activity: list[float] = [0.0] * (n_vars + 1)
         self.var_inc = 1.0
         # saved phase as a literal; a fresh variable is first tried false
-        self.phase: list[int] = [2 * v + 1 for v in range(n_vars + 1)]
+        self.phase: list[int] = list(range(1, 2 * n_vars + 2, 2))
         # sorted, so already a heap
         self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n_vars + 1)]
         self.heap_act: list[float | None] = [0.0] * (n_vars + 1)
@@ -116,25 +117,37 @@ class Solver:
         watches = self.watches
         # the table path: a 2- or 3-literal clause whose literals are all in
         # range and whose variables differ is watched as is; any other
-        # clause, including every bad one, takes the general path below
-        get = {lit: 2 * lit if lit > 0 else 1 - 2 * lit for lit in range(-n_vars, n_vars + 1) if lit}.get
+        # clause, including every bad one, takes the general path below.
+        # Literal v indexes pos[v] and -v indexes neg[v]: an index is never
+        # negative, so no literal out of range reads another's entry.  neg
+        # holds the initial phases' int objects (2v + 1) rather than new ones
+        pos = [None, *range(2, 2 * n_vars + 1, 2)]
+        neg = [None, *self.phase[1:]]
         for lits in clauses:
             k = len(lits)
-            if k == 2:
-                a, b = lits
-                cl = [get(a), get(b)]
-                if None not in cl and a != b and a != -b:
-                    watches[cl[0]].append(cl)
-                    watches[cl[1]].append(cl)
-                    continue
-            elif k == 3:
-                a, b, c = lits
-                cl = [get(a), get(b), get(c)]
-                # squares differ exactly when variables do
-                if None not in cl and a * a != b * b != c * c != a * a:
-                    watches[cl[0]].append(cl)
-                    watches[cl[1]].append(cl)
-                    continue
+            try:
+                if k == 2:
+                    a, b = lits
+                    x = pos[a] if a > 0 else neg[-a]
+                    y = pos[b] if b > 0 else neg[-b]
+                    if x is not None and y is not None and a != b and a != -b:
+                        cl = [x, y]
+                        watches[x].append(cl)
+                        watches[y].append(cl)
+                        continue
+                elif k == 3:
+                    a, b, c = lits
+                    x = pos[a] if a > 0 else neg[-a]
+                    y = pos[b] if b > 0 else neg[-b]
+                    z = pos[c] if c > 0 else neg[-c]
+                    # squares differ exactly when variables do
+                    if x is not None and y is not None and z is not None and a * a != b * b != c * c != a * a:
+                        cl = [x, y, z]
+                        watches[x].append(cl)
+                        watches[y].append(cl)
+                        continue
+            except IndexError:
+                pass
             self._add(lits)
 
     def add_clause(self, lits) -> None:

@@ -5,12 +5,15 @@ a time into one growing clause set, with the flip-flop outputs pinned to the
 previous frame's next-state values, and folds constants on the fly, so
 frames with mostly pinned inputs shrink to almost nothing.  A frame steps
 the netlist's ``frame_program`` (each gate's kind and input slots, in
-topological order) over a list of net values.  NOT and BUFF only set a
-literal's sign; every other gate it does not fold takes one of two Tseitin
-forms: an AND over literals (``_and_clauses``, with NAND, OR and NOR
-inverting its inputs or output) or a chain of two-input XORs (``_xor2``,
-with XNOR inverting the result).  ``CnfBuilder.encode_frames`` steps the
-frames; ``to_dimacs`` writes a builder's formula as DIMACS text.
+topological order) over a list of net values, folding each gate inline in
+``CnfBuilder.encode_netlist``; only XORs wider than two inputs go through
+``CnfBuilder._encode_gate``, the gate-by-gate form of the same folding.
+NOT and BUFF only set a literal's sign; every other gate that does not fold
+to a constant or a literal takes one of two Tseitin forms: an AND over
+literals (``_and_clauses``, with NAND, OR and NOR inverting its inputs or
+output) or a chain of two-input XORs (``_xor2``, with XNOR inverting the
+result).  ``CnfBuilder.encode_frames`` steps the frames; ``to_dimacs``
+writes a builder's formula as DIMACS text.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ _AND_FORMS = {"AND": (False, False), "NAND": (False, True), "OR": (True, True), 
 
 def _and_clauses(y: int, lits: list[int]) -> list[tuple[int, ...]]:
     """Tseitin clauses for ``y <-> AND(lits)`` over signed literals."""
-    return [(-y, a) for a in lits] + [(y, *(-a for a in lits))]
+    return [*[(-y, a) for a in lits], (y, *[-a for a in lits])]
 
 
 def _xor2(y: int, a: int, b: int) -> list[tuple[int, ...]]:
@@ -76,6 +79,10 @@ class CnfBuilder:
         ``nl.compiled.slot``: the sources, then the gate outputs in
         topological order.  ``nl.frame_program`` names the slots of the
         outputs and of the next state.
+
+        Every gate but a wide XOR is folded here, inline, into exactly the
+        clauses, variable numbers and values that ``_encode_gate`` gives
+        it, appended to ``self.clauses`` in place.
         """
         if (len(inputs), len(state)) != (len(nl.inputs), len(nl.dffs)):
             raise ValueError(
@@ -88,9 +95,62 @@ class CnfBuilder:
                 # int literals must be nonzero; constants must be bools
                 x = (*nl.inputs, *(q for q, _d in nl.dffs))[k]
                 raise ValueError(f"pin for '{x}' is 0; use False for a constant")
-        fold, get = self._encode_gate, val.__getitem__
+        push, clauses, n = val.append, self.clauses, self.n_vars
         for kind, slots in nl.frame_program[0]:
-            val.append(fold(kind, [*map(get, slots)]))
+            form = _AND_FORMS.get(kind)
+            if form is not None:
+                invert_in, invert_out = form
+                lits: list[int] = []
+                for s in slots:
+                    a = val[s]
+                    if a is True or a is False:
+                        if a is invert_in:
+                            break  # a controlling input
+                        continue
+                    if invert_in:
+                        a = -a
+                    if a not in lits:
+                        if -a in lits:
+                            break  # x and not x
+                        lits.append(a)
+                else:
+                    if len(lits) > 1:
+                        n += 1
+                        clauses += _and_clauses(n, lits)
+                        push(-n if invert_out else n)
+                    elif lits:
+                        push(-lits[0] if invert_out else lits[0])
+                    else:
+                        push(not invert_out)
+                    continue
+                push(invert_out)  # the AND is false
+            elif kind == "NOT":
+                a = val[slots[0]]
+                push((not a) if a is True or a is False else -a)
+            elif kind == "BUFF":
+                push(val[slots[0]])
+            elif len(slots) == 2 and (kind == "XOR" or kind == "XNOR"):
+                phase = kind == "XNOR"
+                a, b = val[slots[0]], val[slots[1]]
+                if a is True or a is False:
+                    a, b = b, a  # a constant, if there is one, in b
+                if b is True or b is False:
+                    phase ^= b
+                    if a is True or a is False:
+                        push(phase ^ a)
+                    else:
+                        push(-a if phase else a)
+                elif a == b or a == -b:
+                    push(phase ^ (a != b))  # x xor (not x) is a constant one
+                else:
+                    n += 1
+                    clauses += _xor2(n, a, b)
+                    push(-n if phase else n)
+            else:
+                self.n_vars = n
+                push(self._encode_gate(kind, [val[s] for s in slots]))
+                n = self.n_vars
+        self.n_vars = n
         return val
 
     def encode_frames(self, nl: Netlist, state, rows):

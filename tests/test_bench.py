@@ -172,6 +172,27 @@ def test_duplicate_output_rejected():
         parse_bench("INPUT(a)\nOUTPUT(y)\nOUTPUT(y)\ny = NOT(a)")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("INPUT(a)\nINPUT(a)\nOUTPUT(a)", "line 2: duplicate definition of net 'a' (first at line 1)"),
+    ("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a,,b)", "line 4, column 8: bad argument list for 'y'"),
+], ids=["repeated-input", "empty-argument"])
+def test_parse_errors_give_line_and_message(text, message):
+    with pytest.raises(BenchError, match=f"^{re.escape(message)}$"):
+        parse_bench(text)
+
+
+@pytest.mark.parametrize("inputs, gates, dffs, message", [
+    (("a", "a"), (), (), "duplicate definition of net 'a'"),
+    (("a",), (), (("a", "a"),), "duplicate definition of net 'a'"),
+    (("a",), (Gate("y", "NOT", ("a",)), Gate("y", "BUFF", ("a",))), (), "duplicate definition of net 'y'"),
+    (("a",), (Gate("y", "MAJ", ("a", "a", "a")),), (), "unknown gate kind 'MAJ' for net 'y'"),
+    (("a",), (), (("q", "d"),), "flip-flop 'q' reads undefined net 'd'"),
+], ids=["input", "flip-flop", "gate", "kind", "flip-flop-input"])
+def test_netlist_built_directly_is_validated(inputs, gates, dffs, message):
+    with pytest.raises(BenchError, match=f"^{re.escape(message)}$"):
+        Netlist("t", inputs, ("a",), gates, dffs)
+
+
 # -- emission -----------------------------------------------------------------
 
 def test_emit_round_trip_not():

@@ -286,6 +286,16 @@ def test_eval_hd_range_errors_name_the_flag(capsys, workdir, flag, value, messag
     assert message in err
 
 
+def test_eval_hd_without_cases_exits_2(capsys, workdir):
+    rc, out, err = run(
+        capsys, "eval-hd", str(bench_path("s27")), str(workdir / "s27_enc.bench"),
+        "--keys", str(workdir / "s27_keys.json"), "--cases", ",",
+    )
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert err == "relock: error: no cases requested\n"
+
+
 # -- unwritable output paths ---------------------------------------------------
 
 @pytest.mark.parametrize("flag", ["--out", "--keys", "--vcd", "--csv"])

@@ -11,9 +11,11 @@ from relock import (
     EncryptedDesign,
     KeySchedule,
     Netlist,
+    authentication_schedule,
     emit_bench,
     encrypt,
     parse_bench,
+    run_case,
     simulate,
     trusted_user_stimulus,
     workload_cycle_mask,
@@ -54,6 +56,8 @@ def test_config_defaults_are_valid():
         {"coverage": 0.0},
         {"coverage": 1.5},
         {"sbj_bits": 10, "lfsr_width": 12, "key_len": 100},
+        {"lfsr_taps": (3, 2.0), "lfsr_width": 3},
+        {"lfsr_width": 1, "sbj_bits": 1},
     ],
 )
 def test_config_rejects_bad_fields(kwargs):
@@ -268,6 +272,9 @@ MALFORMED_SCHEDULES = {
     "boolean-l": lambda d: d.update(l=True),
     "l-above-n": lambda d: d.update(l=4),
     "zero-inputs": lambda d: d.update(i=0),
+    "circuit-not-a-string": lambda d: d.update(circuit=27),
+    "taps-not-integers": lambda d: d.update(taps=[3, "2"]),
+    "zero-c": lambda d: d.update(c=0),
     "config-not-an-object": lambda d: d.update(config=[]),
     "config-taps-not-a-list": lambda d: d["config"].update(lfsr_taps=3),
     # a config valid on its own that disagrees with the schedule's fields
@@ -338,6 +345,26 @@ def test_wrong_keys_never_authenticate(s27):
     mask = workload_cycle_mask(sched, cycles)
     diffs = sum(enc_tr.outputs[t] != golden.outputs[rank] for rank, t in enumerate(mask))
     assert diffs > len(mask) // 4
+
+
+def test_relocking_a_locked_netlist_takes_the_next_prefix(s27):
+    inner = encrypt(s27, TOY_CFG).netlist
+    outer = encrypt(inner, TOY_CFG._replace(master_seed=78))
+    added = outer.netlist.net_names - inner.net_names
+    assert added and all(x.startswith("LK0_") for x in added)
+    hd = [run_case(inner, outer, case).mean_hd for case in (1, 2, 3)]
+    assert hd[0] == 0 and hd[1] > 0 and hd[2] > 0
+
+
+def test_single_bit_prng_lock(s27):
+    # the one PRNG bit never leaves its only valid seed, 0, so every
+    # back-jump period is max(0, 1) = 1 cycle
+    cfg = EncryptConfig(lfsr_width=1, lfsr_taps=(1,), key_len=2, sbj_bits=1)
+    design = encrypt(s27, cfg)
+    hd = [run_case(s27, design, case).mean_hd for case in (1, 2, 3)]
+    assert hd[0] == 0 and hd[1] > 0 and hd[2] > 0
+    starts = [w.start for w in authentication_schedule(design.schedule, 60)]
+    assert starts == list(range(0, 60, cfg.key_len + 1))
 
 
 def test_encrypt_larger_circuit_keeps_io(s298):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from relock import (
     Case,
     EncryptConfig,
+    Gate,
     Netlist,
     brute_force_effort,
     cycle_delay_overhead,
@@ -146,6 +147,17 @@ def test_run_case_accepts_netlist_schedule_pair(s298, tmp_path):
 def test_run_case_rejects_an_original_without_gates(enc27):
     with pytest.raises(ValueError, match="no gates"):
         run_case(Netlist("s27", ("a",), ("a",), (), ()), enc27, 1)
+
+
+@pytest.mark.parametrize("side, message", [
+    ("inputs", "original and encrypted netlists disagree on inputs"),
+    ("outputs", "original and encrypted netlists disagree on outputs"),
+])
+def test_run_case_rejects_an_original_with_other_ports(s27, enc27, side, message):
+    inputs = s27.inputs if side == "outputs" else ("x",)
+    orig = Netlist("s27", inputs, ("y",), (Gate("y", "NOT", (inputs[0],)),), ())
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_case(orig, enc27, 1)
 
 
 def test_run_case_on_a_lock_with_a_4096_input_gate(s27):

@@ -1,9 +1,11 @@
 """LFSR stepping, periods, and the built-in tap table."""
 
+import re
+
 import pytest
 
 from relock import new_lfsr, period, step
-from relock.lfsr import MAXIMAL_TAPS, _feedback
+from relock.lfsr import MAXIMAL_TAPS, Lfsr, _feedback
 
 
 def enumerate_states(g):
@@ -47,6 +49,16 @@ def test_empty_and_out_of_range_taps_rejected():
         new_lfsr(3, taps=(4, 2))
     with pytest.raises(ValueError, match="highest tap"):
         new_lfsr(3, taps=(2, 1))
+
+
+@pytest.mark.parametrize("width, taps, state, message", [
+    (0, (1,), 0, "width must be >= 1, got 0"),
+    (3, (3, 3), 0, "repeated tap in (3, 3)"),
+    (3, (3, 2), 8, "state 0x8 does not fit in 3 bits"),
+], ids=["zero-width", "repeated-tap", "oversized-state"])
+def test_lfsr_rejects_bad_fields(width, taps, state, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Lfsr(width, taps, state)
 
 
 def test_unknown_width_needs_explicit_taps():

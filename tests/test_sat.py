@@ -119,6 +119,16 @@ def test_clause_table_path_matches_the_general_loop():
     assert shapes == {"error", True, False}  # repeated variables and clean ones both loaded
 
 
+@pytest.mark.parametrize("lit", [9, -9, 12, -12, 13, -13, 40, -40])
+def test_a_literal_far_out_of_range_is_rejected(lit):
+    """A literal beyond 2n (n = 4 here), which a table indexed from both
+    ends would alias to a literal in range, fails in both table shapes with
+    the general loop's message."""
+    for clause in [(lit, 1), (2, lit), (lit, 1, -3), (1, -3, lit)]:
+        with pytest.raises(ValueError, match=f"^bad literal {lit}$"):
+            relock.sat.Solver(4, [clause])
+
+
 def test_n_vars_inferred_from_clauses():
     res = solve([(3, -5)])
     assert res.status == SAT

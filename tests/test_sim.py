@@ -238,6 +238,11 @@ def test_key_plan_places_chains_and_drops_what_runs_past_the_horizon():
         key_plan([], -1)
 
 
+def test_authentication_schedule_rejects_a_negative_horizon(toy):
+    with pytest.raises(ValueError, match="^cycles must be nonnegative$"):
+        authentication_schedule(toy.schedule, -1)
+
+
 def test_case_plans_of_the_three_access_levels(toy):
     sched = toy.schedule
     c = sched.key_len

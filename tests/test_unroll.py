@@ -236,6 +236,23 @@ def test_encode_netlist_equals_folding_gate_by_gate(nl, rng):
     assert got == [val[net] for net in sorted(slot, key=slot.get)]
 
 
+@given(netlists(max_arity=4), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_encode_netlist_values_have_the_gate_by_gate_types(nl, rng):
+    """A frame's constants stay bools and its literals ints, as folding
+    gate by gate gives them: ``True == 1`` would hide a constant turned
+    into literal 1, which this pool makes a live variable."""
+    b, ref = CnfBuilder(), CnfBuilder()
+    pool = [b.new_var() for _ in range(2)]
+    ref.n_vars = b.n_vars
+    sources = [rng.choice([True, False, *pool, *(-v for v in pool)]) for _x in (*nl.inputs, *nl.dffs)]
+    got = b.encode_netlist(nl, sources[: len(nl.inputs)], sources[len(nl.inputs) :])
+    val = sources[:]
+    for kind, slots in nl.frame_program[0]:
+        val.append(ref._encode_gate(kind, [val[s] for s in slots]))
+    assert [(type(v), v) for v in got] == [(type(v), v) for v in val]
+
+
 def test_builder_rejects_int_zero_pin():
     b = CnfBuilder()
     with pytest.raises(ValueError, match="use False"):
