@@ -15,11 +15,13 @@ Clauses come in and models go out in DIMACS form (nonzero ints, ``-v`` for
 "not v").  Inside the solver, as in MiniSat (Een & Sorensson, SAT 2003),
 variable v is the literal index ``2v`` when true and ``2v + 1`` when false,
 so negation is ``lit ^ 1`` and the variable is ``lit >> 1``; values and watch
-lists are plain lists indexed by literal.  Most clauses a circuit encodes
-have two or three literals: loading maps those through two lists indexed
-by the variable, one per sign, so that a literal out of range raises
-instead of reading another literal's entry, and propagation scans each
-watch list in place, rebuilding it only when a clause moved its watch.
+lists are plain lists indexed by literal.  Loading maps each clause of two
+or more literals whose variables are distinct and in range through two
+lists indexed by the variable, one per sign, so that a literal out of range
+raises instead of reading another literal's entry; every other clause goes
+through the general path that dedupes it and reports a bad literal.
+Propagation scans each watch list in place, rebuilding it only when a
+clause moved its watch.
 """
 
 from __future__ import annotations
@@ -78,16 +80,22 @@ class Solver:
     UNSAT counts, apply per call.
 
     Decisions take the free variable of highest activity, ties going to the
-    smaller variable.  They come from a lazy ``heapq`` of ``(-activity, v)``
-    entries: a popped entry of an assigned variable is dropped, and one above
-    a free variable's activity (left by a rescale) is re-keyed.  Activity
-    only rises while a variable is assigned, and unassigning a variable
-    pushes its current activity, so a free variable's best entry always holds
-    its current activity.  ``heap_act[v]`` keeps the activity of v's newest
-    entry (None once popped), and a push is skipped when it would equal that
-    live entry: identical tuples are indistinguishable, so the skip leaves
-    every decision unchanged while the heap stays near one entry per
-    variable.
+    smaller variable.  Bumped variables (activity above 0) come from a lazy
+    ``heapq`` of ``(-activity, v)`` entries: a popped entry of an assigned
+    variable is dropped, and one above a free variable's activity (left by a
+    rescale) is re-keyed.  Activity only rises while a variable is assigned,
+    and unassigning a bumped variable pushes its current activity, so a free
+    variable's best entry always holds its current activity.  ``heap_act[v]``
+    keeps the activity of v's newest entry (None once popped), and a push is
+    skipped when it would equal that live entry: identical tuples are
+    indistinguishable, so the skip leaves every decision unchanged.  A
+    variable of activity 0 ranks below every bumped one and by index among
+    its peers, so when no bumped variable is free the decision is the
+    smallest free variable, found by scanning up from the cursor
+    ``next_var``.  No free variable of activity 0 lies below the cursor:
+    unassigning one moves the cursor down to it, and so does popping the
+    entry of one that rescales took down to 0.0.  The heap thus holds the
+    variables the search bumped, not every variable of the formula.
     """
 
     def __init__(self, n_vars: int, clauses) -> None:
@@ -103,9 +111,9 @@ class Solver:
         self.var_inc = 1.0
         # saved phase as a literal; a fresh variable is first tried false
         self.phase: list[int] = list(range(1, 2 * n_vars + 2, 2))
-        # sorted, so already a heap
-        self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n_vars + 1)]
-        self.heap_act: list[float | None] = [0.0] * (n_vars + 1)
+        self.heap: list[tuple[float, int]] = []
+        self.heap_act: list[float | None] = [None] * (n_vars + 1)
+        self.next_var = 1
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
@@ -115,7 +123,7 @@ class Solver:
         self._units: list[int] = []
         self._seen: list[bool] = [False] * (n_vars + 1)  # _analyze's marks, all False between calls
         watches = self.watches
-        # the table path: a 2- or 3-literal clause whose literals are all in
+        # the table path: a clause of two or more literals that are all in
         # range and whose variables differ is watched as is; any other
         # clause, including every bad one, takes the general path below.
         # Literal v indexes pos[v] and -v indexes neg[v]: an index is never
@@ -145,6 +153,12 @@ class Solver:
                         cl = [x, y, z]
                         watches[x].append(cl)
                         watches[y].append(cl)
+                        continue
+                elif k > 3:
+                    cl = [pos[a] if a > 0 else neg[-a] for a in lits]
+                    if None not in cl and len({x >> 1 for x in cl}) == k:
+                        watches[cl[0]].append(cl)
+                        watches[cl[1]].append(cl)
                         continue
             except IndexError:
                 pass
@@ -317,13 +331,19 @@ class Solver:
         activity = self.activity
         heap = self.heap
         heap_act = self.heap_act
+        next_var = self.next_var
         for lit in reversed(self.trail[mark:]):
             v = lit >> 1
             phase[v] = lit
             val[lit] = val[lit ^ 1] = _FREE
-            if heap_act[v] != activity[v]:
-                heap_act[v] = activity[v]
-                heapq.heappush(heap, (-activity[v], v))
+            act = activity[v]
+            if not act:
+                if v < next_var:
+                    next_var = v
+            elif heap_act[v] != act:
+                heap_act[v] = act
+                heapq.heappush(heap, (-act, v))
+        self.next_var = next_var
         del self.trail[mark:]
         self.qhead = min(self.qhead, mark)
 
@@ -341,14 +361,21 @@ class Solver:
             act = activity[v]
             if -neg <= act:
                 return self.phase[v]
-            # pushed before a rescale: re-key at the current activity
-            if heap_act[v] != act:
+            # pushed before a rescale: re-key at the current activity, or
+            # hand v to the cursor if rescales took it down to 0.0
+            if not act:
+                if v < self.next_var:
+                    self.next_var = v
+            elif heap_act[v] != act:
                 heap_act[v] = act
                 heapq.heappush(heap, (-act, v))
-        for v in range(1, self.n_vars + 1):
-            if val[2 * v] == _FREE:
-                return self.phase[v]
-        return 0  # no variable is free
+        # no free variable is bumped: the smallest free one
+        v = self.next_var
+        n = self.n_vars
+        while v <= n and val[2 * v] != _FREE:
+            v += 1
+        self.next_var = v
+        return self.phase[v] if v <= n else 0  # 0: no variable is free
 
     # -- search -------------------------------------------------------------
 

@@ -116,7 +116,11 @@ class CnfBuilder:
                 else:
                     if len(lits) > 1:
                         n += 1
-                        clauses += _and_clauses(n, lits)
+                        if len(lits) == 2:
+                            a, b = lits
+                            clauses += ((-n, a), (-n, b), (n, -a, -b))  # _and_clauses(n, lits)
+                        else:
+                            clauses += _and_clauses(n, lits)
                         push(-n if invert_out else n)
                     elif lits:
                         push(-lits[0] if invert_out else lits[0])
@@ -144,7 +148,7 @@ class CnfBuilder:
                     push(phase ^ (a != b))  # x xor (not x) is a constant one
                 else:
                     n += 1
-                    clauses += _xor2(n, a, b)
+                    clauses += ((-n, a, b), (-n, -a, -b), (n, -a, b), (n, a, -b))  # _xor2(n, a, b)
                     push(-n if phase else n)
             else:
                 self.n_vars = n

@@ -2,15 +2,20 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
+import relock
 from relock.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main, sci
 
 from conftest import bench_path
+
+SRC = str(Path(relock.__file__).resolve().parent.parent)
 
 TOY_CONFIG = {
     "lfsr_width": 3,
@@ -223,6 +228,30 @@ def test_simulate_seed_changes_trace(capsys):
     _, c, _ = run(capsys, "simulate", str(bench_path("s27")), "--cycles", "8")
     assert a == c
     assert a != b
+
+
+def test_simulate_into_a_reader_that_closes_early_exits_cleanly():
+    """30000 cycles are about 390 kB of trace, more than a pipe holds, so
+    the writes after the reader has gone fail with a broken pipe."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen(
+        [sys.executable, "-m", "relock.cli", "simulate", str(bench_path("s27")), "--cycles", "30000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"# cycle")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == EXIT_OK
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err
+
+
+def test_a_broken_pipe_on_stdout_exits_ok(monkeypatch):
+    class ClosedPipe:
+        def write(self, _text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["simulate", str(bench_path("s27")), "--cycles", "5"]) == EXIT_OK
 
 
 # -- eval-hd ----------------------------------------------------------------

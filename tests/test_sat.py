@@ -68,6 +68,11 @@ def test_duplicate_and_tautological_clauses():
     res = solve([(1, 1, 2), (1, -1), (-2, -2)], n_vars=2)
     assert res.status == SAT
     assert check_model([(1, 2), (-2,)], res.model)
+    # the same shapes in clauses of 4 to 9 literals
+    res = solve([(1, 1, 2, 3), (3, 4, 5, 6, -4), (-2, -3, -2, -3, -4, -5, -3, -4, -5)], n_vars=6)
+    assert res.status == SAT
+    assert check_model([(1, 2, 3), (-2, -3, -4, -5)], res.model)
+    assert solve([(1, 2, 3, 4, 2, 1), (-1,), (-2,), (-3,), (-4, -4, -4, -4)], n_vars=4).status == UNSAT
 
 
 def general_load(n_vars, clauses):
@@ -96,10 +101,31 @@ def general_load(n_vars, clauses):
     return watches, units, unsat
 
 
-def test_clause_table_path_matches_the_general_loop():
-    """2- and 3-literal clauses with a duplicate, a tautology, a 0 or an
+BAD_LITERALS = ("zero", "just out", "far out")
+
+
+def wide_clause(rng, n_vars, fault):
+    """A clause of 4 to 9 literals over distinct variables, one of them
+    replaced by ``fault``'s literal unless it is "clean"."""
+    cl = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n_vars + 1), rng.randint(4, 9))]
+    i, j = rng.sample(range(len(cl)), 2)
+    bad = {
+        "clean": cl[i],
+        "repeat": cl[j],
+        "tautology": -cl[j],
+        "zero": 0,
+        "just out": rng.choice((n_vars + 1, -n_vars - 1)),
+        "far out": rng.choice((2 * n_vars + 1, -2 * n_vars - 1, 10 * n_vars, -10 * n_vars)),
+    }[fault]
+    cl[i] = bad
+    return tuple(cl)
+
+
+def test_clause_table_path_matches_the_general_loop(monkeypatch):
+    """Clauses of 2 to 9 literals with a duplicate, a tautology, a 0 or an
     out-of-range literal load as the general loop loads them, or fail with
-    its message."""
+    its message.  Of those with 4 or more literals, only the ones with a
+    repeated variable or a bad literal go through ``_add``."""
     rng = random.Random(18)
     n_vars = 4
     pool = [0, n_vars + 1, -n_vars - 1, *range(1, n_vars + 1), *range(-n_vars, 0)]
@@ -118,13 +144,38 @@ def test_clause_table_path_matches_the_general_loop():
         shapes.update(len(set(map(abs, cl))) < len(cl) for cl in clauses if len(cl) in (2, 3))
     assert shapes == {"error", True, False}  # repeated variables and clean ones both loaded
 
+    # wider clauses, each with at most one fault
+    n_vars = 12
+    faults = ["clean", "repeat", "tautology", *BAD_LITERALS]
+    added = []
+    general = relock.sat.Solver._add
+    monkeypatch.setattr(relock.sat.Solver, "_add", lambda self, lits: (added.append(lits), general(self, lits))[1])
+    seen = set()
+    for _ in range(1500):
+        kinds = [rng.choice(faults) for _ in range(3)]
+        clauses = [wide_clause(rng, n_vars, kind) for kind in kinds]
+        added.clear()
+        try:
+            want = general_load(n_vars, clauses)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{e}$"):
+                relock.sat.Solver(n_vars, clauses)
+            assert added[-1] == next(cl for cl, kind in zip(clauses, kinds) if kind in BAD_LITERALS)
+            seen.add("error")
+            continue
+        got = relock.sat.Solver(n_vars, clauses)
+        assert (got.watches, got._units, got.unsat) == want, clauses
+        assert added == [cl for cl, kind in zip(clauses, kinds) if kind != "clean"], clauses
+        seen.update(kinds)
+    assert seen == {"error", "clean", "repeat", "tautology"}
 
-@pytest.mark.parametrize("lit", [9, -9, 12, -12, 13, -13, 40, -40])
+
+@pytest.mark.parametrize("lit", [9, -9, 12, -12, 13, -13, 40, -40, 5, -5])
 def test_a_literal_far_out_of_range_is_rejected(lit):
     """A literal beyond 2n (n = 4 here), which a table indexed from both
-    ends would alias to a literal in range, fails in both table shapes with
-    the general loop's message."""
-    for clause in [(lit, 1), (2, lit), (lit, 1, -3), (1, -3, lit)]:
+    ends would alias to a literal in range, or just beyond n, fails in every
+    table shape with the general loop's message."""
+    for clause in [(lit, 1), (2, lit), (lit, 1, -3), (1, -3, lit), (lit, 1, -2, 3), (1, -2, 3, -4, lit)]:
         with pytest.raises(ValueError, match=f"^bad literal {lit}$"):
             relock.sat.Solver(4, [clause])
 
@@ -332,6 +383,85 @@ def test_solve_accepts_cnf_objects(s27):
     res = solve(b)
     assert res.status == SAT
     assert len(res.model) == b.n_vars
+
+
+# -- the decision rule against a brute-force reference -----------------------------
+
+def check_decisions(solver, zero_at=()):
+    """Wrap ``solver._decide`` so that each pick is checked against the rule
+    it implements: the free variable of highest activity, ties going to the
+    smaller index, in its saved phase, or 0 when no variable is free.
+
+    Before each decision whose number is in ``zero_at``, the variable about
+    to be picked, if bumped, has its activity set to 0.0, as enough rescales
+    leave it.  Returns the list the picks go to and the list of zeroed
+    variables.
+    """
+    decide = solver._decide
+    picks, zeroed = [], []
+
+    def best():
+        free = [v for v in range(1, solver.n_vars + 1) if solver.val[2 * v] == relock.sat._FREE]
+        return max(free, key=lambda v: (solver.activity[v], -v), default=0)
+
+    def checked():
+        v = best()
+        if len(picks) in zero_at and solver.activity[v] > 0:
+            solver.activity[v] = 0.0
+            zeroed.append(v)
+            v = best()
+        got = decide()
+        assert got == (solver.phase[v] if v else 0), (len(picks), v, got)
+        picks.append(got)
+        return got
+
+    solver._decide = checked
+    return picks, zeroed
+
+
+def test_every_decision_takes_the_free_variable_of_highest_activity():
+    """Random formulas of 1 to 6 literals a clause, each solved, then solved
+    again with its model blocked, which backtracks to level 0.  In every
+    other formula some variables are set to activity 0.0 on the way, so
+    the cursor takes them back below where it has already scanned."""
+    rng = random.Random(2003)
+    n_picks = n_bumped = n_calls = n_zeroed = 0
+    for i in range(100):
+        n_vars = rng.randint(3, 40)
+        clauses = [
+            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n_vars + 1), rng.randint(1, min(n_vars, 6))))
+            for _ in range(rng.randint(n_vars, 4 * n_vars))
+        ]
+        solver = relock.sat.Solver(n_vars, clauses)
+        picks, zeroed = check_decisions(solver, zero_at=range(3, 10_000, 4) if i % 2 else ())
+        res = solver.solve()
+        for _ in range(4):
+            n_calls += 1
+            if not res:
+                break
+            solver.add_clause([-v if res.model[v] else v for v in range(1, n_vars + 1)])
+            res = solver.solve()
+        n_picks += len(picks)
+        n_bumped += sum(a > 0 for a in solver.activity)
+        n_zeroed += len(zeroed)
+    assert n_picks > 2000 and n_bumped > 400 and n_calls > 200 and n_zeroed > 50
+
+
+def test_decisions_keep_the_rule_past_rescales_and_activities_of_zero(monkeypatch):
+    """A low activity limit makes the solver rescale many times, and some
+    bumped variables are set to activity 0.0 just before they would be
+    picked, so their stale heap entries pop at a free variable of activity
+    0.0 and hand it to the cursor."""
+    rescales = []
+    rescale = relock.sat.Solver._rescale
+    monkeypatch.setattr(relock.sat, "_ACT_LIMIT", 100.0)
+    monkeypatch.setattr(relock.sat.Solver, "_rescale", lambda self: (rescales.append(1), rescale(self))[1])
+    for holes in (5, 6):
+        solver = relock.sat.Solver(*pigeonhole(holes))
+        picks, zeroed = check_decisions(solver, zero_at=range(5, 10_000, 7))
+        assert solver.solve().status == UNSAT
+        assert len(zeroed) > 20 and len(picks) > 100
+    assert len(rescales) > 10
 
 
 # -- pinned search trajectories ---------------------------------------------------

@@ -138,6 +138,31 @@ def test_bench_diff_prints_every_metric_with_its_change(capsys):
     assert "layers attack-s298 bench.parse_s 0 -> 0 n/a" in lines
 
 
+def test_bench_records_the_median_of_three_traced_runs(monkeypatch):
+    bench = load_tool("bench")
+    runs = [
+        {"correct": True, "sat.search_s": 0.3, "sat.propagations_per_s": 10.0, "sat.decisions": 12.0},
+        {"correct": True, "sat.search_s": 0.1, "sat.propagations_per_s": 30.0, "sat.decisions": 12.0},
+        {"correct": True, "sat.search_s": 0.2, "sat.propagations_per_s": 20.0, "sat.decisions": 12.0},
+    ]
+    calls = []
+
+    def fake_run(workload, trace, root=bench.ROOT):
+        calls.append((workload, trace, root))
+        return dict(runs[len(calls) - 1]), {}
+
+    monkeypatch.setattr(bench, "run", fake_run)
+    assert bench.traced_layers("attack-s298") == {
+        "correct": True, "sat.search_s": 0.2, "sat.propagations_per_s": 20.0, "sat.decisions": 12.0,
+    }
+    assert calls == [("attack-s298", 1, bench.ROOT)] * 3
+    for name, value in [("sat.decisions", 13.0), ("correct", False)]:
+        calls.clear()
+        runs[2] = {**runs[1], name: value}
+        with pytest.raises(SystemExit, match=f"^attack-s298: {name} differs across the 3 traced runs"):
+            bench.traced_layers("attack-s298")
+
+
 def test_bench_pairs_alternates_sides_and_counts_wins(monkeypatch, capsys, tmp_path):
     bench = load_tool("bench")
     spec = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())

@@ -347,3 +347,9 @@ def test_builder_and_or_fold_rules():
     assert b._encode_gate("AND", [v, v]) == v
     assert b._encode_gate("AND", [v, -v]) is False
     assert b._encode_gate("NOR", [False, False]) is True
+
+
+def test_encode_gate_names_an_unknown_kind():
+    b = CnfBuilder()
+    with pytest.raises(ValueError, match="^unknown gate kind 'MUX'$"):
+        b._encode_gate("MUX", [b.new_var(), b.new_var()])

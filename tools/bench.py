@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Run the benchmark once per workload and write the numbers as one JSON record.
+"""Run the benchmark on every workload and write the numbers as one JSON record.
 
 For every workload ``BENCHMARK.json`` lists, this runs ``perfbench/run.py``
-at seed 0 twice, each in a fresh process: untraced for the end-to-end
-metrics, and with ``--trace 1`` for the per-layer self times, counters and
-rates.  Together with the interpreter version, the CPU count and
-``tools/code_size.py``'s numbers, it writes a record with the keys in
-``KEYS``, so two records can be diffed key by key::
+at seed 0, each run in a fresh process: once untraced for the end-to-end
+metrics, and ``TRACED_RUNS`` times with ``--trace 1`` for the per-layer
+self times, counters and rates.  A layer metric timed in wall seconds
+(unit ``s`` or ``1/s``) is recorded as its median over the traced runs, so
+one run's host drift does not reach the record; the counters and
+``correct`` must agree in every traced run.  Together with the interpreter
+version, the CPU count and ``tools/code_size.py``'s numbers, it writes a
+record with the keys in ``KEYS``, so two records can be diffed key by key::
 
     python tools/bench.py BENCH_<n>.json
 
@@ -41,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SCHEMA = 1
 KEYS = ("schema", "env", "end_to_end", "layers", "code")
+TRACED_RUNS = 3
 
 
 def run(workload: str, trace: int, root: Path = ROOT) -> tuple[dict, dict]:
@@ -63,11 +67,29 @@ def record() -> dict:
     for name in workloads:
         end_to_end[name], info = run(name, 0)
         end_to_end[name]["failed_ratio"] = info["failed_ratio"]
-        layers[name], _ = run(name, 1)
+        layers[name] = traced_layers(name)
     env = {"python": info["env.python"], "nproc": info["env.nproc"]}
     code = subprocess.run([sys.executable, str(ROOT / "tools" / "code_size.py")],
                           capture_output=True, text=True, check=True, timeout=120).stdout
     return dict(zip(KEYS, (SCHEMA, env, end_to_end, layers, json.loads(code))))
+
+
+def traced_layers(workload: str) -> dict:
+    """The layer metrics of ``TRACED_RUNS`` traced runs of ``workload``: the
+    median of each metric whose unit in ``BENCHMARK.json`` is ``s`` or
+    ``1/s``, and every other value, which all the runs must agree on."""
+    units = {m["name"]: m["unit"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    runs = [run(workload, 1)[0] for _ in range(TRACED_RUNS)]
+    layers = {}
+    for name in runs[0]:
+        values = [r[name] for r in runs]
+        if units.get(name) in ("s", "1/s"):
+            layers[name] = statistics.median(values)
+        elif values.count(values[0]) != len(values):
+            raise SystemExit(f"{workload}: {name} differs across the {len(runs)} traced runs: {values}")
+        else:
+            layers[name] = values[0]
+    return layers
 
 
 def diff(old: dict, new: dict) -> list[str]:
