@@ -32,7 +32,6 @@ import math
 import random
 import time
 from itertools import islice
-from operator import neg
 from typing import NamedTuple
 
 from .bench import Netlist
@@ -146,46 +145,22 @@ def _transpose(words, width: int) -> list[int]:
     return [sum(((w >> b) & 1) << p for p, w in enumerate(words)) for b in range(width)]
 
 
-def _encode_copy(b: CnfBuilder, nl: Netlist, state, keys, gap_rows, oracle_out=None):
-    """Encode one copy of ``nl`` per entry of ``keys`` from flip-flop values
-    ``state`` over a window's key cycles and the gap after it, one frame per
-    cycle.  Each entry of ``keys`` holds one copy's key rows, of variables
-    that no other argument holds.
+def _encode_copy(b: CnfBuilder, nl: Netlist, state, key_rows, gap_rows, oracle_out=None):
+    """Encode one copy of ``nl`` from flip-flop values ``state`` over a
+    window's key cycles, driven by ``key_rows``, and the gap after it, driven
+    by ``gap_rows``, one frame per cycle.
 
-    Only the first copy is encoded.  Every other copy appends the first
-    copy's clauses renamed: its key variables to the copy's own and the
-    variables the first copy allocated to the next free ones, in order.
-    That equals a fresh encode, since folding depends only on constants and
-    on which literals are equal or opposite, which a one-to-one renaming
-    keeps.
-
-    Returns each copy's gap outputs, one list of output values per cycle.
+    Returns the copy's gap outputs, one list of output values per cycle.
     With ``oracle_out``, each gap cycle's outputs are also pinned to its
     packed word as the cycle is encoded.
     """
-    first, *others = keys
-    n0, c0 = b.n_vars, len(b.clauses)
     outs = []
-    for t, frame in enumerate(islice(b.encode_frames(nl, state, (*first, *gap_rows)), len(first), None)):
+    for t, frame in enumerate(islice(b.encode_frames(nl, state, (*key_rows, *gap_rows)), len(key_rows), None)):
         outs.append(frame)
         if oracle_out is not None:
             for i, v in enumerate(frame):
                 b.pin(v, (oracle_out[t] >> i) & 1)
-    n1, clauses = b.n_vars, b.clauses[c0:]
-    copies = [outs]
-    for rows in others:
-        # the renaming as a table over literals -n1..n1, a negative one
-        # indexing from the end
-        pos = list(range(n1 + 1))
-        pos[n0 + 1 :] = range(b.n_vars + 1, b.n_vars + 1 + n1 - n0)
-        for row_a, row in zip(first, rows):
-            for v, w in zip(row_a, row):
-                pos[v] = w
-        table = pos + [*map(neg, reversed(pos[1:]))]
-        b.clauses += [tuple(map(table.__getitem__, cl)) for cl in clauses]
-        b.n_vars += n1 - n0
-        copies.append([[v if v is True or v is False else table[v] for v in frame] for frame in outs])
-    return copies
+    return outs
 
 
 def _model_word(model: dict, lits: list[int]) -> int:
@@ -302,7 +277,7 @@ class _Window:
         """Pin ``e``'s key copy to the oracle's gap outputs ``answer`` on
         ``probe``; the miter replays it when next needed."""
         self.learned.append((probe, answer))
-        _encode_copy(self.e, self.enc, self.state, (self.k_e,), probe, answer)
+        _encode_copy(self.e, self.enc, self.state, self.k_e, probe, answer)
 
     def key(self) -> tuple[int, ...] | None:
         """The key the last step found, or None with ``status`` set."""
@@ -313,7 +288,8 @@ class _Window:
         if self.miter is None:
             self._new_miter()
         for probe, answer in self.learned[self._in_miter :]:
-            _encode_copy(self.miter, self.enc, self.state, (self.k_a, self.k_b), probe, answer)
+            for keys in (self.k_a, self.k_b):
+                _encode_copy(self.miter, self.enc, self.state, keys, probe, answer)
         self._in_miter = len(self.learned)
         return self.miter
 
@@ -323,9 +299,10 @@ class _Window:
         self.k_a = [[b.new_var() for _ in range(n_in)] for _ in range(key_len)]
         self.k_b = [[b.new_var() for _ in range(n_in)] for _ in range(key_len)]
         self.x_vars = [[b.new_var() for _ in range(n_in)] for _ in range(self.gap)]
-        outs = _encode_copy(b, self.enc, self.state, (self.k_a, self.k_b), self.x_vars)
+        outs_a = _encode_copy(b, self.enc, self.state, self.k_a, self.x_vars)
+        outs_b = _encode_copy(b, self.enc, self.state, self.k_b, self.x_vars)
         diffs = []
-        for ra, rb in zip(*outs):
+        for ra, rb in zip(outs_a, outs_b):
             for va, vb in zip(ra, rb):
                 d = b.xor_value(va, vb)
                 if d is True:

@@ -17,7 +17,7 @@ import re
 import warnings
 from array import array
 from copy import copy
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
@@ -248,10 +248,18 @@ _NAME = r"[^\s(),=#]+"
 # the one line form emit_bench writes for a gate or flip-flop
 _CANONICAL_RE = re.compile(rf"({_NAME}) = ([A-Z]+)\(({_NAME}(?:, {_NAME})*)\)")
 _IO_RE = re.compile(rf"^(INPUT|OUTPUT)\s*\(\s*({_NAME})\s*\)$", re.IGNORECASE)
-_ASSIGN_RE = re.compile(rf"^({_NAME})\s*=\s*([A-Za-z]+)\s*\(([^()=#]*)\)$")
-_NAME_RE = re.compile(_NAME)
-# a comma-separated list of names, each with optional whitespace around it
-_ARGS_RE = re.compile(rf"\s*{_NAME}\s*(?:,\s*{_NAME}\s*)*")
+
+
+@cache
+def _gate_line_res() -> tuple:
+    """A gate line in any spelling, its argument list and one name, compiled
+    on first use: a file that emit_bench wrote has no such line."""
+    return (
+        re.compile(rf"^({_NAME})\s*=\s*([A-Za-z]+)\s*\(([^()=#]*)\)$"),
+        # a comma-separated list of names, each with optional whitespace around it
+        re.compile(rf"\s*{_NAME}\s*(?:,\s*{_NAME}\s*)*"),
+        re.compile(_NAME),
+    )
 
 
 def parse_bench(text: str, name: str = "bench") -> Netlist:
@@ -287,15 +295,16 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
                 else:
                     outputs.append(net)
                 continue
-            m = _ASSIGN_RE.match(line)
+            assign_re, args_re, name_re = _gate_line_res()
+            m = assign_re.match(line)
             if not m:
                 col = len(raw) - len(raw.lstrip()) + 1
                 raise BenchError(f"unrecognized line: {line!r}", lineno, col)
             out, kind, argstr = m.groups()
             kind = kind.upper()
-            if not _ARGS_RE.fullmatch(argstr):
+            if not args_re.fullmatch(argstr):
                 raise BenchError(f"bad argument list for '{out}'", lineno, line.index("(") + 1)
-            args = _NAME_RE.findall(argstr)
+            args = name_re.findall(argstr)
         # one string object per net name and per kind, however often read
         out, kind, args = intern(out), intern(kind), tuple(map(intern, args))
         if out in def_line:

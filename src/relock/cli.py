@@ -13,7 +13,6 @@ exhausted.  Diagnostics go to stderr, results to stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -184,6 +183,8 @@ def _load_timing(spec: str, max_seq: int, oracle_nl):
     """Window starts and key length from a --keys-timing file: a key
     schedule, checked against the oracle's netlist, or an object with
     'starts' and 'c'."""
+    import json  # here: no other subcommand reads JSON itself
+
     # read once: a pipe such as /dev/stdin cannot be read a second time
     text = _read(spec, lambda p: Path(p).read_text())
     doc = _read(spec, lambda _p: json.loads(text), "bad JSON: ")

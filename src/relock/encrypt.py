@@ -24,7 +24,6 @@ All randomness (key table, corruption words, XOR sites) derives from
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from pathlib import Path
@@ -144,6 +143,8 @@ class EncryptConfig(NamedTuple):
 
 
 def load_config(path: str | Path) -> EncryptConfig:
+    import json  # here, as in to_json and from_json: most callers never read or write JSON
+
     cfg = EncryptConfig.from_dict(json.loads(Path(path).read_text()))
     cfg.validate()
     return cfg
@@ -246,6 +247,8 @@ class KeySchedule(NamedTuple):
     config: EncryptConfig
 
     def to_json(self) -> str:
+        import json
+
         doc = {
             "version": SCHEDULE_FORMAT_VERSION,
             "circuit": self.circuit,
@@ -318,6 +321,8 @@ class KeySchedule(NamedTuple):
     def from_json(cls, text: str) -> "KeySchedule":
         """Parse and validate a schedule; raises ValueError on a malformed one
         (KeyError for a missing field)."""
+        import json
+
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("a key schedule must be a JSON object")

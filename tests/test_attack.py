@@ -258,31 +258,37 @@ S298_POOL_CFG = EncryptConfig(
 
 
 @pytest.mark.parametrize("circuit", ["s27", "s298"])
-def test_renamed_key_copy_equals_a_fresh_encode(circuit, request):
-    """``_encode_copy`` encodes the k_a copy once and renames it into the
-    k_b copy; that gives the variables, clauses and gap outputs of encoding
-    k_b afresh, for the miter's copies and for a learned probe's pinned ones."""
+def test_a_key_copy_from_a_second_state_equals_its_encode_alone(circuit, request):
+    """Two key copies from two different flip-flop states, each over the
+    miter's probe variables and over a learned probe pinned to an answer,
+    share one builder: the second copy adds the variables, clauses and gap
+    outputs it gets when encoded alone after the first copy's variables."""
     cfg = TOY_CFG if circuit == "s27" else S298_POOL_CFG
     nl = encrypt(request.getfixturevalue(circuit), cfg).netlist
     n_in, gap = len(nl.inputs), 6
     rng = random.Random(circuit)
-    state, _dip = _lane_dip(nl, [rng.getrandbits(n_in) for _ in range(9)], cfg.key_len, gap, rng)
+    state_a, state_b = (_lane_dip(nl, [rng.getrandbits(n_in) for _ in range(t)], cfg.key_len, gap, rng)[0] for t in (9, 12))
+    assert state_a != state_b
     probe = [rng.getrandbits(n_in) for _ in range(gap)]
     answer = [rng.getrandbits(len(nl.outputs)) for _ in range(gap)]
-    formulas = []
-    for renamed in (True, False):
-        b = CnfBuilder()
-        k_a, k_b, x = ([[b.new_var() for _ in range(n_in)] for _ in range(k)] for k in (cfg.key_len, cfg.key_len, gap))
-        if renamed:
-            outs = _encode_copy(b, nl, state, (k_a, k_b), x)
-            _encode_copy(b, nl, state, (k_a, k_b), probe, answer)
-        else:
-            outs = [_encode_copy(b, nl, state, (keys,), x)[0] for keys in (k_a, k_b)]
-            for keys in (k_a, k_b):
-                _encode_copy(b, nl, state, (keys,), probe, answer)
-        formulas.append((b.n_vars, b.clauses, b.contradiction, outs))
-    assert formulas[0] == formulas[1]
-    assert formulas[0][0] > (2 * cfg.key_len + gap) * n_in  # the copies allocated variables
+
+    def encode(b, state, keys):
+        return [_encode_copy(b, nl, state, keys, x), _encode_copy(b, nl, state, keys, probe, answer)]
+
+    b = CnfBuilder()
+    k_a, k_b, x = ([[b.new_var() for _ in range(n_in)] for _ in range(k)] for k in (cfg.key_len, cfg.key_len, gap))
+    encode(b, state_a, k_a)
+    n_a, c_a, flag_a = b.n_vars, len(b.clauses), b.contradiction
+    assert n_a > (2 * cfg.key_len + gap) * n_in  # the first copy allocated variables
+    outs = encode(b, state_b, k_b)
+    alone, from_a = CnfBuilder(), CnfBuilder()
+    alone.n_vars = from_a.n_vars = n_a
+    want = encode(alone, state_b, k_b)
+    assert (b.n_vars, b.clauses[c_a:], outs) == (alone.n_vars, alone.clauses, want)
+    assert b.contradiction == (flag_a or alone.contradiction)
+    # no renaming of the first copy gives the second: the state changes the formula
+    encode(from_a, state_a, k_b)
+    assert from_a.clauses != alone.clauses
 
 
 def _replay_verify_one_lane(enc, oracle, starts, keys, seed, verify_vectors):

@@ -5,15 +5,19 @@ import itertools
 import operator
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
 from collections import Counter
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import relock
 from relock import (
     BenchError,
     CircuitStats,
@@ -191,6 +195,46 @@ def test_parse_errors_give_line_and_message(text, message):
 def test_netlist_built_directly_is_validated(inputs, gates, dffs, message):
     with pytest.raises(BenchError, match=f"^{re.escape(message)}$"):
         Netlist("t", inputs, ("a",), gates, dffs)
+
+
+# parses a stock netlist or a hand-written text per argument in a fresh
+# interpreter, printing how often the general gate-line patterns were
+# compiled so far and the netlist or the error
+_FRESH_PARSE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from relock.bench import BenchError, _gate_line_res, load_bench, parse_bench
+for arg in sys.argv[2:]:
+    try:
+        nl = load_bench(arg) if arg.endswith(".bench") else parse_bench(arg, "hand")
+        out = repr(nl) if nl.name == "hand" else nl.name
+    except BenchError as e:
+        out = str(e)
+    print(_gate_line_res.cache_info().misses, out)
+"""
+
+
+def test_hand_written_lines_parse_alike_in_a_fresh_process():
+    # the stock netlists are all canonical lines, so the general gate-line
+    # patterns are compiled only at the first hand-written gate line, and a
+    # fresh process accepts and rejects those lines with the same messages
+    stock = sorted((Path(__file__).resolve().parent.parent / "benchmarks").glob("*.bench"))
+    cases = [
+        ("input( a )\nINPUT(b)\noutput(y)\nq  =  dff( y )\ny = nand( a ,b , q )  # tail\n",
+         "Netlist(name='hand', inputs=('a', 'b'), outputs=('y',), "
+         "gates=(Gate(out='y', kind='NAND', ins=('a', 'b', 'q')),), dffs=(('q', 'y'),))"),
+        ("INPUT(a)\nOUTPUT(y)\n  y = NOT a", "line 3, column 3: unrecognized line: 'y = NOT a'"),
+        ("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a,,b)", "line 4, column 8: bad argument list for 'y'"),
+        ("INPUT(a)\nOUTPUT(y)\ny  =  maj ( a, a, a )", "line 3, column 5: unknown gate kind 'MAJ'"),
+        ("INPUT(a)\nOUTPUT(y)\ny = Not(a, a)", "NOT gate 'y' takes exactly one input, got 2"),
+    ]
+    src = Path(relock.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _FRESH_PARSE, str(src), *map(str, stock), *(text for text, _ in cases)],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert len(stock) == 7
+    assert proc.stdout.splitlines() == [f"0 {p.stem}" for p in stock] + [f"1 {want}" for _, want in cases]
 
 
 # -- emission -----------------------------------------------------------------

@@ -44,10 +44,11 @@ def test_code_size_counts_the_public_names():
 def test_importing_relock_loads_neither_dataclasses_nor_inspect():
     # each costs start-up time in every CLI call and sweep worker:
     # dataclasses builds its classes through exec, and imports inspect;
-    # fractions, decimal and csv are imported by the few functions using them
+    # fractions, decimal, csv and json are imported by the few functions using them
     modules = set(load_tool("code_size").imported_modules())
     assert "relock.cli" in modules
-    assert not modules & {"dataclasses", "inspect", "fractions", "decimal", "csv"}
+    json_modules = {"json", "json.decoder", "json.encoder", "json.scanner", "_json"}
+    assert not modules & {"dataclasses", "inspect", "fractions", "decimal", "csv", *json_modules}
 
 
 # every public name, so adding or removing one shows up in this file's diff
@@ -161,6 +162,32 @@ def test_bench_records_the_median_of_three_traced_runs(monkeypatch):
         runs[2] = {**runs[1], name: value}
         with pytest.raises(SystemExit, match=f"^attack-s298: {name} differs across the 3 traced runs"):
             bench.traced_layers("attack-s298")
+
+
+def test_bench_records_the_median_of_three_untraced_runs(monkeypatch):
+    bench = load_tool("bench")
+    runs = [
+        ({"correct": True, "op_s": 0.3, "setup_s": 0.02, "peak_rss_mib": 25.0}, {"failed_ratio": 0.0, "env.nproc": 1}),
+        ({"correct": True, "op_s": 0.1, "setup_s": 0.03, "peak_rss_mib": 24.0}, {"failed_ratio": 0.5, "env.nproc": 2}),
+        ({"correct": True, "op_s": 0.2, "setup_s": 0.01, "peak_rss_mib": 26.0}, {"failed_ratio": 0.0, "env.nproc": 3}),
+    ]
+    calls = []
+
+    def fake_run(workload, trace, root=bench.ROOT):
+        calls.append((workload, trace, root))
+        result, info = runs[len(calls) - 1]
+        return dict(result), dict(info)
+
+    monkeypatch.setattr(bench, "run", fake_run)
+    metrics, info = bench.untraced_metrics("attack-s298")
+    assert metrics == {"correct": True, "op_s": 0.2, "setup_s": 0.02, "peak_rss_mib": 25.0, "failed_ratio": 0.5}
+    assert list(metrics) == ["correct", "op_s", "setup_s", "peak_rss_mib", "failed_ratio"]
+    assert info == runs[2][1]
+    assert calls == [("attack-s298", 0, bench.ROOT)] * 3
+    calls.clear()
+    runs[1] = ({**runs[1][0], "correct": False}, runs[1][1])
+    with pytest.raises(SystemExit, match="^attack-s298: untraced run 2 of 3 is not correct$"):
+        bench.untraced_metrics("attack-s298")
 
 
 def test_bench_pairs_alternates_sides_and_counts_wins(monkeypatch, capsys, tmp_path):

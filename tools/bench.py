@@ -2,12 +2,14 @@
 """Run the benchmark on every workload and write the numbers as one JSON record.
 
 For every workload ``BENCHMARK.json`` lists, this runs ``perfbench/run.py``
-at seed 0, each run in a fresh process: once untraced for the end-to-end
-metrics, and ``TRACED_RUNS`` times with ``--trace 1`` for the per-layer
-self times, counters and rates.  A layer metric timed in wall seconds
-(unit ``s`` or ``1/s``) is recorded as its median over the traced runs, so
-one run's host drift does not reach the record; the counters and
-``correct`` must agree in every traced run.  Together with the interpreter
+at seed 0, each run in a fresh process: ``RUNS`` times untraced for the
+end-to-end metrics, and ``RUNS`` times with ``--trace 1`` for the per-layer
+self times, counters and rates.  Each end-to-end metric, and each layer
+metric timed in wall seconds (unit ``s`` or ``1/s``), is recorded as its
+median over its runs, so one run's host drift does not reach the record.
+Every untraced run must be ``correct``, the failed share recorded is the
+largest any of them reports, and the counters and ``correct`` must agree
+in every traced run.  Together with the interpreter
 version, the CPU count and ``tools/code_size.py``'s numbers, it writes a
 record with the keys in ``KEYS``, so two records can be diffed key by key::
 
@@ -44,7 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SCHEMA = 1
 KEYS = ("schema", "env", "end_to_end", "layers", "code")
-TRACED_RUNS = 3
+RUNS = 3  # untraced and traced runs per workload
 
 
 def run(workload: str, trace: int, root: Path = ROOT) -> tuple[dict, dict]:
@@ -65,8 +67,7 @@ def record() -> dict:
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     end_to_end, layers = {}, {}
     for name in workloads:
-        end_to_end[name], info = run(name, 0)
-        end_to_end[name]["failed_ratio"] = info["failed_ratio"]
+        end_to_end[name], info = untraced_metrics(name)
         layers[name] = traced_layers(name)
     env = {"python": info["env.python"], "nproc": info["env.nproc"]}
     code = subprocess.run([sys.executable, str(ROOT / "tools" / "code_size.py")],
@@ -74,12 +75,26 @@ def record() -> dict:
     return dict(zip(KEYS, (SCHEMA, env, end_to_end, layers, json.loads(code))))
 
 
+def untraced_metrics(workload: str) -> tuple[dict, dict]:
+    """The end-to-end metrics of ``RUNS`` untraced runs of ``workload``, each
+    the median over the runs, with ``correct``, which every run must be, and
+    the largest ``failed_ratio`` of any run; and the last run's
+    ``perfbench-info`` object."""
+    runs = [run(workload, 0) for _ in range(RUNS)]
+    failed = [k for k, (r, _info) in enumerate(runs) if not r["correct"]]
+    if failed:
+        raise SystemExit(f"{workload}: untraced run {failed[0] + 1} of {RUNS} is not correct")
+    metrics = {name: statistics.median(r[name] for r, _info in runs) for name in runs[0][0] if name != "correct"}
+    failed_ratio = max(info["failed_ratio"] for _r, info in runs)
+    return {"correct": True, **metrics, "failed_ratio": failed_ratio}, runs[-1][1]
+
+
 def traced_layers(workload: str) -> dict:
-    """The layer metrics of ``TRACED_RUNS`` traced runs of ``workload``: the
+    """The layer metrics of ``RUNS`` traced runs of ``workload``: the
     median of each metric whose unit in ``BENCHMARK.json`` is ``s`` or
     ``1/s``, and every other value, which all the runs must agree on."""
     units = {m["name"]: m["unit"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
-    runs = [run(workload, 1)[0] for _ in range(TRACED_RUNS)]
+    runs = [run(workload, 1)[0] for _ in range(RUNS)]
     layers = {}
     for name in runs[0]:
         values = [r[name] for r in runs]
