@@ -14,12 +14,17 @@ distinguishing.  After that, each step asks a SAT solver for a key that
 fits every learned probe, then, with that key blocked on the same solver,
 for a second one.  When no second key survives, no DIP can exist and the
 window ends with the one key: the unique-completion check of El Massad,
-Garg & Tripunitara (ICCAD 2017).  Only when two keys survive is a miter
-encoded, two symbolic key copies driving the same probe inputs with some
-output differing, and a fresh solver takes the next DIP from it.  If it
-has none, the surviving keys agree on every probe and the window ends with
-the first.  Earlier windows stay pinned to their committed keys, so
-instances grow with the window index.
+Garg & Tripunitara (ICCAD 2017).  A step unrolls only as much of the gap
+as the key needs (incremental unrolling, as in Shamsi, Pan & Jin, "KC2",
+DATE 2019): it checks the learned probes over their first 1, 2, 4, ...
+gap cycles, and a key unique on fewer cycles than the gap is kept only if
+a concrete run shows it reproduces every answer over the whole gap.  Only
+when two keys survive the whole gap is a miter encoded, two symbolic key
+copies driving the same probe inputs with some output differing, and a
+fresh solver takes the next DIP from it.  If it has none, the surviving
+keys agree on every probe and the window ends with the first.  Earlier
+windows stay pinned to their committed keys, so instances grow with the
+window index.
 
 Output comparisons are rank aligned: the unlocked chip never sees the
 window cycles, so its cycle ``j`` output is compared against the locked
@@ -31,7 +36,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .bench import Netlist
@@ -121,11 +126,12 @@ def _lane_dip(nl: Netlist, prefix, key_len: int, gap: int, rng: random.Random):
     n_in, lanes = len(nl.inputs), _DIP_LANES
     keys = [[rng.getrandbits(2 * lanes) for _ in range(n_in)] for _ in range(key_len)]
     probes = [[rng.getrandbits(lanes) for _ in range(n_in)] for _ in range(gap)]
-    rows = [*keys, *([p | p << lanes for p in row] for row in probes)]
-    run = list(run_from_reset(nl, (*prefix, *(None,) * len(rows)), rows, 2 * lanes))
-    state = [bool(v & 1) for v in run[len(prefix)][1]]
+    rows = chain(keys, ([p | p << lanes for p in row] for row in probes))
+    run = run_from_reset(nl, (*prefix, *(None,) * (key_len + gap)), rows, 2 * lanes)
+    _outs, state = next(islice(run, len(prefix), None))
+    state = [bool(v & 1) for v in state]
     differ = 0
-    for outs, _state in run[len(prefix) + key_len :]:
+    for outs, _state in islice(run, key_len - 1, None):
         for v in outs:
             differ |= v ^ (v >> lanes)
     differ &= (1 << lanes) - 1
@@ -225,24 +231,30 @@ class _Window:
     """One window's DIP search from the state the committed prefix reaches,
     and the effort its solver calls took.
 
-    ``e`` holds one key copy, ``k_e``, pinned to the oracle's answer on every
-    learned probe.  Each step after the lane probe hands ``e`` to one
-    ``Solver`` and solves it for a key K, then adds the clause blocking K to
-    that solver and solves again; when no second key survives, the window
-    ends with K.  Only when one does is the miter needed: two key copies, ``k_a``
-    and ``k_b``, sharing the gap's probe variables, with some gap output
-    differing.  It is built on first need and the learned probes are
-    replayed into it in order, so its clauses equal those of a miter built
-    up front and extended by every probe.  Each miter solve takes a fresh
-    ``Solver``, so the DIPs do not depend on earlier miter searches.  When
-    it has no DIP either, the window ends with K too.  The effort counters
-    add up each call's share of its solver's running totals.
+    ``learn`` records each probe and the oracle's answer to it.  Each step
+    after the lane probe deepens: for k = 1, 2, 4, ... up to the gap, it
+    encodes one key copy per learned probe over the probe's first k gap
+    cycles, pinned to the answer's first k, hands that formula to one
+    ``Solver`` and solves it for a key K, then adds the clause blocking K and
+    solves again.  A deeper formula only drops keys, so the step stops at
+    the first k where no key fits (the window ends ``no-consistent-key``)
+    or K is unique.  A K unique on fewer than ``gap`` cycles is the only
+    key the full gap can leave, so one lane-parallel run of the locked
+    design over every learned probe's full gap decides it: the window ends
+    with K if K reproduces every answer, and with no key otherwise.  At
+    k = ``gap`` the formula is the full one, and if two keys survive it the
+    miter is needed: two key copies, ``k_a`` and ``k_b``, sharing the gap's
+    probe variables, with some gap output differing.  It is built on first
+    need and the learned probes are replayed into it in order, so its
+    clauses equal those of a miter built up front and extended by every
+    probe.  Each miter solve takes a fresh ``Solver``, so the DIPs do not
+    depend on earlier miter searches.  When it has no DIP either, the
+    window ends with K too.  The effort counters add up each call's share
+    of its solver's running totals.
     """
 
     def __init__(self, enc: Netlist, prefix, key_len: int, gap: int, rng, conflict_budget: int) -> None:
-        self.enc, self.gap, self.budget = enc, gap, conflict_budget
-        self.e = CnfBuilder()
-        self.k_e = [[self.e.new_var() for _ in enc.inputs] for _ in range(key_len)]
+        self.enc, self.prefix, self.key_len, self.gap, self.budget = enc, prefix, key_len, gap, conflict_budget
         # the committed prefix is concrete: one state, shared by all copies
         self.state, lane_dip = _lane_dip(enc, prefix, key_len, gap, rng)
         # a probe that tells two simulated keys apart is a DIP as good as
@@ -261,23 +273,44 @@ class _Window:
         probe, self._lane_probe = self._lane_probe, None
         if probe is not None:
             return probe
-        solver = _solver(self.e)
-        self._key = key = self._solve(solver, self.k_e)
-        if key is None:
-            if self.status == STATUS_RECOVERED:
-                self.status = STATUS_NO_KEY
-            return None
-        # with K the only key left, no probe can tell two surviving keys apart
-        solver.add_clause([-v if word >> i & 1 else v for row, word in zip(self.k_e, key) for i, v in enumerate(row)])
-        if self._solve(solver, ()) is None:
-            return None
-        return self._solve(_solver(self._miter()), self.x_vars)
+        # with nothing learned, every depth gives the same formula
+        depth = 1 if self.learned else self.gap
+        while True:
+            e = CnfBuilder()
+            k_e = [[e.new_var() for _ in self.enc.inputs] for _ in range(self.key_len)]
+            for probe, answer in self.learned:
+                _encode_copy(e, self.enc, self.state, k_e, probe[:depth], answer[:depth])
+            solver = _solver(e)
+            self._key = key = self._solve(solver, k_e)
+            if key is None:
+                if self.status == STATUS_RECOVERED:
+                    self.status = STATUS_NO_KEY
+                return None
+            # with K the only key left, no probe can tell two surviving keys apart
+            solver.add_clause([-v if word >> i & 1 else v for row, word in zip(k_e, key) for i, v in enumerate(row)])
+            if self._solve(solver, ()) is None:
+                if self.status == STATUS_RECOVERED and depth < self.gap and not self._fits(key):
+                    self.status = STATUS_NO_KEY
+                return None
+            if depth == self.gap:
+                return self._solve(_solver(self._miter()), self.x_vars)
+            depth = min(2 * depth, self.gap)
 
     def learn(self, probe, answer) -> None:
-        """Pin ``e``'s key copy to the oracle's gap outputs ``answer`` on
-        ``probe``; the miter replays it when next needed."""
+        """Record the oracle's gap outputs ``answer`` on ``probe``; the next
+        step's formulas and the miter encode it."""
         self.learned.append((probe, answer))
-        _encode_copy(self.e, self.enc, self.state, self.k_e, probe, answer)
+
+    def _fits(self, key) -> bool:
+        """Whether ``key`` in this window reproduces every learned answer
+        over the whole gap, in one run with one lane per learned probe."""
+        probes, answers = zip(*self.learned)
+        n_in, n_out = len(self.enc.inputs), len(self.enc.outputs)
+        rows = (_transpose(column, n_in) for column in zip(*probes))
+        plan = (*self.prefix, *key, *(None,) * self.gap)
+        run = run_from_reset(self.enc, plan, rows, len(probes))
+        gap_outs = islice(run, len(self.prefix) + len(key), None)
+        return all(outs == tuple(_transpose(column, n_out)) for (outs, _state), column in zip(gap_outs, zip(*answers)))
 
     def key(self) -> tuple[int, ...] | None:
         """The key the last step found, or None with ``status`` set."""
@@ -294,7 +327,7 @@ class _Window:
         return self.miter
 
     def _new_miter(self) -> None:
-        n_in, key_len = len(self.enc.inputs), len(self.k_e)
+        n_in, key_len = len(self.enc.inputs), self.key_len
         self.miter = b = CnfBuilder()
         self.k_a = [[b.new_var() for _ in range(n_in)] for _ in range(key_len)]
         self.k_b = [[b.new_var() for _ in range(n_in)] for _ in range(key_len)]

@@ -294,13 +294,14 @@ def test_criterion_08_solver_conflicts_strictly_increase_over_windows(toy_attack
 # per-window (iterations, solver_calls, conflicts, decisions, propagations) of
 # the toy attack, recorded with the solver whose search tests/test_sat.py pins
 # with each window's first DIP taken from the lane run, with each window
-# ending once one key fits its DIPs, and with each step's second-key solve
-# continuing the first one's solver; criterion 08's rising conflicts rest on
-# these exact numbers
+# ending once one key fits its DIPs, with each step's second-key solve
+# continuing the first one's solver, and with each step solving the DIPs
+# over their first 1, 2, 4, ... gap cycles; criterion 08's rising conflicts
+# rest on these exact numbers
 TOY_WINDOW_EFFORT = (
-    (1, 2, 3, 5, 94),
-    (2, 5, 111, 209, 11302),
-    (2, 5, 138, 313, 16532),
+    (1, 4, 3, 20, 188),
+    (2, 9, 113, 241, 11356),
+    (2, 17, 138, 391, 17576),
 )
 
 

@@ -16,9 +16,11 @@ from relock import (
     STATUS_BUDGET,
     STATUS_NO_KEY,
     STATUS_RECOVERED,
+    SAT,
     CnfBuilder,
     EncryptConfig,
     SequenceOracle,
+    Solver,
     derive_window_starts,
     encrypt,
     parse_bench,
@@ -213,10 +215,11 @@ def test_sat_finds_the_first_dip_when_no_lane_differs():
     assert res.status == STATUS_RECOVERED and res.verified
     assert res.keys == ((NEEDLE_KEY,),)
     (w,) = res.windows
-    # every DIP came from the miter, after a key and a second key were
-    # found; the last two calls find the key and show no second one is left
-    assert w.iterations >= 1
-    assert w.solver_calls == 3 * w.iterations + 2
+    # the one DIP came from the miter: with nothing learned, the first step
+    # solves over the full gap for a key, a second key and the DIP; the next
+    # finds the key and no second one over the DIP's first gap cycle
+    assert w.iterations == 1
+    assert w.solver_calls == 3 + 2
 
 
 def test_key_no_output_reads_ends_the_window_on_an_empty_miter():
@@ -229,6 +232,90 @@ def test_key_no_output_reads_ends_the_window_on_an_empty_miter():
     # a key, a second key, and no call on the contradictory miter
     assert (w.iterations, w.solver_calls, w.oracle_queries) == (0, 2, 0)
     assert res.keys == (w.key,) and len(w.key) == 2
+
+
+class _LastCycleFlipped(SequenceOracle):
+    """The oracle with output 0 of every answer's last cycle flipped; keeps
+    each query and its flipped answer."""
+
+    def __init__(self, nl) -> None:
+        super().__init__(nl)
+        self.asked = []
+
+    def query(self, vectors):
+        outs = super().query(vectors)
+        outs = (*outs[:-1], outs[-1] ^ 1)
+        self.asked.append((tuple(vectors), outs))
+        return outs
+
+
+def test_a_key_unique_on_part_of_the_gap_must_fit_all_of_it(s298):
+    """With the last gap cycle of the answer flipped, one key still fits the
+    rest of the gap, but no key fits all of it: the run over the full gap
+    rejects the key, and the window ends as the full-gap formula says."""
+    design = encrypt(s298, S298_POOL_CFG)
+    enc, c = design.netlist, S298_POOL_CFG.key_len
+    starts = derive_window_starts(design.schedule, 1)
+    gap = starts[1] - starts[0] - c
+    oracle = _LastCycleFlipped(s298)
+    res = recover_key_sequences(enc, oracle, starts, c, 1, seed=0)
+    assert res.status == STATUS_NO_KEY and res.keys == () and not res.verified
+    (w,) = res.windows
+    assert w.status == STATUS_NO_KEY and w.key is None
+
+    # no window comes before the first, so its prefix is the query's first cycles
+    prefix = oracle.asked[0][0][: starts[0]]
+    learned = [(vectors[starts[0] :], answer[starts[0] :]) for vectors, answer in oracle.asked]
+    assert len(learned) == w.iterations >= 1
+    state = _lane_dip(enc, prefix, c, gap, random.Random(0))[0]
+
+    def keys_over(depth):
+        """Up to two keys that fit every learned probe's first ``depth`` gap cycles."""
+        b = CnfBuilder()
+        k = [[b.new_var() for _ in enc.inputs] for _ in range(c)]
+        for probe, answer in learned:
+            _encode_copy(b, enc, state, k, probe[:depth], answer[:depth])
+        if b.contradiction:
+            return []
+        solver, keys = Solver(b.n_vars, b.clauses), []
+        while len(keys) < 2 and (r := solver.solve()).status == SAT:
+            keys.append(tuple(sum(r.model[v] << i for i, v in enumerate(row)) for row in k))
+            solver.add_clause([-v if r.model[v] else v for row in k for v in row])
+        return keys
+
+    assert len(keys_over(gap - 1)) == 1
+    assert keys_over(gap) == []
+
+
+# the lock of ROADMAP item 13's baseline: window 1 probes a 1876-cycle gap
+LONG_GAP_CFG = EncryptConfig(lfsr_width=12, key_len=4, sbj_bits=1, coverage=0.3, master_seed=1)
+
+
+def test_a_long_gap_is_unrolled_only_as_deep_as_its_key_needs(s27, monkeypatch):
+    design = encrypt(s27, LONG_GAP_CFG)
+    c = LONG_GAP_CFG.key_len
+    starts = derive_window_starts(design.schedule, 2)
+    wins = authentication_schedule(design.schedule, starts[-1] + c)
+    truth = tuple(design.schedule.key_table[w.chain] for w in wins[:2])
+    # frames encoded per window, over every formula its steps build
+    frames = []
+    init, encode = _Window.__init__, CnfBuilder.encode_netlist
+
+    def counting_init(self, *args):
+        frames.append(0)
+        init(self, *args)
+
+    def counting_encode(self, *args, **kwargs):
+        frames[-1] += 1
+        return encode(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Window, "__init__", counting_init)
+    monkeypatch.setattr(CnfBuilder, "encode_netlist", counting_encode)
+    res = recover_key_sequences(design.netlist, SequenceOracle(s27), starts, c, 2, seed=0)
+    assert res.status == STATUS_RECOVERED and res.verified
+    assert res.keys == truth
+    assert [w.gap for w in res.windows] == [10, 1876]
+    assert len(frames) == 2 and all(n < 128 for n in frames), frames
 
 
 def test_miter_built_late_equals_one_built_up_front(toy):

@@ -93,7 +93,7 @@ def test_unrun_lines_reports_what_a_call_never_reached():
 # Every formula, added clause, solver result and attack report of
 # tools/attack_digest.py's locks.  Re-record only for an intended change to
 # the attack's search, and say why in CHANGES.md.
-ATTACK_DIGEST = "e42638a15344cc3a09dc40f3a2cea8094e497d661b2970ce9cb7fcfdb3d91785"
+ATTACK_DIGEST = "fb40e53125e402f033876dca2332c5e4c9a8a674d27e00d549ca91ac669d6861"
 # Every oracle query and answer, key, verdict and per-window outcome of the
 # same attacks, without solver effort: no change to the search may move it.
 ATTACK_OUTCOME_DIGEST = "d231514f809de630468ea80495c3d1685cda7c40fccfa2e0456ca38730794ea2"
@@ -105,6 +105,14 @@ def test_attack_digest_is_pinned():
     assert statuses == ["recovered"] * 5 + ["verify-failed"] * 2
     assert outcome == ATTACK_OUTCOME_DIGEST
     assert effort == ATTACK_DIGEST
+
+
+def test_long_gap_runs_a_width_in_a_capped_child():
+    long_gap = load_tool("long_gap")
+    line = long_gap.measure(12)
+    assert line["gaps"] == [10, 1876]
+    assert (line["status"], line["verified"], line["truth"]) == ("recovered", True, True)
+    assert line["peak_rss_mib"] < long_gap.AS_CAP_MIB
 
 
 def test_committed_bench_records_follow_the_schema():

@@ -18,11 +18,12 @@ writes.  Both run over a fixed set of locks:
 - two s27 locks, master seed 1001, whose window-2 key fails the replay check.
 
 Every attack runs at seed 0.  A refactor of the attack that is meant to keep
-its search must leave both digests unchanged.  An intended change to the
-search moves the effort digest; the outcome digest never moves, since the
-DIPs, oracle answers, keys and verdicts do not depend on how the solver got
-to them.  ``tests/test_tools.py`` pins both.  The solver and the oracle are
-patched from outside, so nothing under ``src/`` changes::
+its search must leave both digests unchanged.  A change to how the solver
+reaches the same answers (other formulas for the key checks, fewer or more
+calls) moves only the effort digest.  A change to the miter formulas or to
+how their DIPs are solved can pick other DIPs and so moves the outcome
+digest too.  ``tests/test_tools.py`` pins both.  The solver and the oracle
+are patched from outside, so nothing under ``src/`` changes::
 
     python tools/attack_digest.py
 """
