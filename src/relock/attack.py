@@ -8,23 +8,23 @@ different outputs.  Each probe is replayed on the unlocked chip, and the
 observed outputs constrain the keys that survive.
 
 A wrong key corrupts the outputs, so the window's first DIP usually comes
-from simulation: one lane-parallel run from reset plays random key pairs on
-random probes, and a probe on which its pair's outputs differ is
-distinguishing.  After that, each step asks a SAT solver for a key that
-fits every learned probe, then, with that key blocked on the same solver,
-for a second one.  When no second key survives, no DIP can exist and the
-window ends with the one key: the unique-completion check of El Massad,
-Garg & Tripunitara (ICCAD 2017).  A step unrolls only as much of the gap
-as the key needs (incremental unrolling, as in Shamsi, Pan & Jin, "KC2",
-DATE 2019): it checks the learned probes over their first 1, 2, 4, ...
-gap cycles, and a key unique on fewer cycles than the gap is kept only if
-a concrete run shows it reproduces every answer over the whole gap.  Only
-when two keys survive the whole gap is a miter encoded, two symbolic key
-copies driving the same probe inputs with some output differing, and a
+from simulation: one lane-parallel run from the window's start state plays
+random key pairs on random probes, and a probe on which its pair's outputs
+differ is distinguishing.  After that, each step asks a SAT solver for a
+key that fits every learned probe, then, with that key blocked on the same
+solver, for a second one.  When no second key survives, no DIP can exist
+and the window ends with the one key: the unique-completion check of El
+Massad, Garg & Tripunitara (ICCAD 2017).  A step unrolls only as much of
+the gap as the key needs (incremental unrolling, as in Shamsi, Pan & Jin,
+"KC2", DATE 2019): it checks the learned probes over their first 1, 2, 4,
+... gap cycles, and a key unique on fewer cycles than the gap is kept only
+if a concrete run shows it reproduces every answer over the whole gap.
+Only when two keys survive the whole gap is a miter encoded, two symbolic
+key copies driving the same probe inputs with some output differing, and a
 fresh solver takes the next DIP from it.  If it has none, the surviving
 keys agree on every probe and the window ends with the first.  Earlier
-windows stay pinned to their committed keys, so instances grow with the
-window index.
+windows are pinned to their committed keys by one carried state, advanced
+once through each key and its gap; oracle queries replay them from reset.
 
 Output comparisons are rank aligned: the unlocked chip never sees the
 window cycles, so its cycle ``j`` output is compared against the locked
@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from .bench import Netlist
 from .sat import SAT, UNKNOWN, Solver
-from .sim import key_plan, plan_stimulus, replay_windows, run_from_reset, simulate
+from .sim import key_plan, replay_windows, run_from, simulate
 from .unroll import CnfBuilder
 
 STATUS_RECOVERED = "recovered"
@@ -106,43 +106,46 @@ class SequenceOracle:
         if not workloads:
             return []
         rows = [_transpose(column, n_in) for column in zip(*workloads)]
-        outputs = [outs for outs, _state in run_from_reset(self._nl, (None,) * len(rows), rows, len(workloads))]
+        outputs = [outs for outs, _state in run_from(self._nl, (None,) * len(rows), rows, len(workloads))]
         self.queries += len(workloads)
         return outputs
 
 
-def _lane_dip(nl: Netlist, prefix, key_len: int, gap: int, rng: random.Random):
-    """Look for a window's first DIP in one lane-parallel run from reset.
+def _lane_dip(nl: Netlist, state, key_len: int, gap: int, rng: random.Random):
+    """Look for a window's first DIP in one lane-parallel run from the
+    flip-flop values ``state``.
 
-    Every lane plays ``prefix``, then random key rows (copy A on lanes
-    ``[0, L)``, copy B on lanes ``[L, 2L)``), then random gap probes that
-    lanes ``i`` and ``L + i`` share, with ``L`` = ``_DIP_LANES``.
+    Every lane plays random key rows (copy A on lanes ``[0, L)``, copy B on
+    lanes ``[L, 2L)``), then random gap probes that lanes ``i`` and
+    ``L + i`` share, with ``L`` = ``_DIP_LANES``.
 
-    Returns the flip-flop values after ``prefix`` as bools in declaration
-    order (every lane has the same), and ``(key_a, key_b, probe)`` of the
-    lowest lane ``i`` whose gap outputs differ from lane ``L + i``, or None
-    if no lane pair differs.
+    Returns ``(key_a, key_b, probe)`` of the lowest lane ``i`` whose gap
+    outputs differ from lane ``L + i``, or None if no lane pair differs.
     """
     n_in, lanes = len(nl.inputs), _DIP_LANES
     keys = [[rng.getrandbits(2 * lanes) for _ in range(n_in)] for _ in range(key_len)]
     probes = [[rng.getrandbits(lanes) for _ in range(n_in)] for _ in range(gap)]
     rows = chain(keys, ([p | p << lanes for p in row] for row in probes))
-    run = run_from_reset(nl, (*prefix, *(None,) * (key_len + gap)), rows, 2 * lanes)
-    _outs, state = next(islice(run, len(prefix), None))
-    state = [bool(v & 1) for v in state]
     differ = 0
-    for outs, _state in islice(run, key_len - 1, None):
+    for outs, _state in islice(run_from(nl, (None,) * (key_len + gap), rows, 2 * lanes, state), key_len, None):
         for v in outs:
             differ |= v ^ (v >> lanes)
     differ &= (1 << lanes) - 1
     if not differ:
-        return state, None
+        return None
     lane = (differ & -differ).bit_length() - 1
 
     def pick(rows, k):
         return tuple(sum(((w >> k) & 1) << b for b, w in enumerate(row)) for row in rows)
 
-    return state, (pick(keys, lane), pick(keys, lanes + lane), pick(probes, lane))
+    return pick(keys, lane), pick(keys, lanes + lane), pick(probes, lane)
+
+
+def _state_after(nl: Netlist, state, words) -> list[bool]:
+    """The flip-flop values, as bools, after packed ``words`` from ``state``."""
+    for _outs, state in run_from(nl, words, state=state):
+        pass
+    return [bool(v) for v in state]
 
 
 def _transpose(words, width: int) -> list[int]:
@@ -167,10 +170,6 @@ def _encode_copy(b: CnfBuilder, nl: Netlist, state, key_rows, gap_rows, oracle_o
             for i, v in enumerate(frame):
                 b.pin(v, (oracle_out[t] >> i) & 1)
     return outs
-
-
-def _model_word(model: dict, lits: list[int]) -> int:
-    return sum(1 << i for i, v in enumerate(lits) if model[v])
 
 
 def _solver(cnf: CnfBuilder) -> Solver | None:
@@ -228,19 +227,19 @@ class AttackResult(NamedTuple):
 
 
 class _Window:
-    """One window's DIP search from the state the committed prefix reaches,
-    and the effort its solver calls took.
+    """One window's DIP search from ``state``, the flip-flop values (bools)
+    the committed prefix reaches, and the effort its solver calls took.
 
     ``learn`` records each probe and the oracle's answer to it.  Each step
     after the lane probe deepens: for k = 1, 2, 4, ... up to the gap, it
     encodes one key copy per learned probe over the probe's first k gap
     cycles, pinned to the answer's first k, hands that formula to one
-    ``Solver`` and solves it for a key K, then adds the clause blocking K and
-    solves again.  A deeper formula only drops keys, so the step stops at
-    the first k where no key fits (the window ends ``no-consistent-key``)
-    or K is unique.  A K unique on fewer than ``gap`` cycles is the only
-    key the full gap can leave, so one lane-parallel run of the locked
-    design over every learned probe's full gap decides it: the window ends
+    ``Solver`` and solves it for a key K, then adds the clause blocking K
+    and solves again.  A deeper formula only drops keys, so the step stops
+    at the first k where no key fits (the window ends
+    ``no-consistent-key``) or K is unique.  A K unique on fewer than
+    ``gap`` cycles is the only key the full gap can leave, so single-lane
+    runs over every learned probe's full gap decide it: the window ends
     with K if K reproduces every answer, and with no key otherwise.  At
     k = ``gap`` the formula is the full one, and if two keys survive it the
     miter is needed: two key copies, ``k_a`` and ``k_b``, sharing the gap's
@@ -253,10 +252,9 @@ class _Window:
     of its solver's running totals.
     """
 
-    def __init__(self, enc: Netlist, prefix, key_len: int, gap: int, rng, conflict_budget: int) -> None:
-        self.enc, self.prefix, self.key_len, self.gap, self.budget = enc, prefix, key_len, gap, conflict_budget
-        # the committed prefix is concrete: one state, shared by all copies
-        self.state, lane_dip = _lane_dip(enc, prefix, key_len, gap, rng)
+    def __init__(self, enc: Netlist, state, key_len: int, gap: int, rng, conflict_budget: int) -> None:
+        self.enc, self.state, self.key_len, self.gap, self.budget = enc, state, key_len, gap, conflict_budget
+        lane_dip = _lane_dip(enc, state, key_len, gap, rng)
         # a probe that tells two simulated keys apart is a DIP as good as
         # one the solver finds, so the solver starts with a constraint
         self._lane_probe = None if lane_dip is None else lane_dip[2]
@@ -303,14 +301,12 @@ class _Window:
 
     def _fits(self, key) -> bool:
         """Whether ``key`` in this window reproduces every learned answer
-        over the whole gap, in one run with one lane per learned probe."""
-        probes, answers = zip(*self.learned)
-        n_in, n_out = len(self.enc.inputs), len(self.enc.outputs)
-        rows = (_transpose(column, n_in) for column in zip(*probes))
-        plan = (*self.prefix, *key, *(None,) * self.gap)
-        run = run_from_reset(self.enc, plan, rows, len(probes))
-        gap_outs = islice(run, len(self.prefix) + len(key), None)
-        return all(outs == tuple(_transpose(column, n_out)) for (outs, _state), column in zip(gap_outs, zip(*answers)))
+        over the whole gap, in one single-lane run per learned probe."""
+        for probe, answer in self.learned:
+            gap_outs = islice(run_from(self.enc, (*key, *probe), state=self.state), len(key), None)
+            if any(sum(v << i for i, v in enumerate(outs)) != word for (outs, _state), word in zip(gap_outs, answer)):
+                return False
+        return True
 
     def key(self) -> tuple[int, ...] | None:
         """The key the last step found, or None with ``status`` set."""
@@ -364,7 +360,7 @@ class _Window:
             self.status = STATUS_BUDGET
         if res.status != SAT:
             return None
-        return tuple(_model_word(res.model, row) for row in rows)
+        return tuple(sum(1 << i for i, v in enumerate(row) if res.model[v]) for row in rows)
 
 
 def recover_key_sequences(
@@ -432,6 +428,8 @@ def recover_key_sequences(
     windows: list[WindowRecovery] = []
     keys: list[tuple[int, ...]] = []
     status = STATUS_RECOVERED
+    # the committed prefix's state (keys in their windows, probes elsewhere), carried along
+    state = _state_after(enc, [False] * len(enc.dffs), probes[: starts[0]])
 
     for q in range(max_seq):
         w_t0 = time.perf_counter()
@@ -439,11 +437,10 @@ def recover_key_sequences(
         gap = starts[q + 1] - start - key_len
         queries_before = oracle.queries
 
-        # committed keys in their windows, probes on every other cycle
-        plan = key_plan(zip(starts, keys), start)
-        prefix_probe = tuple(probes[: plan.count(None)])
+        # the oracle restarts from reset, so each query replays the prefix
+        prefix_probe = tuple(probes[: start - q * key_len])
         dip_rng = random.Random(f"{seed}/attack/dip/{q}")
-        w = _Window(enc, plan_stimulus(plan, probes, n_in), key_len, gap, dip_rng, conflict_budget)
+        w = _Window(enc, state, key_len, gap, dip_rng, conflict_budget)
         while (probe := w.next_dip()) is not None:
             w.learn(probe, oracle.query(prefix_probe + probe)[len(prefix_probe):])
         key = w.key()
@@ -469,6 +466,8 @@ def recover_key_sequences(
             status = w.status
             break
         keys.append(key)
+        if q + 1 < max_seq:  # only a later window starts from the state after this gap
+            state = _state_after(enc, state, (*key, *probes[len(prefix_probe) : len(prefix_probe) + gap]))
 
     verified = False
     comparisons = 0
@@ -500,18 +499,17 @@ def _replay_verify(enc, oracle, starts, keys, seed, verify_vectors):
     are; the oracle counts one query per pass.
     """
     plan = key_plan(zip(starts, keys), starts[len(keys)])
-    free = [t for t, key in enumerate(plan) if key is None]
+    n_free = plan.count(None)
     n_in = len(enc.inputs)
     rng = random.Random(f"{seed}/attack/verify")
-    passes = max(1, math.ceil(verify_vectors / len(free)))
-    workloads = [[rng.getrandbits(n_in) for _ in free] for _ in range(passes)]
+    passes = max(1, math.ceil(verify_vectors / n_free))
+    workloads = [[rng.getrandbits(n_in) for _ in range(n_free)] for _ in range(passes)]
     answers = oracle.query_lanes(workloads)
 
     # rank r of every pass's workload is one cycle of lane words
     free_in = (_transpose(column, n_in) for column in zip(*workloads))
-    outs = [outs for outs, _state in run_from_reset(enc, plan, free_in, passes)]
-    ok = all(outs[t] == answer for t, answer in zip(free, answers))
-    return ok, passes * len(free)
+    free_outs = (outs for (outs, _state), key in zip(run_from(enc, plan, free_in, passes), plan) if key is None)
+    return all(outs == answer for outs, answer in zip(free_outs, answers)), passes * n_free
 
 
 def derive_window_starts(sched, max_seq: int) -> tuple[int, ...]:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .bench import Netlist
 from .encrypt import EncryptedDesign, _site_count
-from .sim import Case, case_plan, run_from_reset, workload_cycle_mask
+from .sim import Case, case_plan, run_from, workload_cycle_mask
 
 # perfbench/tracing.py wraps this module attribute by name
 from .sim import authentication_schedule  # noqa: F401
@@ -101,12 +101,12 @@ def run_case(
     plan = case_plan(sched, case, cycles)
     free = [t for t, key in enumerate(plan) if key is None]
     rank = {t: j for j, t in enumerate(free)}
-    gold_out = [outs for outs, _ in run_from_reset(orig, (None,) * len(free), wl, n_vectors)]
+    gold_out = [outs for outs, _ in run_from(orig, (None,) * len(free), wl, n_vectors)]
 
     # the encrypted run is streamed: each cycle's output differences are
     # tallied as the cycle comes out, all lanes at once
     scored = set(mask)
-    enc_out = enumerate(run_from_reset(enc_nl, plan, wl, n_vectors))
+    enc_out = enumerate(run_from(enc_nl, plan, wl, n_vectors))
     diffs = (e ^ g for t, (eo, _) in enc_out if t in scored for e, g in zip(eo, gold_out[rank[t]]))
     counts = _lane_counts(diffs, n_vectors)
 

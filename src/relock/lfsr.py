@@ -100,9 +100,9 @@ def _shift(state: int, mask: int, taps: tuple[int, ...]) -> int:
 
 
 def step(g: Lfsr) -> tuple[Lfsr, int]:
-    """Advance one clock.  Returns ``(next_lfsr, out)``.
+    """Advance one clock; tested reference API (the package steps ``_shift``).
 
-    ``out`` is the register state before the shift, read as an unsigned int.
+    Returns ``(next_lfsr, out)``, ``out`` the register state before the shift.
     """
     return Lfsr(g.width, g.taps, _shift(g.state, (1 << g.width) - 1, g.taps)), g.state
 
@@ -112,6 +112,7 @@ def period(g: Lfsr) -> int:
 
     Stepping is a bijection on non-absorbing states, so every valid seed lies
     on a closed cycle.  Guarded to small widths; enumeration is exponential.
+    Tested reference API: the tests re-verify ``MAXIMAL_TAPS`` with it.
     """
     if g.width > _PERIOD_WIDTH_LIMIT:
         raise ValueError(f"period enumeration capped at width {_PERIOD_WIDTH_LIMIT}")

@@ -195,28 +195,29 @@ class Trace(_TraceFields):
         return cls(*iterable)
 
     def state_bit(self, t: int, name: str) -> int:
+        """Flip-flop ``name`` during cycle ``t``; tested reference API."""
         return (self.states[t] >> self.state_names.index(name)) & 1
 
 
-def run_from_reset(nl: Netlist, plan, rows=(), width: int = 1):
-    """Run ``nl`` from reset through a key plan, one ``CompiledCircuit.eval``
-    per cycle on ``width`` lanes.
+def run_from(nl: Netlist, plan, rows=(), width: int = 1, state=None):
+    """Run ``nl`` through a key plan on ``width`` lanes, one
+    ``CompiledCircuit.eval`` per cycle, from ``state``: one 0/1 value per
+    flip-flop, driven on every lane, or None for reset.
 
     A pattern cycle of ``plan`` drives its packed pattern on every lane (bit
     ``b`` to input ``b``); a None cycle takes the next row of ``rows``, one
     lane word per primary input.  Yields ``(outputs, state)`` per cycle,
-    where ``state`` is the flip-flop state during that cycle.
+    where ``state`` is the flip-flop state after that cycle.
     """
     cc = nl.compiled
     n_in = len(nl.inputs)
     full = (1 << width) - 1
     rows = iter(rows)
-    state = (0,) * len(nl.dffs)
+    state = (0,) * len(nl.dffs) if state is None else tuple(full if v else 0 for v in state)
     for key in plan:
         words = next(rows) if key is None else [full if (key >> b) & 1 else 0 for b in range(n_in)]
-        outs, nxt = cc.eval(words, state, width=width)
+        outs, state = cc.eval(words, state, width=width)
         yield outs, state
-        state = nxt
 
 
 def simulate(nl: Netlist, vectors) -> Trace:
@@ -227,8 +228,8 @@ def simulate(nl: Netlist, vectors) -> Trace:
         if not 0 <= word < (1 << n_in):
             raise ValueError(f"cycle {t}: input vector {word:#x} does not fit {n_in} inputs")
     outputs: list[int] = []
-    states: list[int] = []
-    for outs, state in run_from_reset(nl, inputs):
+    states = [0]  # the state during cycle t + 1 is the one after cycle t
+    for outs, state in run_from(nl, inputs):
         outputs.append(_pack(outs))
         states.append(_pack(state))
     return Trace(
@@ -237,7 +238,7 @@ def simulate(nl: Netlist, vectors) -> Trace:
         state_names=tuple(q for q, _ in nl.dffs),
         inputs=inputs,
         outputs=tuple(outputs),
-        states=tuple(states),
+        states=tuple(states[: len(inputs)]),
     )
 
 

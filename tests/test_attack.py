@@ -52,6 +52,13 @@ def toy(s27):
     return s27, enc, starts, truth
 
 
+def state_after(nl, prefix):
+    """The flip-flop values, as bools, that ``simulate`` from reset reaches
+    after packed input words ``prefix``."""
+    ref = simulate(nl, workload_stimulus([*prefix, 0]))
+    return [bool(ref.state_bit(len(prefix), name)) for name in ref.state_names]
+
+
 @pytest.fixture()
 def run_toy(toy):
     nl, enc, starts, _ = toy
@@ -151,11 +158,38 @@ def test_shifted_window_starts_admit_no_consistent_key(toy):
         assert not res.verified
 
 
+@pytest.mark.parametrize("delta", [0, 1, 2])
+def test_each_window_starts_from_the_state_of_its_committed_prefix(toy, monkeypatch, delta):
+    """The state every window starts from is the one ``simulate`` reaches
+    from reset over the committed prefix: the keys committed so far in
+    their windows, the attack's probes on every other cycle.  Starts
+    shifted by ``delta`` put probe cycles before window 0."""
+    nl, enc, starts, _ = toy
+    starts = [s + delta for s in starts]
+    c, n_in = TOY_CFG.key_len, len(nl.inputs)
+    states = []
+    init = _Window.__init__
+
+    def recording_init(self, locked, state, *args):
+        states.append(list(state))
+        init(self, locked, state, *args)
+
+    monkeypatch.setattr(_Window, "__init__", recording_init)
+    res = recover_key_sequences(enc.netlist, SequenceOracle(nl), starts, c, N_WINDOWS, seed=0)
+    assert len(states) == len(res.windows) == (N_WINDOWS if delta == 0 else len(res.keys) + 1)
+    # the probes the attack draws at seed 0, one per non-window cycle
+    rng = random.Random("0/attack/probes")
+    probes = [rng.getrandbits(n_in) for _ in range(starts[N_WINDOWS] - N_WINDOWS * c)]
+    for q, state in enumerate(states):
+        prefix = plan_stimulus(key_plan(zip(starts, res.keys[:q]), starts[q]), probes, n_in)
+        assert state == state_after(enc.netlist, prefix), q
+
+
 # -- first DIP by simulation -------------------------------------------------
 
 def test_lane_dip_separates_its_two_keys(toy):
-    """The probe the lane run picks really tells its two keys apart, and the
-    state it reports is the prefix's: both checked by single-lane runs."""
+    """The probe the lane run picks from the prefix's state really tells its
+    two keys apart: checked by single-lane runs from reset."""
     nl, enc, starts, truth = toy
     c = TOY_CFG.key_len
     n_in = len(nl.inputs)
@@ -166,10 +200,7 @@ def test_lane_dip_separates_its_two_keys(toy):
         plan = key_plan(zip(starts, truth[:q]), starts[q])
         prefix = plan_stimulus(plan, [rng.getrandbits(n_in) for _ in plan], n_in)
         gap = starts[q + 1] - starts[q] - c
-        state, dip = _lane_dip(enc.netlist, prefix, c, gap, random.Random(q))
-
-        ref = simulate(enc.netlist, workload_stimulus([*prefix, 0]))
-        assert state == [bool(ref.state_bit(len(prefix), name)) for name in ref.state_names]
+        dip = _lane_dip(enc.netlist, state_after(enc.netlist, prefix), c, gap, random.Random(q))
         if dip is None:
             continue
         found += 1
@@ -210,7 +241,7 @@ def _needle_lock():
 def test_sat_finds_the_first_dip_when_no_lane_differs():
     orig, locked = _needle_lock()
     starts = (0, 4)
-    assert _lane_dip(locked, (), 1, 3, random.Random("0/attack/dip/0"))[1] is None
+    assert _lane_dip(locked, [False] * len(locked.dffs), 1, 3, random.Random("0/attack/dip/0")) is None
     res = recover_key_sequences(locked, SequenceOracle(orig), starts, 1, 1, seed=0)
     assert res.status == STATUS_RECOVERED and res.verified
     assert res.keys == ((NEEDLE_KEY,),)
@@ -267,7 +298,7 @@ def test_a_key_unique_on_part_of_the_gap_must_fit_all_of_it(s298):
     prefix = oracle.asked[0][0][: starts[0]]
     learned = [(vectors[starts[0] :], answer[starts[0] :]) for vectors, answer in oracle.asked]
     assert len(learned) == w.iterations >= 1
-    state = _lane_dip(enc, prefix, c, gap, random.Random(0))[0]
+    state = state_after(enc, prefix)
 
     def keys_over(depth):
         """Up to two keys that fit every learned probe's first ``depth`` gap cycles."""
@@ -325,7 +356,8 @@ def test_miter_built_late_equals_one_built_up_front(toy):
     n_in, gap = len(nl.inputs), starts[1] - TOY_CFG.key_len
     rng = random.Random(3)
     oracle = SequenceOracle(nl)
-    early, late = (_Window(enc.netlist, (), TOY_CFG.key_len, gap, random.Random(0), 100) for _ in range(2))
+    reset = [False] * len(enc.netlist.dffs)
+    early, late = (_Window(enc.netlist, reset, TOY_CFG.key_len, gap, random.Random(0), 100) for _ in range(2))
     early._miter()
     for _ in range(3):
         probe = tuple(rng.getrandbits(n_in) for _ in range(gap))
@@ -354,7 +386,7 @@ def test_a_key_copy_from_a_second_state_equals_its_encode_alone(circuit, request
     nl = encrypt(request.getfixturevalue(circuit), cfg).netlist
     n_in, gap = len(nl.inputs), 6
     rng = random.Random(circuit)
-    state_a, state_b = (_lane_dip(nl, [rng.getrandbits(n_in) for _ in range(t)], cfg.key_len, gap, rng)[0] for t in (9, 12))
+    state_a, state_b = (state_after(nl, [rng.getrandbits(n_in) for _ in range(t)]) for t in (9, 12))
     assert state_a != state_b
     probe = [rng.getrandbits(n_in) for _ in range(gap)]
     answer = [rng.getrandbits(len(nl.outputs)) for _ in range(gap)]

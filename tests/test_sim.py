@@ -19,7 +19,7 @@ from relock import (
     write_columnar,
     write_vcd,
 )
-from relock.sim import Case, case_plan, key_plan, plan_stimulus, run_from_reset
+from relock.sim import Case, case_plan, key_plan, plan_stimulus, run_from
 
 TOGGLE_TEXT = "OUTPUT(y)\nq = DFF(y)\ny = NOT(q)"
 
@@ -79,46 +79,64 @@ def test_simulate_agrees_with_manual_stepping(s27):
         state = list(nxt)
 
 
-# -- run_from_reset: the one place a key plan becomes lane words ---------------
+# -- run_from: the one place a key plan becomes lane words ---------------------
 
 def lane(words, k):
     """Lane ``k`` of a sequence of lane words, as 0/1 values."""
     return [(w >> k) & 1 for w in words]
 
 
-def test_run_from_reset_drives_a_pattern_on_every_lane(s27):
+def test_run_from_drives_a_pattern_on_every_lane(s27):
     rng = random.Random(3)
     plan = tuple(rng.getrandbits(4) for _ in range(20))
-    trace = simulate(s27, workload_stimulus(plan))
+    # one cycle more, so the trace holds the state after the plan's last cycle
+    trace = simulate(s27, workload_stimulus((*plan, 0)))
     full = (1 << 5) - 1
-    run = list(run_from_reset(s27, plan, width=5))
+    run = list(run_from(s27, plan, width=5))
     assert len(run) == len(plan)
-    for (outs, state), out_word, state_word in zip(run, trace.outputs, trace.states):
+    for (outs, state), out_word, state_word in zip(run, trace.outputs, trace.states[1:]):
         assert list(outs) == [full if (out_word >> j) & 1 else 0 for j in range(len(s27.outputs))]
         assert list(state) == [full if (state_word >> k) & 1 else 0 for k in range(len(s27.dffs))]
 
 
-def test_run_from_reset_takes_the_next_row_on_each_none_cycle(s27):
+def test_run_from_takes_the_next_row_on_each_none_cycle(s27):
     # None cycles take rows 0, 1, 2 in order; row 3 is never asked for
     rows = iter([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 1, 1], "unused"])
     plan = (None, 0b1001, None, None, 0b0010)
-    run = [list(outs) for outs, _state in run_from_reset(s27, plan, rows)]
+    run = [list(outs) for outs, _state in run_from(s27, plan, rows)]
     trace = simulate(s27, workload_stimulus([0b0101, 0b1001, 0b0110, 0b1111, 0b0010]))
     assert run == [[w] for w in trace.outputs]  # s27 has one output
     assert next(rows) == "unused"
 
 
-def test_run_from_reset_lanes_are_independent_width_1_runs(s27):
+def test_run_from_lanes_are_independent_width_1_runs(s27):
     rng = random.Random(8)
     width, cycles = 6, 25
     plan = tuple(None if rng.random() < 0.6 else rng.getrandbits(4) for _ in range(cycles))
     rows = [[rng.getrandbits(width) for _ in range(4)] for _ in range(plan.count(None))]
-    wide = list(run_from_reset(s27, plan, rows, width))
+    wide = list(run_from(s27, plan, rows, width))
     for k in range(width):
-        narrow = run_from_reset(s27, plan, [lane(row, k) for row in rows])
+        narrow = run_from(s27, plan, [lane(row, k) for row in rows])
         assert [(list(outs), list(state)) for outs, state in narrow] == [
             (lane(outs, k), lane(state, k)) for outs, state in wide
         ]
+
+
+@pytest.mark.parametrize("width", [1, 7])
+def test_run_from_resumes_a_run_split_at_any_cycle(s27, width):
+    """Split at every cycle k and resumed from the state yielded at cycle
+    k - 1, the run gives the outputs and states of one unbroken run.  A
+    state is driven on every lane, so every None row here is too, and each
+    state word is 0 or all ones."""
+    rng = random.Random(width)
+    full = (1 << width) - 1
+    plan = tuple(None if rng.random() < 0.5 else rng.getrandbits(4) for _ in range(24))
+    assert 0 < plan.count(None) < len(plan)
+    rows = [[full * rng.getrandbits(1) for _ in range(4)] for _ in range(plan.count(None))]
+    whole = list(run_from(s27, plan, rows, width))
+    for k in range(1, len(plan)):
+        rest = run_from(s27, plan[k:], rows[plan[:k].count(None) :], width, state=whole[k - 1][1])
+        assert list(rest) == whole[k:], k
 
 
 def test_simulate_rejects_wide_vectors(s27):
