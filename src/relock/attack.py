@@ -19,12 +19,15 @@ the gap as the key needs (incremental unrolling, as in Shamsi, Pan & Jin,
 "KC2", DATE 2019): it checks the learned probes over their first 1, 2, 4,
 ... gap cycles, and a key unique on fewer cycles than the gap is kept only
 if a concrete run shows it reproduces every answer over the whole gap.
-Only when two keys survive the whole gap is a miter encoded, two symbolic
-key copies driving the same probe inputs with some output differing, and a
-fresh solver takes the next DIP from it.  If it has none, the surviving
-keys agree on every probe and the window ends with the first.  Earlier
-windows are pinned to their committed keys by one carried state, advanced
-once through each key and its gap; oracle queries replay them from reset.
+Only when two keys survive the whole gap is a miter built, afresh from the
+learned DIPs: two symbolic key copies driving the same probe inputs with
+some output differing, from which a fresh solver takes the next DIP.  If
+it has none, the surviving keys agree on every probe and the window ends
+with the first.  So every formula a window solves is a function of its
+start state, its learned DIPs and the depth alone, built where it is
+solved.  Earlier windows are pinned to their committed keys by one carried
+state, advanced once through each key and its gap; oracle queries replay
+them from reset.
 
 Output comparisons are rank aligned: the unlocked chip never sees the
 window cycles, so its cycle ``j`` output is compared against the locked
@@ -40,6 +43,7 @@ from itertools import chain, islice
 from typing import NamedTuple
 
 from .bench import Netlist
+from .encrypt import _is_int
 from .sat import SAT, UNKNOWN, Solver
 from .sim import key_plan, replay_windows, run_from, simulate
 from .unroll import CnfBuilder
@@ -226,141 +230,120 @@ class AttackResult(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-class _Window:
-    """One window's DIP search from ``state``, the flip-flop values (bools)
-    the committed prefix reaches, and the effort its solver calls took.
+def _fits(enc: Netlist, state, key, learned) -> bool:
+    """Whether ``key`` in a window from ``state`` reproduces every learned
+    answer over the whole gap, in one single-lane run per learned probe."""
+    for probe, answer in learned:
+        gap_outs = islice(run_from(enc, (*key, *probe), state=state), len(key), None)
+        if any(sum(v << i for i, v in enumerate(outs)) != word for (outs, _state), word in zip(gap_outs, answer)):
+            return False
+    return True
 
-    ``learn`` records each probe and the oracle's answer to it.  Each step
-    after the lane probe deepens: for k = 1, 2, 4, ... up to the gap, it
-    encodes one key copy per learned probe over the probe's first k gap
-    cycles, pinned to the answer's first k, hands that formula to one
-    ``Solver`` and solves it for a key K, then adds the clause blocking K
-    and solves again.  A deeper formula only drops keys, so the step stops
-    at the first k where no key fits (the window ends
-    ``no-consistent-key``) or K is unique.  A K unique on fewer than
-    ``gap`` cycles is the only key the full gap can leave, so single-lane
-    runs over every learned probe's full gap decide it: the window ends
-    with K if K reproduces every answer, and with no key otherwise.  At
-    k = ``gap`` the formula is the full one, and if two keys survive it the
-    miter is needed: two key copies, ``k_a`` and ``k_b``, sharing the gap's
-    probe variables, with some gap output differing.  It is built on first
-    need and the learned probes are replayed into it in order, so its
-    clauses equal those of a miter built up front and extended by every
-    probe.  Each miter solve takes a fresh ``Solver``, so the DIPs do not
-    depend on earlier miter searches.  When it has no DIP either, the
-    window ends with K too.  The effort counters add up each call's share
-    of its solver's running totals.
+
+def _miter(enc: Netlist, state, key_len: int, gap: int, learned):
+    """The miter of a window from ``state``: key copies A and B over shared
+    gap probe variables with some gap output differing, then every learned
+    probe pinned to its answer, A then B.
+
+    Returns the builder and the probe variables, one row per gap cycle.
     """
+    n_in = len(enc.inputs)
+    b = CnfBuilder()
+    k_a, k_b, x_vars = ([[b.new_var() for _ in range(n_in)] for _ in range(rows)] for rows in (key_len, key_len, gap))
+    outs_a = _encode_copy(b, enc, state, k_a, x_vars)
+    outs_b = _encode_copy(b, enc, state, k_b, x_vars)
+    diffs = []
+    for ra, rb in zip(outs_a, outs_b):
+        for va, vb in zip(ra, rb):
+            d = b.xor_value(va, vb)
+            if d is True:
+                # both copies share all non-key inputs, so a constant
+                # difference would mean the copies are not copies
+                raise AssertionError("output differs for every key pair")
+            if d is not False:
+                diffs.append(d)
+    # if no output can differ, the empty clause sets the contradiction flag
+    b.add_clause(diffs)
+    for probe, answer in learned:
+        for keys in (k_a, k_b):
+            _encode_copy(b, enc, state, keys, probe, answer)
+    return b, x_vars
 
-    def __init__(self, enc: Netlist, state, key_len: int, gap: int, rng, conflict_budget: int) -> None:
-        self.enc, self.state, self.key_len, self.gap, self.budget = enc, state, key_len, gap, conflict_budget
-        lane_dip = _lane_dip(enc, state, key_len, gap, rng)
-        # a probe that tells two simulated keys apart is a DIP as good as
-        # one the solver finds, so the solver starts with a constraint
-        self._lane_probe = None if lane_dip is None else lane_dip[2]
-        self.learned: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        self.miter: CnfBuilder | None = None
-        self._in_miter = 0  # learned probes replayed into the miter
-        self._key = None
-        self.status = STATUS_RECOVERED
-        self.calls = self.conflicts = self.decisions = self.propagations = 0
 
-    def next_dip(self) -> tuple[int, ...] | None:
-        """The next probe on which two keys that fit every learned probe
-        differ, or None."""
-        probe, self._lane_probe = self._lane_probe, None
-        if probe is not None:
-            return probe
-        # with nothing learned, every depth gives the same formula
-        depth = 1 if self.learned else self.gap
-        while True:
-            e = CnfBuilder()
-            k_e = [[e.new_var() for _ in self.enc.inputs] for _ in range(self.key_len)]
-            for probe, answer in self.learned:
-                _encode_copy(e, self.enc, self.state, k_e, probe[:depth], answer[:depth])
-            solver = _solver(e)
-            self._key = key = self._solve(solver, k_e)
-            if key is None:
-                if self.status == STATUS_RECOVERED:
-                    self.status = STATUS_NO_KEY
-                return None
-            # with K the only key left, no probe can tell two surviving keys apart
-            solver.add_clause([-v if word >> i & 1 else v for row, word in zip(k_e, key) for i, v in enumerate(row)])
-            if self._solve(solver, ()) is None:
-                if self.status == STATUS_RECOVERED and depth < self.gap and not self._fits(key):
-                    self.status = STATUS_NO_KEY
-                return None
-            if depth == self.gap:
-                return self._solve(_solver(self._miter()), self.x_vars)
-            depth = min(2 * depth, self.gap)
+def _recover_window(enc: Netlist, state, key_len: int, gap: int, ask, rng, budget: int):
+    """Recover the key of one window from ``state``, the flip-flop values
+    (bools) its committed prefix reaches, with ``gap`` probe cycles after it.
 
-    def learn(self, probe, answer) -> None:
-        """Record the oracle's gap outputs ``answer`` on ``probe``; the next
-        step's formulas and the miter encode it."""
-        self.learned.append((probe, answer))
+    ``ask(probe)`` returns the oracle's gap outputs on ``probe``; each probe
+    asked is learned, the lane probe first if ``_lane_dip`` finds one.  Each
+    step after that solves, at depth k = 1, 2, 4, ... up to the gap, one key
+    copy per learned probe over the probe's and answer's first k gap cycles
+    for a key K, then blocks K on the same ``Solver`` and solves again.  A
+    deeper formula only drops keys, so the step stops at the first k where
+    no key fits (``no-consistent-key``) or K is unique; ``_fits`` decides a
+    K unique on fewer than ``gap`` cycles.  If two keys survive the full
+    gap, a fresh solver takes the next DIP from ``_miter``; if it has none,
+    the window ends with K.
 
-    def _fits(self, key) -> bool:
-        """Whether ``key`` in this window reproduces every learned answer
-        over the whole gap, in one single-lane run per learned probe."""
-        for probe, answer in self.learned:
-            gap_outs = islice(run_from(self.enc, (*key, *probe), state=self.state), len(key), None)
-            if any(sum(v << i for i, v in enumerate(outs)) != word for (outs, _state), word in zip(gap_outs, answer)):
-                return False
-        return True
+    Returns ``(status, key, iterations, effort)``: the key is None unless
+    the status is ``recovered``, ``iterations`` counts the learned probes,
+    and ``effort`` is (solver calls, conflicts, decisions, propagations),
+    adding up each call's share of its solver's running totals.
+    """
+    learned = []
+    status = STATUS_RECOVERED
+    effort = [0, 0, 0, 0]
 
-    def key(self) -> tuple[int, ...] | None:
-        """The key the last step found, or None with ``status`` set."""
-        return self._key if self.status == STATUS_RECOVERED else None
-
-    def _miter(self) -> CnfBuilder:
-        """The miter, built on first need, with every learned probe in it."""
-        if self.miter is None:
-            self._new_miter()
-        for probe, answer in self.learned[self._in_miter :]:
-            for keys in (self.k_a, self.k_b):
-                _encode_copy(self.miter, self.enc, self.state, keys, probe, answer)
-        self._in_miter = len(self.learned)
-        return self.miter
-
-    def _new_miter(self) -> None:
-        n_in, key_len = len(self.enc.inputs), self.key_len
-        self.miter = b = CnfBuilder()
-        self.k_a = [[b.new_var() for _ in range(n_in)] for _ in range(key_len)]
-        self.k_b = [[b.new_var() for _ in range(n_in)] for _ in range(key_len)]
-        self.x_vars = [[b.new_var() for _ in range(n_in)] for _ in range(self.gap)]
-        outs_a = _encode_copy(b, self.enc, self.state, self.k_a, self.x_vars)
-        outs_b = _encode_copy(b, self.enc, self.state, self.k_b, self.x_vars)
-        diffs = []
-        for ra, rb in zip(outs_a, outs_b):
-            for va, vb in zip(ra, rb):
-                d = b.xor_value(va, vb)
-                if d is True:
-                    # both copies share all non-key inputs, so a constant
-                    # difference would mean the copies are not copies
-                    raise AssertionError("output differs for every key pair")
-                if d is not False:
-                    diffs.append(d)
-        # if no output can differ, the empty clause sets the contradiction flag
-        b.add_clause(diffs)
-
-    def _solve(self, solver: Solver | None, rows) -> tuple[int, ...] | None:
+    def solve(solver: Solver | None, rows) -> tuple[int, ...] | None:
         """Solve once more; the model's word for each row of ``rows``.  None
         if there is no solver (its builder holds the empty clause), if the
         formula is unsatisfiable, or if the budget runs out, which sets
         ``status``."""
+        nonlocal status
         if solver is None:
             return None
-        before = solver.conflicts, solver.decisions, solver.propagations
-        res = solver.solve(self.budget)
-        self.calls += 1
-        self.conflicts += res.conflicts - before[0]
-        self.decisions += res.decisions - before[1]
-        self.propagations += res.propagations - before[2]
+        before = (0, solver.conflicts, solver.decisions, solver.propagations)
+        res = solver.solve(budget)
+        after = (1, res.conflicts, res.decisions, res.propagations)
+        effort[:] = [n + a - b for n, a, b in zip(effort, after, before)]
         if res.status == UNKNOWN:
-            self.status = STATUS_BUDGET
+            status = STATUS_BUDGET
         if res.status != SAT:
             return None
         return tuple(sum(1 << i for i, v in enumerate(row) if res.model[v]) for row in rows)
+
+    lane_dip = _lane_dip(enc, state, key_len, gap, rng)
+    # a probe that tells two simulated keys apart is a DIP as good as one
+    # the solver finds, so the solver starts with a constraint
+    dip = None if lane_dip is None else lane_dip[2]
+    while True:
+        if dip is not None:
+            learned.append((dip, ask(dip)))
+            dip = None
+        # the powers of two below the gap, then the gap; with nothing
+        # learned, every depth gives the same formula
+        for depth in [1 << j for j in range((gap - 1).bit_length() if learned else 0)] + [gap]:
+            e = CnfBuilder()
+            k_e = [[e.new_var() for _ in enc.inputs] for _ in range(key_len)]
+            for probe, answer in learned:
+                _encode_copy(e, enc, state, k_e, probe[:depth], answer[:depth])
+            solver = _solver(e)
+            key = solve(solver, k_e)
+            if key is None:
+                if status == STATUS_RECOVERED:
+                    status = STATUS_NO_KEY
+                break
+            # with K the only key left, no probe can tell two surviving keys apart
+            solver.add_clause([-v if word >> i & 1 else v for row, word in zip(k_e, key) for i, v in enumerate(row)])
+            if solve(solver, ()) is None:
+                if status == STATUS_RECOVERED and depth < gap and not _fits(enc, state, key, learned):
+                    status = STATUS_NO_KEY
+                break
+        else:
+            cnf, x_vars = _miter(enc, state, key_len, gap, learned)
+            dip = solve(_solver(cnf), x_vars)
+        if dip is None:
+            return status, key if status == STATUS_RECOVERED else None, len(learned), tuple(effort)
 
 
 def recover_key_sequences(
@@ -395,6 +378,10 @@ def recover_key_sequences(
     whose status is not ``recovered``.
     """
     t_start = time.perf_counter()
+    starts = list(known_timing)
+    for name, value in (("key_len", key_len), ("max_seq", max_seq), *(("known_timing entry", s) for s in starts)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if key_len < 1:
         raise ValueError("key_len must be >= 1")
     if max_seq < 1:
@@ -406,7 +393,6 @@ def recover_key_sequences(
             f"oracle width mismatch: locked design has {len(enc.inputs)} inputs / "
             f"{len(enc.outputs)} outputs, oracle has {oracle.n_inputs} / {oracle.n_outputs}"
         )
-    starts = [int(s) for s in known_timing]
     if len(starts) < max_seq + 1:
         raise ValueError(f"known_timing needs at least {max_seq + 1} entries, got {len(starts)}")
     starts = starts[: max_seq + 1]
@@ -427,7 +413,6 @@ def recover_key_sequences(
 
     windows: list[WindowRecovery] = []
     keys: list[tuple[int, ...]] = []
-    status = STATUS_RECOVERED
     # the committed prefix's state (keys in their windows, probes elsewhere), carried along
     state = _state_after(enc, [False] * len(enc.dffs), probes[: starts[0]])
 
@@ -439,31 +424,13 @@ def recover_key_sequences(
 
         # the oracle restarts from reset, so each query replays the prefix
         prefix_probe = tuple(probes[: start - q * key_len])
-        dip_rng = random.Random(f"{seed}/attack/dip/{q}")
-        w = _Window(enc, state, key_len, gap, dip_rng, conflict_budget)
-        while (probe := w.next_dip()) is not None:
-            w.learn(probe, oracle.query(prefix_probe + probe)[len(prefix_probe):])
-        key = w.key()
-
-        windows.append(
-            WindowRecovery(
-                index=q,
-                start=start,
-                gap=gap,
-                frames=starts[q + 1],
-                status=w.status,
-                key=key,
-                iterations=len(w.learned),
-                solver_calls=w.calls,
-                conflicts=w.conflicts,
-                decisions=w.decisions,
-                propagations=w.propagations,
-                oracle_queries=oracle.queries - queries_before,
-                wall_time=time.perf_counter() - w_t0,
-            )
+        status, key, iterations, effort = _recover_window(
+            enc, state, key_len, gap, lambda probe: oracle.query(prefix_probe + probe)[len(prefix_probe) :],
+            random.Random(f"{seed}/attack/dip/{q}"), conflict_budget,
         )
-        if w.status != STATUS_RECOVERED:
-            status = w.status
+        queries, wall_time = oracle.queries - queries_before, time.perf_counter() - w_t0
+        windows.append(WindowRecovery(q, start, gap, starts[q + 1], status, key, iterations, *effort, queries, wall_time))
+        if status != STATUS_RECOVERED:
             break
         keys.append(key)
         if q + 1 < max_seq:  # only a later window starts from the state after this gap

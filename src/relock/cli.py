@@ -28,7 +28,7 @@ from .bench import emit_bench, load_bench
 from .encrypt import EncryptConfig, KeySchedule, _is_int, encrypt, load_config, load_schedule
 from .evaluate import (
     Case,
-    brute_force_effort,
+    _brute_force_bits,
     cycle_delay_overhead,
     cycle_delay_sweep,
     run_case,
@@ -206,6 +206,8 @@ def _load_timing(spec: str, max_seq: int, oracle_nl):
 
 
 def _cmd_attack(args) -> int:
+    if args.max_seq < 1:
+        raise ValueError(f"--max-seq must be >= 1, got {args.max_seq}")
     enc = _read(args.enc, load_bench)
     orig = _read(args.oracle, load_bench)
     starts, key_len = _load_timing(args.keys_timing, args.max_seq, orig)
@@ -231,7 +233,7 @@ def _cmd_attack(args) -> int:
 
 def _cmd_model(args) -> int:
     if args.model == "brute-force":
-        bits = brute_force_effort(args.i, args.c, args.n).bit_length() - 1
+        bits = _brute_force_bits(args.i, args.c, args.n)
         print(f"expected tries: 2^{bits} = {sci(bits)}")
         return EXIT_OK
     if args.sweep:
@@ -242,7 +244,8 @@ def _cmd_model(args) -> int:
     if args.ta is None or args.n is None:
         print("relock model cycle-delay: error: --ta and --n are required without --sweep", file=sys.stderr)
         return EXIT_USAGE
-    frac = cycle_delay_overhead(args.ta, args.n)
+    # past ta's bits + 1076 the overhead is under 2**-1075, a float 0.0, so n is capped there
+    frac = cycle_delay_overhead(args.ta, min(args.n, args.ta.bit_length() + 1076))
     print(f"t_a={args.ta} n={args.n}: overhead {float(frac) * 100:.6g}%")
     return EXIT_OK
 

@@ -163,13 +163,18 @@ def brute_force_effort(n_inputs: int, key_len: int, lfsr_width: int) -> int:
     ``2**lfsr_width * 2**(n_inputs * key_len - 1)`` tries on average.  Exact
     big-int arithmetic; this overflows any float for realistic sizes.
     """
+    return 1 << _brute_force_bits(n_inputs, key_len, lfsr_width)
+
+
+def _brute_force_bits(n_inputs: int, key_len: int, lfsr_width: int) -> int:
+    """``brute_force_effort``'s base-2 log, checked alike, with no big int."""
     if n_inputs < 1:
         raise ValueError("n_inputs must be >= 1")
     if key_len < 1:
         raise ValueError("key_len must be >= 1")
     if lfsr_width < 0:
         raise ValueError("lfsr_width must be >= 0")
-    return 1 << (lfsr_width + n_inputs * key_len - 1)
+    return lfsr_width + n_inputs * key_len - 1
 
 
 def cycle_delay_overhead(auth_cycles: int, lfsr_width: int) -> Fraction:

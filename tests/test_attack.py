@@ -28,7 +28,8 @@ from relock import (
     simulate,
     workload_stimulus,
 )
-from relock.attack import _Window, _encode_copy, _lane_dip, _replay_verify
+from relock import attack
+from relock.attack import _encode_copy, _lane_dip, _replay_verify
 from relock.sim import authentication_schedule, key_plan, plan_stimulus
 
 TOY_CFG = EncryptConfig(
@@ -168,13 +169,13 @@ def test_each_window_starts_from_the_state_of_its_committed_prefix(toy, monkeypa
     starts = [s + delta for s in starts]
     c, n_in = TOY_CFG.key_len, len(nl.inputs)
     states = []
-    init = _Window.__init__
+    recover = attack._recover_window
 
-    def recording_init(self, locked, state, *args):
+    def recording(locked, state, *args):
         states.append(list(state))
-        init(self, locked, state, *args)
+        return recover(locked, state, *args)
 
-    monkeypatch.setattr(_Window, "__init__", recording_init)
+    monkeypatch.setattr(attack, "_recover_window", recording)
     res = recover_key_sequences(enc.netlist, SequenceOracle(nl), starts, c, N_WINDOWS, seed=0)
     assert len(states) == len(res.windows) == (N_WINDOWS if delta == 0 else len(res.keys) + 1)
     # the probes the attack draws at seed 0, one per non-window cycle
@@ -330,44 +331,23 @@ def test_a_long_gap_is_unrolled_only_as_deep_as_its_key_needs(s27, monkeypatch):
     truth = tuple(design.schedule.key_table[w.chain] for w in wins[:2])
     # frames encoded per window, over every formula its steps build
     frames = []
-    init, encode = _Window.__init__, CnfBuilder.encode_netlist
+    recover, encode = attack._recover_window, CnfBuilder.encode_netlist
 
-    def counting_init(self, *args):
+    def counting(*args):
         frames.append(0)
-        init(self, *args)
+        return recover(*args)
 
     def counting_encode(self, *args, **kwargs):
         frames[-1] += 1
         return encode(self, *args, **kwargs)
 
-    monkeypatch.setattr(_Window, "__init__", counting_init)
+    monkeypatch.setattr(attack, "_recover_window", counting)
     monkeypatch.setattr(CnfBuilder, "encode_netlist", counting_encode)
     res = recover_key_sequences(design.netlist, SequenceOracle(s27), starts, c, 2, seed=0)
     assert res.status == STATUS_RECOVERED and res.verified
     assert res.keys == truth
     assert [w.gap for w in res.windows] == [10, 1876]
     assert len(frames) == 2 and all(n < 128 for n in frames), frames
-
-
-def test_miter_built_late_equals_one_built_up_front(toy):
-    """The miter replays the probes learned before it was built, so its
-    clauses equal those of a miter built at once and extended by each probe."""
-    nl, enc, starts, _ = toy
-    n_in, gap = len(nl.inputs), starts[1] - TOY_CFG.key_len
-    rng = random.Random(3)
-    oracle = SequenceOracle(nl)
-    reset = [False] * len(enc.netlist.dffs)
-    early, late = (_Window(enc.netlist, reset, TOY_CFG.key_len, gap, random.Random(0), 100) for _ in range(2))
-    early._miter()
-    for _ in range(3):
-        probe = tuple(rng.getrandbits(n_in) for _ in range(gap))
-        answer = oracle.query(probe)
-        for w in (early, late):
-            w.learn(probe, answer)
-        early._miter()
-    built = [(m.n_vars, m.clauses, m.contradiction) for m in (early._miter(), late._miter())]
-    assert built[0] == built[1]
-    assert len(built[0][1]) > 0
 
 
 # the lock of the first attack-s298 benchmark op
@@ -539,15 +519,25 @@ def test_timing_must_cover_one_extra_window(toy):
         )
 
 
-@pytest.mark.parametrize("kw", [{"key_len": 0}, {"max_seq": 0}])
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"key_len": 0},
+        {"max_seq": 0},
+        {"key_len": 2.0},
+        {"max_seq": 3.0},
+        {"known_timing": (0.7, 4.7, 10.7, 18.7)},  # not truncated to the toy's starts
+        {"known_timing": ("0", "4", "10", "18")},
+        {"known_timing": (True, 5, 11, 19)},
+    ],
+)
 def test_degenerate_arguments_raise(toy, kw):
     nl, enc, starts, _ = toy
-    args = {"key_len": TOY_CFG.key_len, "max_seq": N_WINDOWS}
+    assert starts == (0, 4, 10, 18)
+    args = {"known_timing": starts, "key_len": TOY_CFG.key_len, "max_seq": N_WINDOWS}
     args.update(kw)
-    with pytest.raises(ValueError):
-        recover_key_sequences(
-            enc.netlist, SequenceOracle(nl), starts, args["key_len"], args["max_seq"]
-        )
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        recover_key_sequences(enc.netlist, SequenceOracle(nl), **args)
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import relock
+from relock import cycle_delay_overhead
 from relock.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main, sci
 
 from conftest import bench_path
@@ -424,6 +426,15 @@ def test_attack_budget_exit_code(capsys, workdir):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("max_seq", ["0", "-1"])
+def test_attack_needs_a_window_to_recover(capsys, workdir, max_seq):
+    argv = attack_argv(workdir, str(workdir / "s27_keys.json"))
+    argv[argv.index("--max-seq") + 1] = max_seq
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert err == f"relock: error: --max-seq must be >= 1, got {max_seq}\n"
+
+
 def test_attack_rejects_negative_budget(capsys, workdir):
     rc, out, err = run(
         capsys, *attack_argv(workdir, str(workdir / "s27_keys.json")), "--budget", "-1"
@@ -661,6 +672,36 @@ def test_model_brute_force_wide_register_is_fast(capsys):
     assert time.perf_counter() - start < 1
     assert rc == EXIT_OK and err == ""
     assert out == "expected tries: 2^10000000 = 9.05e+3010299\n"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("brute-force", "--i", "10000000", "--c", "10", "--n", "5"), "expected tries: 2^100000004 = 5.90e+30103000\n"),
+        (("cycle-delay", "--ta", "8", "--n", "1000000000"), "t_a=8 n=1000000000: overhead 0%\n"),
+    ],
+)
+def test_model_memory_does_not_grow_with_its_flags(capsys, argv, expected):
+    """Neither model builds the power of two its flags describe (12.5 MB
+    for the first, 125 MB for the second)."""
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "model", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out, err) == (EXIT_OK, expected, "")
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("t_a", [0, 1, 8, 255, 2**70 + 1])
+def test_model_cycle_delay_prints_the_exact_overhead_where_it_leaves_float_range(capsys, t_a):
+    """The widths around the one where the overhead rounds to a float 0.0
+    print the percentage of the exact rational."""
+    edge = t_a.bit_length() + 1076
+    for n in range(edge - 40, edge + 3):
+        rc, out, _ = run(capsys, "model", "cycle-delay", "--ta", str(t_a), "--n", str(n))
+        assert out == f"t_a={t_a} n={n}: overhead {float(cycle_delay_overhead(t_a, n)) * 100:.6g}%\n", n
 
 
 def test_model_cycle_delay_point(capsys):
