@@ -27,7 +27,9 @@ with the first.  So every formula a window solves is a function of its
 start state, its learned DIPs and the depth alone, built where it is
 solved.  Earlier windows are pinned to their committed keys by one carried
 state, advanced once through each key and its gap; oracle queries replay
-them from reset.
+them from reset.  Every oracle access, a probe or the replay check's batch,
+is one ``SequenceOracle.query``, which takes and answers cycles as
+``sim.run_from`` does.
 
 Output comparisons are rank aligned: the unlocked chip never sees the
 window cycles, so its cycle ``j`` output is compared against the locked
@@ -45,8 +47,11 @@ from typing import NamedTuple
 from .bench import Netlist
 from .encrypt import _is_int
 from .sat import SAT, UNKNOWN, Solver
-from .sim import key_plan, replay_windows, run_from, simulate
+from .sim import key_plan, replay_windows, run_from
 from .unroll import CnfBuilder
+
+# perfbench/tracing.py wraps this module attribute by name
+from .sim import simulate  # noqa: F401
 
 STATUS_RECOVERED = "recovered"
 STATUS_NO_KEY = "no-consistent-key"
@@ -65,9 +70,9 @@ class SequenceOracle:
     """Black-box input/output access to the unlocked design.
 
     Every query restarts from reset; no internal state is exposed.  The
-    query counter feeds the attack's effort report.  ``query_lanes``
-    answers a batch of workloads in one lane-parallel run and counts one
-    query per workload.
+    query counter feeds the attack's effort report.  ``query`` takes a
+    batch the way ``sim.run_from`` does, one workload per lane, and counts
+    one query per lane.
     """
 
     def __init__(self, nl: Netlist) -> None:
@@ -82,36 +87,26 @@ class SequenceOracle:
     def n_outputs(self) -> int:
         return len(self._nl.outputs)
 
-    def query(self, vectors) -> tuple[int, ...]:
-        """Apply packed input words from reset; return packed output words.
-
-        A query that ``simulate`` rejects is not counted.
+    def query(self, plan, rows=(), width: int = 1) -> list[tuple[int, ...]]:
+        """Run from reset on ``width`` lanes as ``sim.run_from`` does: a packed
+        word of ``plan`` drives every lane, and a None cycle takes the next
+        row of ``rows``, one lane word per input.  Returns each cycle's output
+        lane words and counts ``width`` queries.  A plan word or row that does
+        not fit, or a width below 1, raises ``ValueError`` and counts nothing.
         """
-        outputs = simulate(self._nl, vectors).outputs
-        self.queries += 1
-        return outputs
-
-    def query_lanes(self, workloads) -> list[tuple[int, ...]]:
-        """Apply equal-length workloads from reset, workload ``p`` on lane ``p``.
-
-        Returns one tuple of output lane words per cycle: bit ``p`` of word
-        ``i`` is output ``i`` under workload ``p``, which is what ``query``
-        gives for that workload.  Counts one query per workload.  A batch
-        holding a vector that ``query`` would reject, or workloads of
-        different lengths, raises and counts nothing.
-        """
-        n_in = self.n_inputs
-        if len({len(w) for w in workloads}) > 1:
-            raise ValueError("workloads differ in length")
-        for p, workload in enumerate(workloads):
-            for t, word in enumerate(workload):
-                if not 0 <= word < (1 << n_in):
-                    raise ValueError(f"workload {p}, cycle {t}: input vector {word:#x} does not fit {n_in} inputs")
-        if not workloads:
-            return []
-        rows = [_transpose(column, n_in) for column in zip(*workloads)]
-        outputs = [outs for outs, _state in run_from(self._nl, (None,) * len(rows), rows, len(workloads))]
-        self.queries += len(workloads)
+        n_in, plan, rows = self.n_inputs, tuple(plan), list(rows)
+        if not _is_int(width) or width < 1:
+            raise ValueError(f"width must be an integer >= 1, got {width!r}")
+        for t, word in enumerate(plan):
+            if word is not None and not (_is_int(word) and 0 <= word < (1 << n_in)):
+                raise ValueError(f"cycle {t}: input vector {word!r} does not fit {n_in} inputs")
+        if len(rows) != plan.count(None):
+            raise ValueError(f"{len(rows)} rows for {plan.count(None)} None cycles")
+        for r, row in enumerate(rows):
+            if len(row) != n_in or not all(_is_int(w) and 0 <= w < (1 << width) for w in row):
+                raise ValueError(f"row {r} is not {n_in} lane words of {width} lanes")
+        outputs = [outs for outs, _state in run_from(self._nl, plan, rows, width)]
+        self.queries += width
         return outputs
 
 
@@ -165,14 +160,14 @@ def _encode_copy(b: CnfBuilder, nl: Netlist, state, key_rows, gap_rows, oracle_o
 
     Returns the copy's gap outputs, one list of output values per cycle.
     With ``oracle_out``, each gap cycle's outputs are also pinned to its
-    packed word as the cycle is encoded.
+    row of 0/1 output values as the cycle is encoded.
     """
     outs = []
     for t, frame in enumerate(islice(b.encode_frames(nl, state, (*key_rows, *gap_rows)), len(key_rows), None)):
         outs.append(frame)
         if oracle_out is not None:
             for i, v in enumerate(frame):
-                b.pin(v, (oracle_out[t] >> i) & 1)
+                b.pin(v, oracle_out[t][i])
     return outs
 
 
@@ -182,7 +177,9 @@ def _solver(cnf: CnfBuilder) -> Solver | None:
 
 
 class WindowRecovery(NamedTuple):
-    """Outcome and effort for one authentication window."""
+    """Outcome and effort for one authentication window.  ``frames`` is the
+    cycle where its probed gap ends, the next window's start; it is not the
+    frames encoded, which are its key and the gap depth it reaches."""
 
     index: int
     start: int
@@ -235,7 +232,7 @@ def _fits(enc: Netlist, state, key, learned) -> bool:
     answer over the whole gap, in one single-lane run per learned probe."""
     for probe, answer in learned:
         gap_outs = islice(run_from(enc, (*key, *probe), state=state), len(key), None)
-        if any(sum(v << i for i, v in enumerate(outs)) != word for (outs, _state), word in zip(gap_outs, answer)):
+        if any(outs != bits for (outs, _state), bits in zip(gap_outs, answer)):
             return False
     return True
 
@@ -274,16 +271,17 @@ def _recover_window(enc: Netlist, state, key_len: int, gap: int, ask, rng, budge
     """Recover the key of one window from ``state``, the flip-flop values
     (bools) its committed prefix reaches, with ``gap`` probe cycles after it.
 
-    ``ask(probe)`` returns the oracle's gap outputs on ``probe``; each probe
-    asked is learned, the lane probe first if ``_lane_dip`` finds one.  Each
-    step after that solves, at depth k = 1, 2, 4, ... up to the gap, one key
-    copy per learned probe over the probe's and answer's first k gap cycles
-    for a key K, then blocks K on the same ``Solver`` and solves again.  A
-    deeper formula only drops keys, so the step stops at the first k where
-    no key fits (``no-consistent-key``) or K is unique; ``_fits`` decides a
-    K unique on fewer than ``gap`` cycles.  If two keys survive the full
-    gap, a fresh solver takes the next DIP from ``_miter``; if it has none,
-    the window ends with K.
+    ``ask(probe)`` returns the oracle's gap outputs on ``probe``, one row
+    of 0/1 output values per cycle; each probe asked is learned, the lane
+    probe first if ``_lane_dip`` finds one.  Each step after that solves,
+    at depth k = 1, 2, 4, ... up to the gap, one key copy per learned probe
+    over the probe's and answer's first k gap cycles for a key K, then
+    blocks K on the same ``Solver`` and solves again.  A deeper formula
+    only drops keys, so the step stops at the first k where no key fits
+    (``no-consistent-key``) or K is unique; ``_fits`` decides a K unique on
+    fewer than ``gap`` cycles.  If two keys survive the full gap, a fresh
+    solver takes the next DIP from ``_miter``; if it has none, the window
+    ends with K.
 
     Returns ``(status, key, iterations, effort)``: the key is None unless
     the status is ``recovered``, ``iterations`` counts the learned probes,
@@ -379,7 +377,8 @@ def recover_key_sequences(
     """
     t_start = time.perf_counter()
     starts = list(known_timing)
-    for name, value in (("key_len", key_len), ("max_seq", max_seq), *(("known_timing entry", s) for s in starts)):
+    args = (("key_len", key_len), ("max_seq", max_seq), ("conflict_budget", conflict_budget))
+    for name, value in (*args, *(("known_timing entry", s) for s in starts)):
         if not _is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if key_len < 1:
@@ -387,7 +386,7 @@ def recover_key_sequences(
     if max_seq < 1:
         raise ValueError("max_seq must be >= 1")
     if conflict_budget < 0:
-        raise ValueError(f"conflict budget must be >= 0, got {conflict_budget}")
+        raise ValueError(f"conflict_budget must be >= 0, got {conflict_budget}")
     if len(enc.inputs) != oracle.n_inputs or len(enc.outputs) != oracle.n_outputs:
         raise ValueError(
             f"oracle width mismatch: locked design has {len(enc.inputs)} inputs / "
@@ -471,16 +470,16 @@ def _replay_verify(enc, oracle, starts, keys, seed, verify_vectors):
     rng = random.Random(f"{seed}/attack/verify")
     passes = max(1, math.ceil(verify_vectors / n_free))
     workloads = [[rng.getrandbits(n_in) for _ in range(n_free)] for _ in range(passes)]
-    answers = oracle.query_lanes(workloads)
-
     # rank r of every pass's workload is one cycle of lane words
-    free_in = (_transpose(column, n_in) for column in zip(*workloads))
-    free_outs = (outs for (outs, _state), key in zip(run_from(enc, plan, free_in, passes), plan) if key is None)
+    rows = [_transpose(column, n_in) for column in zip(*workloads)]
+    answers = oracle.query((None,) * n_free, rows, passes)
+
+    free_outs = (outs for (outs, _state), key in zip(run_from(enc, plan, rows, passes), plan) if key is None)
     return all(outs == answer for outs, answer in zip(free_outs, answers)), passes * n_free
 
 
 def derive_window_starts(sched, max_seq: int) -> tuple[int, ...]:
     """First ``max_seq + 1`` window start cycles from a key schedule."""
-    if max_seq < 0:
-        raise ValueError(f"max_seq must be >= 0, got {max_seq}")
+    if not _is_int(max_seq) or max_seq < 0:
+        raise ValueError(f"max_seq must be an integer >= 0, got {max_seq!r}")
     return tuple(w.start for w in islice(replay_windows(sched), max_seq + 1))

@@ -267,17 +267,18 @@ def test_key_no_output_reads_ends_the_window_on_an_empty_miter():
 
 
 class _LastCycleFlipped(SequenceOracle):
-    """The oracle with output 0 of every answer's last cycle flipped; keeps
-    each query and its flipped answer."""
+    """The oracle with output 0 of every answer's last cycle flipped on
+    every lane; keeps each query's plan and its flipped answer."""
 
     def __init__(self, nl) -> None:
         super().__init__(nl)
         self.asked = []
 
-    def query(self, vectors):
-        outs = super().query(vectors)
-        outs = (*outs[:-1], outs[-1] ^ 1)
-        self.asked.append((tuple(vectors), outs))
+    def query(self, plan, rows=(), width=1):
+        outs = super().query(plan, rows, width)
+        first, *rest = outs[-1]
+        outs[-1] = (first ^ ((1 << width) - 1), *rest)
+        self.asked.append((tuple(plan), outs))
         return outs
 
 
@@ -369,7 +370,7 @@ def test_a_key_copy_from_a_second_state_equals_its_encode_alone(circuit, request
     state_a, state_b = (state_after(nl, [rng.getrandbits(n_in) for _ in range(t)]) for t in (9, 12))
     assert state_a != state_b
     probe = [rng.getrandbits(n_in) for _ in range(gap)]
-    answer = [rng.getrandbits(len(nl.outputs)) for _ in range(gap)]
+    answer = [tuple(rng.getrandbits(1) for _ in nl.outputs) for _ in range(gap)]
 
     def encode(b, state, keys):
         return [_encode_copy(b, nl, state, keys, x), _encode_copy(b, nl, state, keys, probe, answer)]
@@ -403,7 +404,7 @@ def _replay_verify_one_lane(enc, oracle, starts, keys, seed, verify_vectors):
         trace = simulate(enc, plan_stimulus(plan, workload, n_in))
         for rank, t in enumerate(free):
             comparisons += 1
-            ok &= trace.outputs[t] == answer[rank]
+            ok &= trace.outputs[t] == sum(v << i for i, v in enumerate(answer[rank]))
     return ok, comparisons
 
 
@@ -473,34 +474,87 @@ def test_oracle_rejects_oversized_vectors(s27):
 
 
 @pytest.mark.parametrize("circuit", ["s27", "s298"])
-def test_query_lanes_answers_each_workload_as_query_does(circuit, request):
+def test_query_answers_each_lane_as_a_one_lane_query_does(circuit, request):
+    """A width-13 query whose plan mixes packed words, driven on every lane,
+    with None cycles, which take one lane word per input from the rows."""
     nl = request.getfixturevalue(circuit)
+    n_in, width = len(nl.inputs), 13
     rng = random.Random(circuit)
-    workloads = [[rng.getrandbits(len(nl.inputs)) for _ in range(9)] for _ in range(13)]
+    plan = [None if t % 3 else rng.getrandbits(n_in) for t in range(9)]
+    rows = [[rng.getrandbits(width) for _ in range(n_in)] for _ in range(plan.count(None))]
     lanes_oracle, one_oracle = SequenceOracle(nl), SequenceOracle(nl)
-    lanes = lanes_oracle.query_lanes(workloads)
+    lanes = lanes_oracle.query(plan, rows, width)
     assert len(lanes) == 9
-    for p, workload in enumerate(workloads):
-        answer = tuple(sum(((w >> p) & 1) << i for i, w in enumerate(outs)) for outs in lanes)
-        assert answer == one_oracle.query(workload), p
-    assert lanes_oracle.queries == one_oracle.queries == len(workloads)
+    for p in range(width):
+        free = iter(rows)
+        workload = [sum(((w >> p) & 1) << b for b, w in enumerate(next(free))) if key is None else key for key in plan]
+        assert [tuple((w >> p) & 1 for w in outs) for outs in lanes] == one_oracle.query(workload), p
+    assert lanes_oracle.queries == one_oracle.queries == width
 
 
-def test_query_lanes_rejects_a_bad_batch_and_counts_nothing(s27):
+def test_query_rejects_a_bad_batch_and_counts_nothing(s27):
+    n_in = len(s27.inputs)
     oracle = SequenceOracle(s27)
-    with pytest.raises(ValueError, match="workload 1, cycle 2: .* does not fit"):
-        oracle.query_lanes([[0, 0, 0], [0, 0, 1 << len(s27.inputs)]])
-    with pytest.raises(ValueError, match="differ in length"):
-        oracle.query_lanes([[0, 0, 0], [0, 0]])
-    assert oracle.queries == 0
-    assert oracle.query_lanes([]) == []
-    assert oracle.queries == 0
+    bad = [
+        (([0, 0, 1 << n_in],), "cycle 2: .* does not fit"),
+        (([-1],), "does not fit"),
+        (([0, 1.0],), "does not fit"),
+        ((["1"],), "does not fit"),
+        (([True],), "does not fit"),
+        (([], (), 0), "width"),
+        (([], (), 1.0), "width"),
+        (([None, None], [[0] * n_in]), "1 rows for 2 None cycles"),
+        (([0], [[0] * n_in]), "1 rows for 0 None cycles"),
+        (([None], [[0] * (n_in - 1)]), f"row 0 is not {n_in} lane words"),
+        (([None], [[0] * (n_in + 1)]), f"row 0 is not {n_in} lane words"),
+        (([None, None], [[0] * n_in, [0b100] + [0] * (n_in - 1)], 2), "row 1 .* of 2 lanes"),
+        (([None], [[-1] + [0] * (n_in - 1)], 2), "row 0 .* of 2 lanes"),
+        (([None], [[0.0] * n_in]), "row 0"),
+    ]
+    for args, message in bad:
+        with pytest.raises(ValueError, match=message):
+            oracle.query(*args)
+        assert oracle.queries == 0, args
+    assert oracle.query([None, 0], [[0b11] * n_in], 2) == oracle.query([(1 << n_in) - 1, 0], width=2)
+    assert oracle.queries == 4
 
 
 def test_oracle_empty_query(s27):
     oracle = SequenceOracle(s27)
-    assert oracle.query([]) == ()
+    assert oracle.query([]) == []
     assert oracle.queries == 1
+
+
+def test_every_oracle_access_of_the_attack_is_one_query(toy, monkeypatch):
+    """The unlocked design is evaluated only inside ``SequenceOracle.query``,
+    and the widths of its calls add up to the attack's query count: width 1
+    per probe, then one batch for the replay check."""
+    nl, enc, starts, _ = toy
+    widths, inside = [], []
+
+    class Wrapped(SequenceOracle):
+        def query(self, plan, rows=(), width=1):
+            widths.append(width)
+            inside.append(True)
+            try:
+                return super().query(plan, rows, width)
+            finally:
+                inside.pop()
+
+    cc = nl.compiled
+    evaluate = cc.eval
+
+    def eval_in_query(*args, **kwargs):
+        assert inside, "the unlocked design ran outside SequenceOracle.query"
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(cc, "eval", eval_in_query)
+    oracle = Wrapped(nl)
+    res = recover_key_sequences(enc.netlist, oracle, starts, TOY_CFG.key_len, N_WINDOWS, seed=0)
+    assert res.status == STATUS_RECOVERED and res.verified
+    assert sum(widths) == res.oracle_queries == oracle.queries
+    assert set(widths[:-1]) == {1} and widths[-1] > 1
+    assert len(widths) - 1 == sum(w.oracle_queries for w in res.windows)
 
 
 def test_oracle_width_mismatch_raises(toy, s298):
@@ -529,6 +583,11 @@ def test_timing_must_cover_one_extra_window(toy):
         {"known_timing": (0.7, 4.7, 10.7, 18.7)},  # not truncated to the toy's starts
         {"known_timing": ("0", "4", "10", "18")},
         {"known_timing": (True, 5, 11, 19)},
+        {"conflict_budget": -1},
+        {"conflict_budget": 2.5},
+        {"conflict_budget": True},
+        {"conflict_budget": "10"},
+        {"conflict_budget": None},
     ],
 )
 def test_degenerate_arguments_raise(toy, kw):
@@ -567,3 +626,10 @@ def test_derive_window_starts_rejects_negative_counts(toy):
     assert derive_window_starts(enc.schedule, 0) == (0,)
     with pytest.raises(ValueError, match="max_seq"):
         derive_window_starts(enc.schedule, -2)
+
+
+@pytest.mark.parametrize("max_seq", [True, 2.0, "2"])
+def test_derive_window_starts_rejects_a_non_int_max_seq(toy, max_seq):
+    _, enc, _, _ = toy
+    with pytest.raises(ValueError, match="max_seq must be an integer"):
+        derive_window_starts(enc.schedule, max_seq)

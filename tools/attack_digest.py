@@ -8,9 +8,10 @@ model and search counts) and the ``report()`` of every attack.  The outcome
 digest leaves all solver effort out: it covers every oracle query's input
 and answer, each attack's status, keys, verdict and verify comparisons, and
 each window's index, start, gap, frames, status, key, iterations and oracle
-queries.  A ``SequenceOracle.query_lanes`` batch is written as one query
-per workload, in batch order, the bytes that querying each workload alone
-writes.  Both run over a fixed set of locks:
+queries.  A ``SequenceOracle.query`` batch is written as one query per
+lane, in lane order: the lane's input words, rebuilt from the plan and the
+rows, and its packed output words, the bytes that a one-lane query of that
+workload writes.  Both run over a fixed set of locks:
 
 - the s27 toy lock of ``tests/test_attack.py``;
 - the four ``attack-s298`` pool locks of ``perfbench/`` (master seeds
@@ -67,7 +68,7 @@ def digest() -> tuple[str, str, list[str]]:
     h, out = hashlib.sha256(), hashlib.sha256()
     solver, oracle = relock.sat.Solver, SequenceOracle
     init, add_clause, solve = solver.__init__, solver.add_clause, solver.solve
-    query, query_lanes = oracle.query, oracle.query_lanes
+    query = oracle.query
 
     def traced_init(self, n_vars, clauses):
         h.update(f"formula {n_vars} {[tuple(cl) for cl in clauses]}\n".encode())
@@ -83,23 +84,23 @@ def digest() -> tuple[str, str, list[str]]:
         h.update(f"result {res._replace(model=model)!r}\n".encode())
         return res
 
-    def traced_query(self, vectors):
-        vectors = tuple(vectors)
-        answer = query(self, vectors)
-        out.update(f"query {vectors} {answer}\n".encode())
-        return answer
+    def traced_query(self, plan, rows=(), width=1):
+        plan, rows = tuple(plan), list(rows)
+        lanes = query(self, plan, rows, width)
 
-    def traced_query_lanes(self, workloads):
-        workloads = [tuple(w) for w in workloads]
-        lanes = query_lanes(self, workloads)
-        for p, vectors in enumerate(workloads):
-            answer = tuple(sum(((w >> p) & 1) << i for i, w in enumerate(outs)) for outs in lanes)
+        def packed(words, p):
+            return sum(((w >> p) & 1) << b for b, w in enumerate(words))
+
+        for p in range(width):
+            row = iter(rows)
+            vectors = tuple(packed(next(row), p) if key is None else key for key in plan)
+            answer = tuple(packed(outs, p) for outs in lanes)
             out.update(f"query {vectors} {answer}\n".encode())
         return lanes
 
     statuses = []
     solver.__init__, solver.add_clause, solver.solve = traced_init, traced_add_clause, traced_solve
-    oracle.query, oracle.query_lanes = traced_query, traced_query_lanes
+    oracle.query = traced_query
     try:
         for circuit, cfg in LOCKS:
             orig = load_bench(ROOT / "benchmarks" / f"{circuit}.bench")
@@ -116,7 +117,7 @@ def digest() -> tuple[str, str, list[str]]:
             statuses.append(res.status)
     finally:
         solver.__init__, solver.add_clause, solver.solve = init, add_clause, solve
-        oracle.query, oracle.query_lanes = query, query_lanes
+        oracle.query = query
     return h.hexdigest(), out.hexdigest(), statuses
 
 
