@@ -47,7 +47,7 @@ from typing import NamedTuple
 from .bench import Netlist
 from .encrypt import _is_int
 from .sat import SAT, UNKNOWN, Solver
-from .sim import key_plan, replay_windows, run_from
+from .sim import _word_fits, key_plan, replay_windows, run_from
 from .unroll import CnfBuilder
 
 # perfbench/tracing.py wraps this module attribute by name
@@ -98,7 +98,7 @@ class SequenceOracle:
         if not _is_int(width) or width < 1:
             raise ValueError(f"width must be an integer >= 1, got {width!r}")
         for t, word in enumerate(plan):
-            if word is not None and not (_is_int(word) and 0 <= word < (1 << n_in)):
+            if word is not None and not _word_fits(word, n_in):
                 raise ValueError(f"cycle {t}: input vector {word!r} does not fit {n_in} inputs")
         if len(rows) != plan.count(None):
             raise ValueError(f"{len(rows)} rows for {plan.count(None)} None cycles")

@@ -118,15 +118,8 @@ class EncryptConfig(NamedTuple):
         return MAXIMAL_TAPS[self.lfsr_width]
 
     def to_dict(self) -> dict:
-        return {
-            "lfsr_width": self.lfsr_width,
-            "lfsr_taps": list(self.lfsr_taps) if self.lfsr_taps is not None else None,
-            "enc_out_width": self.enc_out_width,
-            "key_len": self.key_len,
-            "sbj_bits": self.sbj_bits,
-            "coverage": self.coverage,
-            "master_seed": self.master_seed,
-        }
+        taps = self.lfsr_taps
+        return {**self._asdict(), "lfsr_taps": list(taps) if taps is not None else None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncryptConfig":
@@ -233,18 +226,24 @@ def _xor_gates(
 
 
 class KeySchedule(NamedTuple):
-    """Everything the trusted key manager needs to drive an encrypted design."""
+    """Everything the trusted key manager needs to drive an encrypted design.
+
+    The PRNG width and taps, the key length, the chain selector width and
+    the master seed are read through ``config``, which stores them once;
+    ``_replace(config=...)`` is the way to change them.
+    """
 
     circuit: str
-    lfsr_width: int
-    lfsr_taps: tuple[int, ...]
     reset_seed: int
-    key_len: int
-    sbj_bits: int
     n_inputs: int
     key_table: tuple[tuple[int, ...], ...]
-    master_seed: int
     config: EncryptConfig
+
+    lfsr_width = property(lambda self: self.config.lfsr_width)
+    lfsr_taps = property(lambda self: self.config.resolved_taps())
+    key_len = property(lambda self: self.config.key_len)
+    sbj_bits = property(lambda self: self.config.sbj_bits)
+    master_seed = property(lambda self: self.config.master_seed)
 
     def to_json(self) -> str:
         import json
@@ -267,31 +266,23 @@ class KeySchedule(NamedTuple):
     def validate(self) -> None:
         """Raise ValueError unless the schedule can drive a design.
 
-        Checks the field types, ``2**sbj_bits`` key table rows of
-        ``key_len`` patterns each, every pattern in ``[0, 2**n_inputs)``,
-        the PRNG width, taps and reset seed (through ``new_lfsr``), the
-        embedded encryption config (through ``EncryptConfig.validate``), and
-        that the config agrees with the schedule's own width, taps, ``c``,
-        ``l`` and master seed.
+        Checks the field types, the embedded encryption config (through
+        ``EncryptConfig.validate``), the reset seed (through ``new_lfsr``),
+        and ``2**sbj_bits`` key table rows of ``key_len`` patterns each,
+        every pattern in ``[0, 2**n_inputs)``.
         """
         if not isinstance(self.circuit, str):
             raise ValueError(f"circuit must be a string, got {self.circuit!r}")
-        fields = {
-            "n": self.lfsr_width, "seed": self.reset_seed, "c": self.key_len,
-            "l": self.sbj_bits, "i": self.n_inputs, "master_seed": self.master_seed,
-        }
-        for name, value in fields.items():
+        for name, value in (("seed", self.reset_seed), ("i", self.n_inputs)):
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not all(_is_int(t) for t in self.lfsr_taps):
-            raise ValueError(f"taps must be integers, got {list(self.lfsr_taps)}")
-        new_lfsr(self.lfsr_width, self.lfsr_taps, self.reset_seed)  # raises on bad width, taps or seed
-        if self.key_len < 1:
-            raise ValueError(f"c must be >= 1, got {self.key_len}")
+        try:
+            self.config.validate()
+        except ValueError as e:
+            raise ValueError(f"config: {e}") from e
+        new_lfsr(self.lfsr_width, self.lfsr_taps, self.reset_seed)  # raises on a bad seed
         if self.n_inputs < 1:
             raise ValueError(f"i must be >= 1, got {self.n_inputs}")
-        if not 1 <= self.sbj_bits <= self.lfsr_width:
-            raise ValueError(f"l must be in 1..n ({self.lfsr_width}), got {self.sbj_bits}")
         if len(self.key_table) != 1 << self.sbj_bits:
             raise ValueError(f"key_table has {len(self.key_table)} rows, l = {self.sbj_bits} needs {1 << self.sbj_bits}")
         limit = 1 << self.n_inputs
@@ -301,26 +292,16 @@ class KeySchedule(NamedTuple):
             for w in row:
                 if not 0 <= w < limit:
                     raise ValueError(f"key_table row {s}: pattern {w:#x} does not fit i = {self.n_inputs} inputs")
-        try:
-            self.config.validate()
-        except ValueError as e:
-            raise ValueError(f"config: {e}") from e
-        cfg = self.config
-        pairs = (
-            ("lfsr_width", cfg.lfsr_width, "n", self.lfsr_width),
-            ("key_len", cfg.key_len, "c", self.key_len),
-            ("sbj_bits", cfg.sbj_bits, "l", self.sbj_bits),
-            ("master_seed", cfg.master_seed, "master_seed", self.master_seed),
-            ("lfsr_taps", sorted(cfg.resolved_taps()), "taps", sorted(set(self.lfsr_taps))),
-        )
-        for cfg_name, cfg_value, name, value in pairs:
-            if cfg_value != value:
-                raise ValueError(f"config: {cfg_name} {cfg_value} does not match the schedule's {name} {value}")
 
     @classmethod
     def from_json(cls, text: str) -> "KeySchedule":
         """Parse and validate a schedule; raises ValueError on a malformed one
-        (KeyError for a missing field)."""
+        (KeyError for a missing field).
+
+        The file repeats the config's width, taps, key length, chain bits
+        and master seed at its top level as ``n``, ``taps``, ``c``, ``l``
+        and ``master_seed``; each must agree with the config.
+        """
         import json
 
         doc = json.loads(text)
@@ -331,20 +312,27 @@ class KeySchedule(NamedTuple):
             raise ValueError(f"unsupported key schedule version: {version!r}")
         sched = cls(
             circuit=doc["circuit"],
-            lfsr_width=doc["n"],
-            lfsr_taps=tuple(_json_list(doc["taps"], "taps")),
             reset_seed=_hex_word(doc["seed"], "seed"),
-            key_len=doc["c"],
-            sbj_bits=doc["l"],
             n_inputs=doc["i"],
             key_table=tuple(
                 tuple(_hex_word(w, "key_table pattern") for w in _json_list(row, "key_table row"))
                 for row in _json_list(doc["key_table"], "key_table")
             ),
-            master_seed=doc["master_seed"],
             config=EncryptConfig.from_dict(doc["config"]),
         )
+        taps = _json_list(doc["taps"], "taps")
+        if not all(_is_int(t) for t in taps):
+            raise ValueError(f"taps must be integers, got {taps}")
+        # before the key table checks, so a wrong c is reported as a mismatch, not as short rows
+        for name, cfg_name in (("n", "lfsr_width"), ("c", "key_len"), ("l", "sbj_bits"), ("master_seed", "master_seed")):
+            value, cfg_value = doc[name], getattr(sched.config, cfg_name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value != cfg_value:
+                raise ValueError(f"config: {cfg_name} {cfg_value!r} does not match the schedule's {name} {value}")
         sched.validate()
+        if sorted(set(taps)) != sorted(sched.lfsr_taps):
+            raise ValueError(f"config: lfsr_taps {sorted(sched.lfsr_taps)} does not match the schedule's taps {sorted(set(taps))}")
         return sched
 
 
@@ -561,18 +549,7 @@ def encrypt(nl: Netlist, cfg: EncryptConfig) -> EncryptedDesign:
         gates=tuple(f.gates),
         dffs=tuple(new_dffs),
     )
-    schedule = KeySchedule(
-        circuit=nl.name,
-        lfsr_width=n,
-        lfsr_taps=taps,
-        reset_seed=0,
-        key_len=c,
-        sbj_bits=cfg.sbj_bits,
-        n_inputs=n_in,
-        key_table=key_table,
-        master_seed=cfg.master_seed,
-        config=cfg,
-    )
+    schedule = KeySchedule(circuit=nl.name, reset_seed=0, n_inputs=n_in, key_table=key_table, config=cfg)
     report = EncryptReport(
         prefix=prefix,
         sites=sites,

@@ -227,18 +227,8 @@ class OverheadReport(NamedTuple):
         return (self.enc_dffs - self.orig_dffs) / self.orig_dffs if self.orig_dffs else float("inf")
 
     def as_dict(self) -> dict:
-        return {
-            "circuit": self.circuit,
-            "orig_gates": self.orig_gates,
-            "enc_gates": self.enc_gates,
-            "gate_overhead": self.gate_overhead,
-            "orig_dffs": self.orig_dffs,
-            "enc_dffs": self.enc_dffs,
-            "dff_overhead": self.dff_overhead if self.orig_dffs else None,
-            "n_sites": self.n_sites,
-            "requested_coverage": self.requested_coverage,
-            "achieved_coverage": self.achieved_coverage,
-        }
+        dff_overhead = self.dff_overhead if self.orig_dffs else None
+        return {**self._asdict(), "gate_overhead": self.gate_overhead, "dff_overhead": dff_overhead}
 
 
 def overhead_report(orig: Netlist, enc: EncryptedDesign) -> OverheadReport:

@@ -26,7 +26,7 @@ import math
 from typing import NamedTuple
 
 from .bench import Netlist
-from .encrypt import KeySchedule
+from .encrypt import KeySchedule, _is_int
 from .lfsr import _shift, new_lfsr
 
 
@@ -56,6 +56,7 @@ def replay_windows(sched: KeySchedule, cycles: float = math.inf):
     g = new_lfsr(sched.lfsr_width, sched.lfsr_taps, sched.reset_seed)
     mask, taps = (1 << g.width) - 1, g.taps
     state, now = g.state, 0  # the PRNG state during cycle now
+    select = (1 << sched.sbj_bits) - 1  # the next chain is the PRNG's low sbj_bits bits
 
     def state_at(t: int) -> int:
         # asked for nondecreasing t only, so no earlier state is kept
@@ -67,8 +68,7 @@ def replay_windows(sched: KeySchedule, cycles: float = math.inf):
 
     start = 0
     while start < cycles:
-        # the next chain is selected by the PRNG's low sbj_bits bits
-        chain = state_at(start) & ((1 << sched.sbj_bits) - 1) if start else 0
+        chain = state_at(start) & select if start else 0
         t_func = max(state_at(start + c), 1)
         yield AuthWindow(start=start, chain=chain, t_func=t_func)
         start += c + t_func
@@ -125,13 +125,18 @@ def case_plan(sched: KeySchedule, case: Case | int, cycles: int) -> tuple[int | 
     return key_plan(chains, cycles)
 
 
+def _word_fits(word, n_inputs: int) -> bool:
+    """Whether ``word`` is a packed input word of ``n_inputs`` inputs: an int,
+    not a bool, in ``[0, 2**n_inputs)``."""
+    return _is_int(word) and 0 <= word < (1 << n_inputs)
+
+
 def plan_stimulus(plan, workload, n_inputs: int) -> tuple[int, ...]:
     """Fill the None cycles of a key plan with ``workload`` vectors, in order.
 
     Returns the packed input word of every cycle.  Raises ValueError if the
     workload is too short or a vector does not fit ``n_inputs`` inputs.
     """
-    limit = 1 << n_inputs
     vectors: list[int] = []
     wi = 0
     for key in plan:
@@ -141,8 +146,8 @@ def plan_stimulus(plan, workload, n_inputs: int) -> tuple[int, ...]:
         if wi >= len(workload):
             raise ValueError(f"workload has {len(workload)} vectors but the horizon needs {wi + 1} or more")
         v = workload[wi]
-        if not 0 <= v < limit:
-            raise ValueError(f"workload vector {v:#x} does not fit {n_inputs} inputs")
+        if not _word_fits(v, n_inputs):
+            raise ValueError(f"workload vector {v!r} does not fit {n_inputs} inputs")
         vectors.append(v)
         wi += 1
     return tuple(vectors)
@@ -225,8 +230,8 @@ def simulate(nl: Netlist, vectors) -> Trace:
     n_in = len(nl.inputs)
     inputs = tuple(vectors)
     for t, word in enumerate(inputs):
-        if not 0 <= word < (1 << n_in):
-            raise ValueError(f"cycle {t}: input vector {word:#x} does not fit {n_in} inputs")
+        if not _word_fits(word, n_in):
+            raise ValueError(f"cycle {t}: input vector {word!r} does not fit {n_in} inputs")
     outputs: list[int] = []
     states = [0]  # the state during cycle t + 1 is the one after cycle t
     for outs, state in run_from(nl, inputs):

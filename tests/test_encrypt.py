@@ -275,6 +275,8 @@ MALFORMED_SCHEDULES = {
     "circuit-not-a-string": lambda d: d.update(circuit=27),
     "taps-not-integers": lambda d: d.update(taps=[3, "2"]),
     "zero-c": lambda d: d.update(c=0),
+    "float-n": lambda d: d.update(n=3.0),
+    "string-master-seed": lambda d: d.update(master_seed=str(d["master_seed"])),
     "config-not-an-object": lambda d: d.update(config=[]),
     "config-taps-not-a-list": lambda d: d["config"].update(lfsr_taps=3),
     # a config valid on its own that disagrees with the schedule's fields
@@ -292,6 +294,34 @@ def test_schedule_json_rejects_malformed_schedules(s27, defect):
     MALFORMED_SCHEDULES[defect](doc)
     with pytest.raises(ValueError):
         KeySchedule.from_json(json.dumps(doc))
+
+
+def test_schedule_json_names_the_field_that_disagrees(s27):
+    doc = json.loads(encrypt(s27, TOY_CFG).schedule.to_json())
+    with pytest.raises(ValueError, match="^n must be an integer, got 3.0$"):
+        KeySchedule.from_json(json.dumps({**doc, "n": 3.0}))
+    doc["config"]["key_len"] = 7
+    with pytest.raises(ValueError, match="^config: key_len 7 does not match the schedule's c 2$"):
+        KeySchedule.from_json(json.dumps(doc))
+
+
+def test_schedule_json_takes_the_taps_in_any_order(s27):
+    sched = encrypt(s27, TOY_CFG).schedule
+    doc = json.loads(sched.to_json())
+    doc["taps"] = doc["taps"][::-1]
+    assert KeySchedule.from_json(json.dumps(doc)) == sched
+
+
+@pytest.mark.parametrize("taps", [(3, 2), None])
+def test_schedule_reads_the_lock_parameters_through_its_config(s27, taps):
+    cfg = TOY_CFG._replace(lfsr_taps=taps)
+    sched = encrypt(s27, cfg).schedule
+    assert sched.lfsr_width == cfg.lfsr_width
+    assert sched.lfsr_taps == cfg.resolved_taps()
+    assert sched.key_len == cfg.key_len
+    assert sched.sbj_bits == cfg.sbj_bits
+    assert sched.master_seed == cfg.master_seed
+    assert KeySchedule._fields == ("circuit", "reset_seed", "n_inputs", "key_table", "config")
 
 
 def test_schedule_json_must_be_an_object():

@@ -30,7 +30,7 @@ def one_gate_netlist():
 
 def schedule():
     cfg = EncryptConfig(lfsr_width=3, lfsr_taps=(3, 2), key_len=2, sbj_bits=1)
-    return KeySchedule("t", 3, (3, 2), 0, 2, 1, 1, ((1, 0), (0, 1)), cfg.master_seed, cfg)
+    return KeySchedule("t", 0, 1, ((1, 0), (0, 1)), cfg)
 
 
 def report():

@@ -139,9 +139,14 @@ def test_run_from_resumes_a_run_split_at_any_cycle(s27, width):
         assert list(rest) == whole[k:], k
 
 
+# words that do not fit s27's 4 inputs: too wide, or not an int
+UNFIT_WORDS = (1 << 4, True, 1.0, "1")
+
+
 def test_simulate_rejects_wide_vectors(s27):
-    with pytest.raises(ValueError, match="does not fit"):
-        simulate(s27, workload_stimulus([1 << 4]))
+    for word in UNFIT_WORDS:
+        with pytest.raises(ValueError, match="does not fit"):
+            simulate(s27, workload_stimulus([0, word]))
 
 
 # -- scheduled authentication ----------------------------------------------------
@@ -180,7 +185,7 @@ def test_schedule_replay_stops_at_the_horizon(toy, monkeypatch):
     the replay must not step the PRNG out to the window beyond it."""
     import relock.sim
 
-    sched = toy.schedule._replace(lfsr_width=40, lfsr_taps=(40, 1))
+    sched = toy.schedule._replace(config=toy.schedule.config._replace(lfsr_width=40, lfsr_taps=(40, 1)))
     cycles = 200
     limit = cycles + sched.key_len
     steps = 0
@@ -206,7 +211,7 @@ def test_derive_window_starts_steps_only_to_the_last_window(toy, monkeypatch):
     import relock.sim
     from relock import MAXIMAL_TAPS, derive_window_starts
 
-    sched = toy.schedule._replace(lfsr_width=14, lfsr_taps=MAXIMAL_TAPS[14])
+    sched = toy.schedule._replace(config=toy.schedule.config._replace(lfsr_width=14, lfsr_taps=MAXIMAL_TAPS[14]))
     steps = 0
     real_shift = relock.sim._shift
 
@@ -228,7 +233,7 @@ def test_schedule_replay_memory_does_not_grow_with_the_horizon(toy):
 
     from relock import MAXIMAL_TAPS, derive_window_starts
 
-    sched = toy.schedule._replace(lfsr_width=14, lfsr_taps=MAXIMAL_TAPS[14])
+    sched = toy.schedule._replace(config=toy.schedule.config._replace(lfsr_width=14, lfsr_taps=MAXIMAL_TAPS[14]))
     tracemalloc.start()
     try:
         starts = derive_window_starts(sched, 3)
@@ -292,8 +297,9 @@ def test_trusted_stimulus_rejects_short_workload(toy):
 
 
 def test_trusted_stimulus_rejects_wide_workload(toy):
-    with pytest.raises(ValueError, match="does not fit"):
-        trusted_user_stimulus(toy.schedule, [1 << 8] * 60, 60)
+    for word in UNFIT_WORDS:
+        with pytest.raises(ValueError, match="does not fit"):
+            trusted_user_stimulus(toy.schedule, [word] * 60, 60)
 
 
 def test_first_backjump_cycle_matches_offline_replay(s27, toy):
