@@ -19,11 +19,17 @@ the gap as the key needs (incremental unrolling, as in Shamsi, Pan & Jin,
 "KC2", DATE 2019): it checks the learned probes over their first 1, 2, 4,
 ... gap cycles, and a key unique on fewer cycles than the gap is kept only
 if a concrete run shows it reproduces every answer over the whole gap.
-Only when two keys survive the whole gap is a miter built, afresh from the
-learned DIPs: two symbolic key copies driving the same probe inputs with
-some output differing, from which a fresh solver takes the next DIP.  If
-it has none, the surviving keys agree on every probe and the window ends
-with the first.  So every formula a window solves is a function of its
+Each copy in this key formula encodes its last two frames only over the
+gates their pinned outputs and the next frame read (``Netlist.frame_cones``):
+the gates left out define variables nothing constrains, so it admits the
+same keys.  Only when two keys survive the whole gap is a miter built,
+afresh from the learned DIPs: two symbolic key copies driving the same
+probe inputs with some output differing, from which a fresh solver takes
+the next DIP.  It encodes every frame in full, so the DIPs the oracle sees
+do not depend on the key formula's encoding.  If it has none, the
+surviving keys agree on every probe and the window ends with the first;
+else the next step starts at the whole gap, since a DIP only drops keys.
+So every formula a window solves is a function of its
 start state, its learned DIPs and the depth alone, built where it is
 solved.  Earlier windows are pinned to their committed keys by one carried
 state, advanced once through each key and its gap; oracle queries replay
@@ -153,17 +159,19 @@ def _transpose(words, width: int) -> list[int]:
     return [sum(((w >> b) & 1) << p for p, w in enumerate(words)) for b in range(width)]
 
 
-def _encode_copy(b: CnfBuilder, nl: Netlist, state, key_rows, gap_rows, oracle_out=None):
+def _encode_copy(b: CnfBuilder, nl: Netlist, state, key_rows, gap_rows, oracle_out=None, cones=False):
     """Encode one copy of ``nl`` from flip-flop values ``state`` over a
     window's key cycles, driven by ``key_rows``, and the gap after it, driven
     by ``gap_rows``, one frame per cycle.
 
     Returns the copy's gap outputs, one list of output values per cycle.
     With ``oracle_out``, each gap cycle's outputs are also pinned to its
-    row of 0/1 output values as the cycle is encoded.
+    row of 0/1 output values as the cycle is encoded.  With ``cones``, the
+    last two frames are encoded over ``nl.frame_cones``.
     """
-    outs = []
-    for t, frame in enumerate(islice(b.encode_frames(nl, state, (*key_rows, *gap_rows)), len(key_rows), None)):
+    rows, outs = (*key_rows, *gap_rows), []
+    programs = ((nl.frame_program,) * len(rows) + nl.frame_cones)[-len(rows) :] if cones else ()
+    for t, frame in enumerate(islice(b.encode_frames(nl, state, rows, programs), len(key_rows), None)):
         outs.append(frame)
         if oracle_out is not None:
             for i, v in enumerate(frame):
@@ -276,12 +284,13 @@ def _recover_window(enc: Netlist, state, key_len: int, gap: int, ask, rng, budge
     probe first if ``_lane_dip`` finds one.  Each step after that solves,
     at depth k = 1, 2, 4, ... up to the gap, one key copy per learned probe
     over the probe's and answer's first k gap cycles for a key K, then
-    blocks K on the same ``Solver`` and solves again.  A deeper formula
-    only drops keys, so the step stops at the first k where no key fits
+    blocks K on the same ``Solver`` and solves again; each copy's last two
+    frames are encoded over ``enc.frame_cones``.  A deeper formula only
+    drops keys, so the step stops at the first k where no key fits
     (``no-consistent-key``) or K is unique; ``_fits`` decides a K unique on
     fewer than ``gap`` cycles.  If two keys survive the full gap, a fresh
-    solver takes the next DIP from ``_miter``; if it has none, the window
-    ends with K.
+    solver takes the next DIP from ``_miter``, over full frames, and later
+    steps start at the gap; if it has none, the window ends with K.
 
     Returns ``(status, key, iterations, effort)``: the key is None unless
     the status is ``recovered``, ``iterations`` counts the learned probes,
@@ -314,17 +323,17 @@ def _recover_window(enc: Netlist, state, key_len: int, gap: int, ask, rng, budge
     # a probe that tells two simulated keys apart is a DIP as good as one
     # the solver finds, so the solver starts with a constraint
     dip = None if lane_dip is None else lane_dip[2]
+    depths = [1 << j for j in range((gap - 1).bit_length())] + [gap]  # powers of two below the gap, then it
     while True:
         if dip is not None:
             learned.append((dip, ask(dip)))
             dip = None
-        # the powers of two below the gap, then the gap; with nothing
-        # learned, every depth gives the same formula
-        for depth in [1 << j for j in range((gap - 1).bit_length() if learned else 0)] + [gap]:
+        # with nothing learned, every depth gives the same formula
+        for depth in depths if learned else [gap]:
             e = CnfBuilder()
             k_e = [[e.new_var() for _ in enc.inputs] for _ in range(key_len)]
             for probe, answer in learned:
-                _encode_copy(e, enc, state, k_e, probe[:depth], answer[:depth])
+                _encode_copy(e, enc, state, k_e, probe[:depth], answer[:depth], cones=True)
             solver = _solver(e)
             key = solve(solver, k_e)
             if key is None:
@@ -338,6 +347,7 @@ def _recover_window(enc: Netlist, state, key_len: int, gap: int, ask, rng, budge
                     status = STATUS_NO_KEY
                 break
         else:
+            depths = [gap]  # two keys fit the whole gap, and a DIP only drops keys
             cnf, x_vars = _miter(enc, state, key_len, gap, learned)
             dip = solve(_solver(cnf), x_vars)
         if dip is None:

@@ -235,6 +235,26 @@ class Netlist:
         return gates, tuple(slot[y] for y in self.outputs), tuple(slot[d] for _q, d in self.dffs)
 
     @cached_property
+    def frame_cones(self) -> tuple:
+        """``frame_program``s of the last two frames of an unrolling that reads
+        every output, in frame order, each over only the gates its outputs and
+        the next frame's cone read.  Cone gate ``k`` writes slot
+        ``len(inputs) + len(dffs) + k``; a next-state bit outside it is None."""
+        gates, outputs, next_state = self.frame_program
+        n_in, n_src = len(self.inputs), len(self.inputs) + len(self.dffs)
+        cones, need = [], set(outputs)
+        while len(cones) < 2:
+            for k in range(len(gates) - 1, -1, -1):
+                if n_src + k in need:
+                    need.update(gates[k][1])
+            keep = [k for k in range(len(gates)) if n_src + k in need]
+            slot = {s: s for s in range(n_src)} | {n_src + k: n_src + i for i, k in enumerate(keep)}
+            program = tuple((gates[k][0], tuple(slot[s] for s in gates[k][1])) for k in keep)
+            cones.insert(0, (program, tuple(slot[s] for s in outputs), tuple(slot.get(s) for s in next_state)))
+            need = {*outputs, *(d for i, d in enumerate(next_state) if n_in + i in need)}
+        return tuple(cones)
+
+    @cached_property
     def compiled(self) -> "CompiledCircuit":
         # built on a shallow copy, which caches no circuit: with no reference
         # cycle, a dropped netlist and its kernel are freed at once, not by

@@ -269,7 +269,7 @@ class KeySchedule(NamedTuple):
         Checks the field types, the embedded encryption config (through
         ``EncryptConfig.validate``), the reset seed (through ``new_lfsr``),
         and ``2**sbj_bits`` key table rows of ``key_len`` patterns each,
-        every pattern in ``[0, 2**n_inputs)``.
+        every pattern an integer in ``[0, 2**n_inputs)``.
         """
         if not isinstance(self.circuit, str):
             raise ValueError(f"circuit must be a string, got {self.circuit!r}")
@@ -290,6 +290,8 @@ class KeySchedule(NamedTuple):
             if len(row) != self.key_len:
                 raise ValueError(f"key_table row {s} has {len(row)} patterns, c = {self.key_len}")
             for w in row:
+                if not _is_int(w):
+                    raise ValueError(f"key_table row {s}: pattern {w!r} is not an integer")
                 if not 0 <= w < limit:
                     raise ValueError(f"key_table row {s}: pattern {w:#x} does not fit i = {self.n_inputs} inputs")
 

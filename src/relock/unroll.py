@@ -12,11 +12,15 @@ NOT and BUFF only set a literal's sign; every other gate that does not fold
 to a constant or a literal takes one of two Tseitin forms: an AND over
 literals (``_and_clauses``, with NAND, OR and NOR inverting its inputs or
 output) or a chain of two-input XORs (``_xor2``, with XNOR inverting the
-result).  ``CnfBuilder.encode_frames`` steps the frames; ``to_dimacs``
-writes a builder's formula as DIMACS text.
+result).  A frame may step a gate subset instead, a program of
+``nl.frame_cones``, with the same folding and forms.
+``CnfBuilder.encode_frames`` steps the frames; ``to_dimacs`` writes a
+builder's formula as DIMACS text.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .bench import Netlist
 
@@ -70,7 +74,7 @@ class CnfBuilder:
             return
         self.add_clause([value if bit else -value])
 
-    def encode_netlist(self, nl: Netlist, inputs, state=()) -> list:
+    def encode_netlist(self, nl: Netlist, inputs, state=(), program=None) -> list:
         """Encode one clock frame of ``nl`` from the values of its sources.
 
         ``inputs`` holds a bool or a signed literal per primary input and
@@ -78,7 +82,8 @@ class CnfBuilder:
         Returns the value of every net, indexed by its slot in
         ``nl.compiled.slot``: the sources, then the gate outputs in
         topological order.  ``nl.frame_program`` names the slots of the
-        outputs and of the next state.
+        outputs and of the next state; with ``program``, one of
+        ``nl.frame_cones``, the gates and slots are that program's.
 
         Every gate but a wide XOR is folded here, inline, into exactly the
         clauses, variable numbers and values that ``_encode_gate`` gives
@@ -96,7 +101,7 @@ class CnfBuilder:
                 x = (*nl.inputs, *(q for q, _d in nl.dffs))[k]
                 raise ValueError(f"pin for '{x}' is 0; use False for a constant")
         push, clauses, n = val.append, self.clauses, self.n_vars
-        for kind, slots in nl.frame_program[0]:
+        for kind, slots in (program or nl.frame_program)[0]:
             form = _AND_FORMS.get(kind)
             if form is not None:
                 invert_in, invert_out = form
@@ -157,7 +162,7 @@ class CnfBuilder:
         self.n_vars = n
         return val
 
-    def encode_frames(self, nl: Netlist, state, rows):
+    def encode_frames(self, nl: Netlist, state, rows, programs=()):
         """Encode ``nl`` one clock frame per row, starting from ``state``.
 
         ``state`` holds a bool or a literal per flip-flop output (all False
@@ -165,15 +170,17 @@ class CnfBuilder:
         a packed word of constants (bit ``i`` drives input ``i``) or a
         sequence of per-input values.  Yields each frame's output values
         as it is encoded, so clauses a caller adds between frames follow
-        that frame's clauses.
+        that frame's clauses.  ``programs``, if given, holds one frame
+        program per row to encode its frame over (``nl.frame_program`` or
+        one of ``nl.frame_cones``); a next-state bit outside a cone is None.
         """
-        _gates, outputs, next_state = nl.frame_program
         n_in = len(nl.inputs)
-        for row in rows:
+        for row, program in zip(rows, programs or repeat(nl.frame_program)):
             if isinstance(row, int):
                 row = [bool((row >> i) & 1) for i in range(n_in)]
-            val = self.encode_netlist(nl, row, state)
-            state = [val[s] for s in next_state]
+            val = self.encode_netlist(nl, row, state, program)
+            _gates, outputs, next_state = program
+            state = [None if s is None else val[s] for s in next_state]
             yield [val[s] for s in outputs]
 
     # -- gate folding ------------------------------------------------------

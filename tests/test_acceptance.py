@@ -295,13 +295,15 @@ def test_criterion_08_solver_conflicts_strictly_increase_over_windows(toy_attack
 # the toy attack, recorded with the solver whose search tests/test_sat.py pins
 # with each window's first DIP taken from the lane run, with each window
 # ending once one key fits its DIPs, with each step's second-key solve
-# continuing the first one's solver, and with each step solving the DIPs
-# over their first 1, 2, 4, ... gap cycles; criterion 08's rising conflicts
-# rest on these exact numbers
+# continuing the first one's solver, with each step solving the DIPs over
+# their first 1, 2, 4, ... gap cycles, a step after a miter only over the
+# whole gap, and with each key formula's last two frames encoded over the
+# gates its pinned outputs read; criterion 08's rising conflicts rest on
+# these exact numbers
 TOY_WINDOW_EFFORT = (
-    (1, 4, 3, 20, 188),
-    (2, 9, 113, 241, 11356),
-    (2, 17, 138, 391, 17576),
+    (1, 4, 3, 20, 173),
+    (2, 9, 113, 241, 11423),
+    (2, 11, 138, 352, 16775),
 )
 
 

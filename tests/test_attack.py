@@ -391,6 +391,49 @@ def test_a_key_copy_from_a_second_state_equals_its_encode_alone(circuit, request
     assert from_a.clauses != alone.clauses
 
 
+@pytest.mark.parametrize("circuit", ["s27", "s298"])
+def test_a_key_formula_over_the_frame_cones_admits_the_keys_of_full_frames(circuit, request):
+    """Window 1's key formula over two learned probes, its last two frames
+    encoded over the cones of the pinned outputs, admits exactly the keys
+    the full-frame formula admits, enumerated with blocking clauses at
+    depths 1, 2 and the whole gap, with fewer clauses."""
+    orig = request.getfixturevalue(circuit)
+    cfg = TOY_CFG if circuit == "s27" else S298_POOL_CFG
+    design = encrypt(orig, cfg)
+    enc, c, n_in = design.netlist, cfg.key_len, len(orig.inputs)
+    starts = derive_window_starts(design.schedule, 2)
+    key_0, key_1 = (design.schedule.key_table[w.chain] for w in authentication_schedule(design.schedule, starts[2])[:2])
+    # on s27 these probes leave 180 of 256 keys over their first two gap cycles
+    rng = random.Random(2)
+    free = [rng.getrandbits(n_in) for _ in range(starts[1] - c)]
+    state = state_after(enc, [*free[: starts[0]], *key_0, *free[starts[0] :]])
+    gap = starts[2] - starts[1] - c
+    assert gap > 2
+    oracle = SequenceOracle(orig)
+    learned = []
+    for _ in range(2):
+        probe = [rng.getrandbits(n_in) for _ in range(gap)]
+        learned.append((probe, oracle.query(free + probe)[len(free) :]))
+
+    def keys(depth, cones):
+        b = CnfBuilder()
+        k = [[b.new_var() for _ in range(n_in)] for _ in range(c)]
+        for probe, answer in learned:
+            _encode_copy(b, enc, state, k, probe[:depth], answer[:depth], cones=cones)
+        assert not b.contradiction
+        solver, found = Solver(b.n_vars, b.clauses), set()
+        while (r := solver.solve()).status == SAT:
+            found.add(tuple(sum(r.model[v] << i for i, v in enumerate(row)) for row in k))
+            solver.add_clause([-v if r.model[v] else v for row in k for v in row])
+        return found, len(b.clauses)
+
+    for depth in (1, 2, gap):
+        (cone_keys, cone_clauses), (full_keys, full_clauses) = keys(depth, True), keys(depth, False)
+        assert key_1 in cone_keys
+        assert cone_keys == full_keys, depth
+        assert cone_clauses < full_clauses
+
+
 def _replay_verify_one_lane(enc, oracle, starts, keys, seed, verify_vectors):
     """The replay check one pass at a time, as it ran before it used lanes."""
     plan = key_plan(zip(starts, keys), starts[len(keys)])
@@ -633,3 +676,4 @@ def test_derive_window_starts_rejects_a_non_int_max_seq(toy, max_seq):
     _, enc, _, _ = toy
     with pytest.raises(ValueError, match="max_seq must be an integer"):
         derive_window_starts(enc.schedule, max_seq)
+

@@ -324,6 +324,23 @@ def test_schedule_reads_the_lock_parameters_through_its_config(s27, taps):
     assert KeySchedule._fields == ("circuit", "reset_seed", "n_inputs", "key_table", "config")
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (dict(reset_seed=1.0), "^seed must be an integer, got 1.0$"),
+        (dict(n_inputs="4"), "^i must be an integer, got '4'$"),
+        (dict(key_table=((1, 2, 3), (0, 1))), "^key_table row 0 has 3 patterns, c = 2$"),
+        # to_json would raise TypeError on 1.0 and write True as 0x1
+        (dict(key_table=((0, 1), (1.0, 0))), "^key_table row 1: pattern 1.0 is not an integer$"),
+        (dict(key_table=((True, 0), (0, 1))), "^key_table row 0: pattern True is not an integer$"),
+    ],
+)
+def test_schedule_validate_names_the_bad_field(s27, edit, message):
+    sched = encrypt(s27, TOY_CFG).schedule._replace(**edit)
+    with pytest.raises(ValueError, match=message):
+        sched.validate()
+
+
 def test_schedule_json_must_be_an_object():
     with pytest.raises(ValueError, match="object"):
         KeySchedule.from_json("[1, 2]")

@@ -214,6 +214,20 @@ def test_builder_symbolic_matches_eval(s27):
 
 @given(netlists(max_arity=4), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
+def test_frames_over_the_cones_give_the_outputs_of_full_frames(nl, rng):
+    """Three constant frames, the last two over ``nl.frame_cones``, yield
+    every frame's outputs as three full frames do, and each cone keeps at
+    most the full frame's gates."""
+    state = [rng.choice([True, False]) for _ in nl.dffs]
+    rows = [rng.getrandbits(len(nl.inputs)) for _ in range(3)]
+    full = list(CnfBuilder().encode_frames(nl, state, rows))
+    programs = (nl.frame_program, *nl.frame_cones)
+    assert list(CnfBuilder().encode_frames(nl, state, rows, programs)) == full
+    assert all(len(cone[0]) <= len(nl.frame_program[0]) for cone in nl.frame_cones)
+
+
+@given(netlists(max_arity=4), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
 def test_encode_netlist_equals_folding_gate_by_gate(nl, rng):
     """The frame program gives the clauses and net values that folding each
     gate by name in topological order gives, on sources mixing constants,
