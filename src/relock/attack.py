@@ -31,11 +31,13 @@ surviving keys agree on every probe and the window ends with the first;
 else the next step starts at the whole gap, since a DIP only drops keys.
 So every formula a window solves is a function of its
 start state, its learned DIPs and the depth alone, built where it is
-solved.  Earlier windows are pinned to their committed keys by one carried
-state, advanced once through each key and its gap; oracle queries replay
-them from reset.  Every oracle access, a probe or the replay check's batch,
-is one ``SequenceOracle.query``, which takes and answers cycles as
-``sim.run_from`` does.
+solved; one that folds to the empty clause, such as a miter whose outputs
+cannot differ, is one solver call like any other, UNSAT at one conflict.
+Earlier windows are pinned to their committed keys by one carried state,
+advanced once through each key and its gap; oracle queries replay them from
+reset.  Every oracle access, a probe or the replay check's batch, is one
+``SequenceOracle.query``, which takes and answers cycles as ``sim.run_from``
+does.
 
 Output comparisons are rank aligned: the unlocked chip never sees the
 window cycles, so its cycle ``j`` output is compared against the locked
@@ -109,7 +111,7 @@ class SequenceOracle:
         if len(rows) != plan.count(None):
             raise ValueError(f"{len(rows)} rows for {plan.count(None)} None cycles")
         for r, row in enumerate(rows):
-            if len(row) != n_in or not all(_is_int(w) and 0 <= w < (1 << width) for w in row):
+            if not isinstance(row, (list, tuple)) or len(row) != n_in or not all(_word_fits(w, width) for w in row):
                 raise ValueError(f"row {r} is not {n_in} lane words of {width} lanes")
         outputs = [outs for outs, _state in run_from(self._nl, plan, rows, width)]
         self.queries += width
@@ -177,11 +179,6 @@ def _encode_copy(b: CnfBuilder, nl: Netlist, state, key_rows, gap_rows, oracle_o
             for i, v in enumerate(frame):
                 b.pin(v, oracle_out[t][i])
     return outs
-
-
-def _solver(cnf: CnfBuilder) -> Solver | None:
-    """A solver over the builder's clauses; None if it holds the empty clause."""
-    return None if cnf.contradiction else Solver(cnf.n_vars, cnf.clauses)
 
 
 class WindowRecovery(NamedTuple):
@@ -267,7 +264,7 @@ def _miter(enc: Netlist, state, key_len: int, gap: int, learned):
                 raise AssertionError("output differs for every key pair")
             if d is not False:
                 diffs.append(d)
-    # if no output can differ, the empty clause sets the contradiction flag
+    # if no output can differ, this is the empty clause: the miter is UNSAT
     b.add_clause(diffs)
     for probe, answer in learned:
         for keys in (k_a, k_b):
@@ -301,14 +298,11 @@ def _recover_window(enc: Netlist, state, key_len: int, gap: int, ask, rng, budge
     status = STATUS_RECOVERED
     effort = [0, 0, 0, 0]
 
-    def solve(solver: Solver | None, rows) -> tuple[int, ...] | None:
+    def solve(solver: Solver, rows) -> tuple[int, ...] | None:
         """Solve once more; the model's word for each row of ``rows``.  None
-        if there is no solver (its builder holds the empty clause), if the
-        formula is unsatisfiable, or if the budget runs out, which sets
-        ``status``."""
+        if the formula is unsatisfiable or if the budget runs out, which
+        sets ``status``."""
         nonlocal status
-        if solver is None:
-            return None
         before = (0, solver.conflicts, solver.decisions, solver.propagations)
         res = solver.solve(budget)
         after = (1, res.conflicts, res.decisions, res.propagations)
@@ -334,7 +328,7 @@ def _recover_window(enc: Netlist, state, key_len: int, gap: int, ask, rng, budge
             k_e = [[e.new_var() for _ in enc.inputs] for _ in range(key_len)]
             for probe, answer in learned:
                 _encode_copy(e, enc, state, k_e, probe[:depth], answer[:depth], cones=True)
-            solver = _solver(e)
+            solver = Solver(e.n_vars, e.clauses)
             key = solve(solver, k_e)
             if key is None:
                 if status == STATUS_RECOVERED:
@@ -349,7 +343,7 @@ def _recover_window(enc: Netlist, state, key_len: int, gap: int, ask, rng, budge
         else:
             depths = [gap]  # two keys fit the whole gap, and a DIP only drops keys
             cnf, x_vars = _miter(enc, state, key_len, gap, learned)
-            dip = solve(_solver(cnf), x_vars)
+            dip = solve(Solver(cnf.n_vars, cnf.clauses), x_vars)
         if dip is None:
             return status, key if status == STATUS_RECOVERED else None, len(learned), tuple(effort)
 

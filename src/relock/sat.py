@@ -446,18 +446,13 @@ class Solver:
         )
 
 
-def solve(cnf_or_clauses, n_vars: int | None = None, conflict_budget: int | None = None) -> SolveResult:
-    """Solve a :class:`~relock.unroll.CnfBuilder` or a raw clause list.
+def solve(clauses, n_vars: int | None = None, conflict_budget: int | None = None) -> SolveResult:
+    """Solve a clause list over ``n_vars`` variables, by default the largest
+    variable it names.
 
-    Deterministic: equal formulas give equal results and statistics.  A
-    builder whose ``contradiction`` flag is set raises ``ValueError``: the
-    empty clause it records is not in its clause list.
+    Deterministic: equal formulas give equal results and statistics.  An
+    empty clause makes the formula UNSAT, counted as one conflict.
     """
-    if getattr(cnf_or_clauses, "contradiction", False):
-        raise ValueError("builder has its contradiction flag set: the formula is unsatisfiable")
-    clauses = getattr(cnf_or_clauses, "clauses", cnf_or_clauses)
     if n_vars is None:
-        n_vars = getattr(cnf_or_clauses, "n_vars", None)
-        if n_vars is None:
-            n_vars = max((abs(v) for cl in clauses for v in cl), default=0)
+        n_vars = max((abs(v) for cl in clauses for v in cl), default=0)
     return Solver(n_vars, clauses).solve(conflict_budget)

@@ -15,7 +15,7 @@ output) or a chain of two-input XORs (``_xor2``, with XNOR inverting the
 result).  A frame may step a gate subset instead, a program of
 ``nl.frame_cones``, with the same folding and forms.
 ``CnfBuilder.encode_frames`` steps the frames; ``to_dimacs`` writes a
-builder's formula as DIMACS text.
+builder's formula, its empty clause too, as DIMACS text.
 """
 
 from __future__ import annotations
@@ -46,33 +46,27 @@ class CnfBuilder:
     (literals over allocated variables).  ``encode_netlist`` returns the
     value of every net of one frame; pinned inputs drive the folding, so a
     frame whose inputs are all constants reduces to pure evaluation.
-    An empty clause sets ``contradiction`` instead of entering ``clauses``,
-    so ``to_dimacs`` and ``sat.solve`` reject a builder with the flag set.
+    A formula is false only by holding the empty clause ``()``, which
+    pinning a constant to the other value adds.
     """
 
     def __init__(self) -> None:
         self.n_vars = 0
         self.clauses: list[tuple[int, ...]] = []
-        self.contradiction = False
 
     def new_var(self) -> int:
         self.n_vars += 1
         return self.n_vars
 
     def add_clause(self, lits) -> None:
-        cl = tuple(lits)
-        if not cl:
-            self.contradiction = True
-            return
-        self.clauses.append(cl)
+        self.clauses.append(tuple(lits))
 
     def pin(self, value, bit: int) -> None:
         """Constrain a net value to a constant bit."""
-        if isinstance(value, bool):
-            if value != bool(bit):
-                self.contradiction = True
-            return
-        self.add_clause([value if bit else -value])
+        if not isinstance(value, bool):
+            self.add_clause([value if bit else -value])
+        elif value != bool(bit):
+            self.add_clause(())
 
     def encode_netlist(self, nl: Netlist, inputs, state=(), program=None) -> list:
         """Encode one clock frame of ``nl`` from the values of its sources.
@@ -170,12 +164,13 @@ class CnfBuilder:
         a packed word of constants (bit ``i`` drives input ``i``) or a
         sequence of per-input values.  Yields each frame's output values
         as it is encoded, so clauses a caller adds between frames follow
-        that frame's clauses.  ``programs``, if given, holds one frame
-        program per row to encode its frame over (``nl.frame_program`` or
-        one of ``nl.frame_cones``); a next-state bit outside a cone is None.
+        that frame's clauses.  ``programs``, if given, holds exactly one
+        frame program per row (``nl.frame_program`` or one of
+        ``nl.frame_cones``), or ``ValueError`` is raised; a next-state bit
+        outside a cone is None.
         """
         n_in = len(nl.inputs)
-        for row, program in zip(rows, programs or repeat(nl.frame_program)):
+        for row, program in zip(rows, programs or repeat(nl.frame_program), strict=bool(programs)):
             if isinstance(row, int):
                 row = [bool((row >> i) & 1) for i in range(n_in)]
             val = self.encode_netlist(nl, row, state, program)
@@ -253,11 +248,10 @@ class CnfBuilder:
 
 
 def to_dimacs(b: CnfBuilder, comments=()) -> str:
-    """Standard DIMACS text of a builder's formula; deterministic byte for byte."""
-    if b.contradiction:
-        raise ValueError("builder has its contradiction flag set: the formula is unsatisfiable")
+    """Standard DIMACS text of a builder's formula, the empty clause as the
+    line ``0``; deterministic byte for byte."""
     lines = [f"c {c}" for c in comments]
     lines.append(f"p cnf {b.n_vars} {len(b.clauses)}")
     for cl in b.clauses:
-        lines.append(" ".join(str(v) for v in cl) + " 0")
+        lines.append(" ".join([*map(str, cl), "0"]))
     return "\n".join(lines) + "\n"

@@ -380,7 +380,7 @@ def test_solve_accepts_cnf_objects(s27):
     b = CnfBuilder()
     rows = [[b.new_var() for _ in s27.inputs] for _ in range(2)]
     list(b.encode_frames(s27, [False] * len(s27.dffs), rows))
-    res = solve(b)
+    res = solve(b.clauses, b.n_vars)
     assert res.status == SAT
     assert len(res.model) == b.n_vars
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from relock import (
     SAT,
+    UNSAT,
     CnfBuilder,
     DanglingNetWarning,
     parse_bench,
@@ -69,6 +70,15 @@ def test_encode_frames_is_lazy(s27):
     assert b.clauses[n0] == (1,) and len(b.clauses) > n0 + 1
 
 
+@pytest.mark.parametrize("n_programs", [1, 4])
+def test_encode_frames_needs_one_program_per_row(s27, n_programs):
+    """Programs and rows of different lengths raise instead of encoding
+    only as many frames as the shorter has."""
+    programs = (s27.frame_program,) * n_programs
+    with pytest.raises(ValueError, match="zip"):
+        list(CnfBuilder().encode_frames(s27, reset(s27), [0, 0, 0], programs))
+
+
 @given(netlists(), st.integers(1, 5), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_unroll_matches_simulation(nl, T, rng):
@@ -93,7 +103,7 @@ def test_cnf_models_decode_to_circuit_values(nl, T, rng):
     for row, w in zip(rows, vectors):
         for i, v in enumerate(row):
             b.pin(v, (w >> i) & 1)
-    res = solve(b)
+    res = solve(b.clauses, b.n_vars)
     assert res.status == SAT
     assert [word(value(res.model, v) for v in outs) for outs in frames] == want
 
@@ -131,26 +141,32 @@ def test_dimacs_comments():
     assert to_dimacs(b, comments=("hello",)) == "c hello\np cnf 1 0\n"
 
 
-def test_dimacs_rejects_contradiction():
-    b = CnfBuilder()
+def parse_dimacs(text):
+    """The variable count and clause list of DIMACS text."""
+    header, *lines = (line for line in text.splitlines() if not line.startswith("c "))
+    _p, _cnf, n_vars, n_clauses = header.split()
+    clauses = []
+    for line in lines:
+        *lits, end = map(int, line.split())
+        assert end == 0
+        clauses.append(tuple(lits))
+    assert len(clauses) == int(n_clauses)
+    return int(n_vars), clauses
+
+
+def test_dimacs_round_trips_the_empty_clause():
+    """An empty clause, added or from pinning a constant to the other value,
+    is the line ``0``; the other clauses keep their bytes, the text parses
+    back to the builder's clauses, and that formula is UNSAT."""
+    b, _ = encoded(AND_TEXT)
     b.pin(True, 0)
-    with pytest.raises(ValueError, match="contradiction"):
-        to_dimacs(b)
-
-
-def test_solve_rejects_contradiction():
-    b = CnfBuilder()
-    b.pin(True, 0)
-    with pytest.raises(ValueError, match="contradiction"):
-        solve(b)
-
-
-def test_cnf_rejects_empty_clause():
-    b = CnfBuilder()
     b.add_clause([])
-    assert b.contradiction and b.clauses == []
-    with pytest.raises(ValueError, match="contradiction"):
-        to_dimacs(b)
+    b.pin(False, 0)  # a constant at its own value adds nothing
+    text = to_dimacs(b, comments=("folded",))
+    assert text == "c folded\np cnf 3 5\n-3 1 0\n-3 2 0\n3 -1 -2 0\n0\n0\n"
+    assert parse_dimacs(text) == (b.n_vars, b.clauses)
+    res = solve(b.clauses, b.n_vars)
+    assert (res.status, res.model, res.conflicts) == (UNSAT, None, 1)
 
 
 def test_cnf_rejects_out_of_range_literal():
@@ -289,7 +305,7 @@ def test_builder_requires_all_pins():
 def test_builder_pin_contradiction_flag():
     b = CnfBuilder()
     b.pin(True, 0)
-    assert b.contradiction
+    assert b.clauses == [()]
 
 
 def test_builder_pin_literal_adds_unit():
@@ -297,8 +313,7 @@ def test_builder_pin_literal_adds_unit():
     v = b.new_var()
     b.pin(v, 1)
     b.pin(v, 0)
-    assert b.clauses == [(v,), (-v,)]
-    assert not b.contradiction  # conflict is the solver's to find
+    assert b.clauses == [(v,), (-v,)]  # conflict is the solver's to find
 
 
 def test_builder_xor_value_folding():
