@@ -169,6 +169,38 @@ def test_dimacs_round_trips_the_empty_clause():
     assert (res.status, res.model, res.conflicts) == (UNSAT, None, 1)
 
 
+def test_dimacs_rejects_contradiction():
+    """A builder pinned against a constant is not refused: its formula is
+    written with the empty clause as the line ``0``."""
+    b = CnfBuilder()
+    b.pin(True, 0)
+    assert to_dimacs(b) == "p cnf 0 1\n0\n"
+    assert parse_dimacs(to_dimacs(b)) == (0, [()])
+
+
+def test_solve_rejects_contradiction():
+    """The clause list of a builder pinned against a constant solves UNSAT
+    at one conflict, with no model."""
+    b = CnfBuilder()
+    b.pin(True, 0)
+    res = solve(b.clauses, b.n_vars)
+    assert (res.status, res.model, res.conflicts) == (UNSAT, None, 1)
+
+
+def test_cnf_rejects_empty_clause():
+    """An added empty clause enters the clause list, written as ``0``, and
+    makes a formula that is otherwise satisfiable UNSAT."""
+    b = CnfBuilder()
+    v = b.new_var()
+    b.add_clause([v])
+    assert solve(b.clauses, b.n_vars).status == SAT
+    b.add_clause([])
+    assert b.clauses == [(v,), ()]
+    assert to_dimacs(b) == "p cnf 1 2\n1 0\n0\n"
+    res = solve(b.clauses, b.n_vars)
+    assert (res.status, res.model, res.conflicts) == (UNSAT, None, 1)
+
+
 def test_cnf_rejects_out_of_range_literal():
     with pytest.raises(ValueError, match="bad literal"):
         solve([(2,)], n_vars=1)
