@@ -17,8 +17,7 @@ and the window ends with the one key: the unique-completion check of El
 Massad, Garg & Tripunitara (ICCAD 2017).  A step unrolls only as much of
 the gap as the key needs (incremental unrolling, as in Shamsi, Pan & Jin,
 "KC2", DATE 2019): it checks the learned probes over their first 1, 2, 4,
-... gap cycles, and a key unique on fewer cycles than the gap is kept only
-if a concrete run shows it reproduces every answer over the whole gap.
+... gap cycles and stops at the first depth where the key is unique.
 Each copy in this key formula encodes its last two frames only over the
 gates their pinned outputs and the next frame read (``Netlist.frame_cones``):
 the gates left out define variables nothing constrains, so it admits the
@@ -33,11 +32,11 @@ So every formula a window solves is a function of its
 start state, its learned DIPs and the depth alone, built where it is
 solved; one that folds to the empty clause, such as a miter whose outputs
 cannot differ, is one solver call like any other, UNSAT at one conflict.
-Earlier windows are pinned to their committed keys by one carried state,
-advanced once through each key and its gap; oracle queries replay them from
-reset.  Every oracle access, a probe or the replay check's batch, is one
-``SequenceOracle.query``, which takes and answers cycles as ``sim.run_from``
-does.
+One lane-parallel run per window checks its key on every learned probe over
+the whole gap and, on one more lane, carries the state through the committed
+gap; oracle queries replay from reset.  Every oracle access, a probe or the
+replay check's batch, is one ``SequenceOracle.query``, which takes and
+answers cycles as ``sim.run_from`` does.
 
 Output comparisons are rank aligned: the unlocked chip never sees the
 window cycles, so its cycle ``j`` output is compared against the locked
@@ -49,7 +48,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from itertools import chain, islice
+from itertools import chain, islice, repeat, zip_longest
+from operator import lshift
 from typing import NamedTuple
 
 from .bench import Netlist
@@ -148,11 +148,21 @@ def _lane_dip(nl: Netlist, state, key_len: int, gap: int, rng: random.Random):
     return pick(keys, lane), pick(keys, lanes + lane), pick(probes, lane)
 
 
-def _state_after(nl: Netlist, state, words) -> list[bool]:
-    """The flip-flop values, as bools, after packed ``words`` from ``state``."""
-    for _outs, state in run_from(nl, words, state=state):
-        pass
-    return [bool(v) for v in state]
+def _commit(nl: Netlist, state, key, learned, committed):
+    """Run ``key`` from the flip-flop values ``state``, then the gap: lane 0
+    plays ``committed`` and lane ``i`` the probe of ``learned[i - 1]``.  Returns
+    whether each learned lane gives its answer, and lane 0's end state (bools)."""
+    n_in = len(nl.inputs)
+    # lane i is bit i * n_in: a cycle's words side by side, shifted by b, are input b's row (bits between go unread)
+    offsets = [i * n_in for i in range(len(learned) + 1)]
+    words = (sum(map(lshift, w, offsets)) for w in zip(committed, *(p for p, _ in learned)))
+    rows = ([w >> b for b in range(n_in)] for w in words)
+    run = run_from(nl, (*key, *[None] * len(committed)), rows, offsets[-1] + 1, state)
+    expected = chain(repeat((), len(key)), zip(*(a for _, a in learned)))  # no answers on key cycles
+    fits = True
+    for (outs, state), answers in zip_longest(run, expected, fillvalue=()):  # nor with nothing learned
+        fits = fits and all(tuple(o >> s & 1 for o in outs) == a for s, a in zip(offsets[1:], answers))
+    return fits, [bool(v & 1) for v in state]
 
 
 def _transpose(words, width: int) -> list[int]:
@@ -232,16 +242,6 @@ class AttackResult(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _fits(enc: Netlist, state, key, learned) -> bool:
-    """Whether ``key`` in a window from ``state`` reproduces every learned
-    answer over the whole gap, in one single-lane run per learned probe."""
-    for probe, answer in learned:
-        gap_outs = islice(run_from(enc, (*key, *probe), state=state), len(key), None)
-        if any(outs != bits for (outs, _state), bits in zip(gap_outs, answer)):
-            return False
-    return True
-
-
 def _miter(enc: Netlist, state, key_len: int, gap: int, learned):
     """The miter of a window from ``state``: key copies A and B over shared
     gap probe variables with some gap output differing, then every learned
@@ -272,9 +272,9 @@ def _miter(enc: Netlist, state, key_len: int, gap: int, learned):
     return b, x_vars
 
 
-def _recover_window(enc: Netlist, state, key_len: int, gap: int, ask, rng, budget: int):
+def _recover_window(enc: Netlist, state, key_len: int, committed, ask, rng, budget: int):
     """Recover the key of one window from ``state``, the flip-flop values
-    (bools) its committed prefix reaches, with ``gap`` probe cycles after it.
+    (bools) its committed prefix reaches; the prefix plays ``committed`` on the gap.
 
     ``ask(probe)`` returns the oracle's gap outputs on ``probe``, one row
     of 0/1 output values per cycle; each probe asked is learned, the lane
@@ -284,17 +284,17 @@ def _recover_window(enc: Netlist, state, key_len: int, gap: int, ask, rng, budge
     blocks K on the same ``Solver`` and solves again; each copy's last two
     frames are encoded over ``enc.frame_cones``.  A deeper formula only
     drops keys, so the step stops at the first k where no key fits
-    (``no-consistent-key``) or K is unique; ``_fits`` decides a K unique on
-    fewer than ``gap`` cycles.  If two keys survive the full gap, a fresh
-    solver takes the next DIP from ``_miter``, over full frames, and later
-    steps start at the gap; if it has none, the window ends with K.
+    (``no-consistent-key``) or K is unique.  If two keys survive the full
+    gap, a fresh solver takes the next DIP from ``_miter``, over full frames,
+    and later steps start at the gap; if it has none, the window ends with K,
+    kept only if ``_commit`` finds it reproduces every answer over the gap.
 
-    Returns ``(status, key, iterations, effort)``: the key is None unless
-    the status is ``recovered``, ``iterations`` counts the learned probes,
-    and ``effort`` is (solver calls, conflicts, decisions, propagations),
-    adding up each call's share of its solver's running totals.
+    Returns ``(status, key, iterations, effort, state)``: the key is None
+    unless the status is ``recovered``, ``iterations`` counts the learned
+    probes, ``effort`` sums each call's share of its solver's running totals
+    of (calls, conflicts, decisions, propagations), ``state`` is ``_commit``'s.
     """
-    learned = []
+    learned, gap = [], len(committed)
     status = STATUS_RECOVERED
     effort = [0, 0, 0, 0]
 
@@ -337,15 +337,16 @@ def _recover_window(enc: Netlist, state, key_len: int, gap: int, ask, rng, budge
             # with K the only key left, no probe can tell two surviving keys apart
             solver.add_clause([-v if word >> i & 1 else v for row, word in zip(k_e, key) for i, v in enumerate(row)])
             if solve(solver, ()) is None:
-                if status == STATUS_RECOVERED and depth < gap and not _fits(enc, state, key, learned):
-                    status = STATUS_NO_KEY
                 break
         else:
             depths = [gap]  # two keys fit the whole gap, and a DIP only drops keys
             cnf, x_vars = _miter(enc, state, key_len, gap, learned)
             dip = solve(Solver(cnf.n_vars, cnf.clauses), x_vars)
         if dip is None:
-            return status, key if status == STATUS_RECOVERED else None, len(learned), tuple(effort)
+            if status == STATUS_RECOVERED:
+                fits, state = _commit(enc, state, key, learned, committed)
+                status = STATUS_RECOVERED if fits else STATUS_NO_KEY
+            return status, key if status == STATUS_RECOVERED else None, len(learned), tuple(effort), state
 
 
 def recover_key_sequences(
@@ -417,7 +418,7 @@ def recover_key_sequences(
     windows: list[WindowRecovery] = []
     keys: list[tuple[int, ...]] = []
     # the committed prefix's state (keys in their windows, probes elsewhere), carried along
-    state = _state_after(enc, [False] * len(enc.dffs), probes[: starts[0]])
+    state = _commit(enc, [False] * len(enc.dffs), (), (), probes[: starts[0]])[1]
 
     for q in range(max_seq):
         w_t0 = time.perf_counter()
@@ -425,10 +426,10 @@ def recover_key_sequences(
         gap = starts[q + 1] - start - key_len
         queries_before = oracle.queries
 
-        # the oracle restarts from reset, so each query replays the prefix
-        prefix_probe = tuple(probes[: start - q * key_len])
-        status, key, iterations, effort = _recover_window(
-            enc, state, key_len, gap, lambda probe: oracle.query(prefix_probe + probe)[len(prefix_probe) :],
+        # the oracle restarts from reset, so each query replays the p probes before the window
+        p = start - q * key_len
+        status, key, iterations, effort, state = _recover_window(
+            enc, state, key_len, probes[p : p + gap], lambda probe: oracle.query((*probes[:p], *probe))[p:],
             random.Random(f"{seed}/attack/dip/{q}"), conflict_budget,
         )
         queries, wall_time = oracle.queries - queries_before, time.perf_counter() - w_t0
@@ -436,8 +437,6 @@ def recover_key_sequences(
         if status != STATUS_RECOVERED:
             break
         keys.append(key)
-        if q + 1 < max_seq:  # only a later window starts from the state after this gap
-            state = _state_after(enc, state, (*key, *probes[len(prefix_probe) : len(prefix_probe) + gap]))
 
     verified = False
     comparisons = 0

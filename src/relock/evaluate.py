@@ -28,7 +28,7 @@ from copy import deepcopy
 from typing import NamedTuple
 
 from .bench import Netlist
-from .encrypt import EncryptedDesign, _site_count
+from .encrypt import EncryptedDesign, _is_int, _site_count
 from .sim import Case, case_plan, run_from, workload_cycle_mask
 
 # perfbench/tracing.py wraps this module attribute by name
@@ -83,8 +83,8 @@ def run_case(
         raise ValueError("original and encrypted netlists disagree on inputs")
     if tuple(orig.outputs) != tuple(enc_nl.outputs):
         raise ValueError("original and encrypted netlists disagree on outputs")
-    if n_vectors < 1:
-        raise ValueError("n_vectors must be >= 1")
+    if not _is_int(n_vectors) or n_vectors < 1:
+        raise ValueError(f"n_vectors must be an integer >= 1, got {n_vectors!r}")
     n_in = len(orig.inputs)
     mask = workload_cycle_mask(sched, cycles)
     if not mask:

@@ -81,6 +81,8 @@ def authentication_schedule(sched: KeySchedule, cycles: int) -> tuple[AuthWindow
     the last may extend past it.  The PRNG is stepped at most
     ``cycles + key_len`` times.
     """
+    if not _is_int(cycles):
+        raise ValueError(f"cycles must be an integer, got {cycles!r}")
     if cycles < 0:
         raise ValueError("cycles must be nonnegative")
     return tuple(replay_windows(sched, cycles))
@@ -100,6 +102,8 @@ def key_plan(chains, cycles: int) -> tuple[int | None, ...]:
     ``chains`` holds ``(start, patterns)`` pairs: pattern ``k`` is applied
     on cycle ``start + k``.  Patterns past the horizon are dropped.
     """
+    if not _is_int(cycles):
+        raise ValueError(f"cycles must be an integer, got {cycles!r}")
     if cycles < 0:
         raise ValueError("cycles must be nonnegative")
     plan: list[int | None] = [None] * cycles

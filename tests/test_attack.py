@@ -29,7 +29,7 @@ from relock import (
     workload_stimulus,
 )
 from relock import attack
-from relock.attack import _encode_copy, _lane_dip, _replay_verify
+from relock.attack import _commit, _encode_copy, _lane_dip, _replay_verify
 from relock.sim import authentication_schedule, key_plan, plan_stimulus
 
 TOY_CFG = EncryptConfig(
@@ -184,6 +184,47 @@ def test_each_window_starts_from_the_state_of_its_committed_prefix(toy, monkeypa
     for q, state in enumerate(states):
         prefix = plan_stimulus(key_plan(zip(starts, res.keys[:q]), starts[q]), probes, n_in)
         assert state == state_after(enc.netlist, prefix), q
+
+
+# -- the commit run ----------------------------------------------------------
+
+@pytest.mark.parametrize("n_learned", [1, 2, 3])
+def test_the_commit_run_checks_each_learned_lane_and_carries_the_committed_one(toy, n_learned):
+    """Each learned lane's verdict is what one single-lane run per probe from
+    reset gives, also with one answer bit flipped on the last learned lane,
+    and lane 0 ends in the state the committed probes lead to."""
+    _nl, enc, _starts, _truth = toy
+    locked, c, gap = enc.netlist, TOY_CFG.key_len, 12
+    n_in, n_out = len(locked.inputs), len(locked.outputs)
+    rng = random.Random(n_learned)
+    prefix = [rng.getrandbits(n_in) for _ in range(9)]
+    key = tuple(rng.getrandbits(n_in) for _ in range(c))
+    committed = [rng.getrandbits(n_in) for _ in range(gap)]
+
+    def gap_outputs(probe):
+        outs = simulate(locked, workload_stimulus([*prefix, *key, *probe])).outputs[len(prefix) + c :]
+        return [tuple(out >> j & 1 for j in range(n_out)) for out in outs]
+
+    learned = [(p, gap_outputs(p)) for p in (tuple(rng.getrandbits(n_in) for _ in range(gap)) for _ in range(n_learned))]
+    end_state = state_after(locked, [*prefix, *key, *committed])
+    state = state_after(locked, prefix)
+    assert _commit(locked, state, key, learned, committed) == (True, end_state)
+    for t in (0, gap // 2, gap - 1):
+        probe, answer = learned[-1]
+        flipped = [*answer[:t], (1 - answer[t][0], *answer[t][1:]), *answer[t + 1 :]]
+        wrong = [*learned[:-1], (probe, flipped)]
+        single_lane = all(gap_outputs(p) == a for p, a in wrong)
+        assert not single_lane
+        assert _commit(locked, state, key, wrong, committed) == (single_lane, end_state), t
+
+
+@pytest.mark.parametrize("t", [0, 1, 9])
+def test_the_commit_run_with_no_key_or_learned_lane_is_the_state_after_its_prefix(toy, t):
+    _nl, enc, _starts, _truth = toy
+    locked = enc.netlist
+    rng = random.Random(t)
+    prefix = [rng.getrandbits(len(locked.inputs)) for _ in range(t)]
+    assert _commit(locked, [False] * len(locked.dffs), (), [], prefix) == (True, state_after(locked, prefix))
 
 
 # -- first DIP by simulation -------------------------------------------------

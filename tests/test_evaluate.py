@@ -190,6 +190,14 @@ def test_run_case_validates(s27, enc27):
         run_case(other, enc27, 1, n_vectors=5, cycles=100)
 
 
+@pytest.mark.parametrize("case", [Case.TRUSTED, Case.UNKEYED])
+@pytest.mark.parametrize("name, value", [("n_vectors", True), ("n_vectors", 2.5), ("cycles", 2.5), ("cycles", True)])
+def test_run_case_rejects_non_integer_counts(s27, enc27, case, name, value):
+    kwargs = {"n_vectors": 5, "cycles": 100, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        run_case(s27, enc27, case, **kwargs)
+
+
 def test_hd_csv(s27, enc27):
     reps = [run_case(s27, enc27, c, n_vectors=5, cycles=100) for c in (1, 2)]
     buf = io.StringIO()

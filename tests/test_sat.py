@@ -377,6 +377,7 @@ def test_result_fields_populated():
 
 
 def test_solve_accepts_cnf_objects(s27):
+    """``sat.solve`` takes a builder's clause list and variable count."""
     b = CnfBuilder()
     rows = [[b.new_var() for _ in s27.inputs] for _ in range(2)]
     list(b.encode_frames(s27, [False] * len(s27.dffs), rows))

@@ -266,6 +266,14 @@ def test_authentication_schedule_rejects_a_negative_horizon(toy):
         authentication_schedule(toy.schedule, -1)
 
 
+@pytest.mark.parametrize("cycles", [2.5, 2.0, True, "3"])
+def test_horizons_must_be_integers(toy, cycles):
+    with pytest.raises(ValueError, match=f"^cycles must be an integer, got {cycles!r}$"):
+        authentication_schedule(toy.schedule, cycles)
+    with pytest.raises(ValueError, match=f"^cycles must be an integer, got {cycles!r}$"):
+        key_plan([], cycles)
+
+
 def test_case_plans_of_the_three_access_levels(toy):
     sched = toy.schedule
     c = sched.key_len
